@@ -480,9 +480,6 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as exc:
-        if "bad format" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -417,7 +417,7 @@ def estimate_moments(spec, geometry, p, q, n_samples, seed):
     mu_vals = np.empty(n_samples)
     nu_vals = np.empty(n_samples)
     for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed_for_replica(seed, i))
+        fld = sample_environment(spec, geometry, child_seed(seed, i))
         with np.errstate(over="ignore"):
             mu_vals[i] = fld.mu_vector()[origin] ** p
             nu_vals[i] = fld.nu_vector()[origin] ** q
@@ -432,11 +432,6 @@ def estimate_moments(spec, geometry, p, q, n_samples, seed):
         stderr_nu=float(nu_vals.std(ddof=1) / math.sqrt(n_samples)),
         n_samples=n_samples,
     )
-
-
-def child_seed_for_replica(seed, index):
-    """64-bit seed for replica ``index`` of a Monte Carlo run."""
-    return child_seed(seed, index)
 
 
 # ---------------------------------------------------------------------------

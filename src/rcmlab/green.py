@@ -3,9 +3,12 @@
 The Green kernel g(x, y) integrates the heat kernel over all time.  The
 artifact splits the integral at a time T0:
 
-  * head [0, T0]: composite Gauss-Legendre quadrature on dyadic panels, the
-    integrand evaluated exactly through the Poisson jump series (one sparse
-    sweep yields p(t, x, y) for every t up to T0);
+  * head [0, T0]: exact, in closed form.  One sparse sweep stores the jump
+    chain coefficients a_n = P^n(x, y), and p(t, x, y) is their Poisson
+    mixture sum_n e^-t t^n / n! a_n / mu(y).  Since
+    int_0^T e^-t t^n / n! dt = P(Poisson(T) >= n + 1) = gammainc(n + 1, T),
+    the head is sum_n a_n gammainc(n + 1, T0) / mu(y), up to the series
+    truncation;
   * tail [T0, infinity): two numbers.  The reported value adds an
     extrapolated tail: log(p * t^{d/2}) is fitted as gamma - a/t from the
     values at T0/2 and T0 and the fit integrates in closed form (an additive
@@ -27,7 +30,7 @@ an independent oracle for the constant environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import integrate, special
@@ -36,7 +39,7 @@ from .envelopes import resolve_threshold
 from .environment import sample_environment
 from .fitting import loglog_slope
 from .kernel import jump_kernel, transition_profile
-from .poisson import chernoff_check, poisson_tail  # re-exported tail utilities
+from .poisson import poisson_tail
 from .seeding import child_seed
 
 __all__ = [
@@ -47,8 +50,6 @@ __all__ = [
     "quenched_bound_check",
     "annealed_green",
     "srw_green",
-    "poisson_tail",
-    "chernoff_check",
 ]
 
 
@@ -63,40 +64,27 @@ class GreenEstimate:
     tail_estimate: float
     tail_bound: float
     split_time: float
-    quad_error: float
     trunc_error: float
     wrap_error: float
     decomposition: object = None
+    # the jump-chain profile the head integrates; green_decomposition reuses it
+    profile: object = dataclass_field(default=None, repr=False)
 
 
-def _gauss_panels(a, b):
-    """Dyadic panel boundaries over [a, b]."""
-    bounds = [a]
-    width = 1.0
-    cur = a
-    while cur + width < b - 1e-12:
-        cur += width
-        bounds.append(cur)
-        width *= 2.0
-    bounds.append(b)
-    return bounds
+def _head_integral(profile, times, target=0):
+    """Exact integral of p(t, x, target) over [0, T] for each T in ``times``.
 
-
-def _gl_integral(fn, a, b, nodes):
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    bounds = _gauss_panels(a, b)
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        half = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        total += half * sum(w * fn(mid + half * xx) for xx, w in zip(xg, wg))
-    return total
-
-
-def _integrate_with_check(fn, a, b, nodes=12):
-    coarse = _gl_integral(fn, a, b, nodes)
-    fine = _gl_integral(fn, a, b, 2 * nodes)
-    return fine, abs(fine - coarse)
+    Sums a_n gammainc(n + 1, T) / mu(target) over the stored coefficients
+    (see the module docstring).  The sum runs in the same order for every T,
+    so equal times give equal values and the result inherits gammainc's
+    monotonicity in T.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    if np.any(t < 0) or np.any(t > profile.t_max * (1 + 1e-12)):
+        raise ValueError("time outside the profiled range")
+    n = np.arange(profile.coeff.shape[0])
+    terms = special.gammainc(n + 1, t[..., None]) * profile.coeff[:, target]
+    return terms.sum(axis=-1) / profile.mu_targets[target]
 
 
 def _envelope_tail(envelope, t0, dist):
@@ -154,8 +142,13 @@ def _pow2_at_least(v):
 
 
 def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
-                 quad_nodes=12, t0_min=None, t0_cap=512.0, kernel=None):
-    """Green kernel value with head quadrature and certified tail budget.
+                 t0_min=None, t0_cap=512.0, kernel=None):
+    """Green kernel value with an exact head and a certified tail budget.
+
+    The head over [0, T0] is the closed form sum_n a_n gammainc(n + 1, T0) /
+    mu(y) over the jump-chain coefficients a_n = P^n(x, y), because
+    int_0^T0 e^-t t^n / n! dt = P(Poisson(T0) >= n + 1); only the series
+    truncation, bounded by ``trunc_error``, separates it from the integral.
 
     ``envelope`` must be a fitted and verified upper envelope for this field;
     its closed-form tail integral is the certificate, required to stay below
@@ -181,9 +174,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
     kern = kernel if kernel is not None else jump_kernel(field)
     while True:
         profile = transition_profile(field, x, [y], t0, tol=series_tol, kernel=kern)
-        head, quad_err = _integrate_with_check(
-            lambda t: float(profile.hk(t)[0]), 0.0, t0, nodes=quad_nodes
-        )
+        head = float(_head_integral(profile, t0))
         tail_est = _extrapolated_tail(profile, t0, geo.d)
         tail_bound = _envelope_tail(envelope, t0, dist)
         value = head + tail_est
@@ -203,9 +194,9 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
         tail_estimate=tail_est,
         tail_bound=tail_bound,
         split_time=t0,
-        quad_error=quad_err,
         trunc_error=t0 * series_tol / mu_y,
         wrap_error=wrap,
+        profile=profile,
     )
 
 
@@ -224,27 +215,15 @@ def green_decomposition(field, x, y, regime_split, n1, envelope, tol=1.0,
     """Three-piece split of the Green integral at n1^2 and max(n1^2, dist/split)."""
     if n1 is None:
         raise ValueError("stability radius not available")
-    geo = field.geometry
-    kern = kernel if kernel is not None else jump_kernel(field)
-    estimate = green_kernel(
-        field, x, y, envelope, tol=tol, series_tol=series_tol, kernel=kern,
-        t0_min=max(4.0, n1 * n1, geo.torus_distance(x, y) / regime_split),
-    )
-    dist = geo.torus_distance(x, y)
     lam = float(n1 * n1)
-    n_xy = max(lam, dist / regime_split)
-    profile = transition_profile(field, x, [y], estimate.split_time,
-                                 tol=series_tol, kernel=kern)
-
-    def hk_at(t):
-        return float(profile.hk(t)[0])
-
-    term_local, _ = _integrate_with_check(hk_at, 0.0, lam)
-    term_mid = 0.0
-    if n_xy > lam:
-        term_mid, _ = _integrate_with_check(hk_at, lam, n_xy)
-    term_far, _ = _integrate_with_check(hk_at, n_xy, estimate.split_time)
-    term_far += estimate.tail_estimate
+    n_xy = max(lam, field.geometry.torus_distance(x, y) / regime_split)
+    estimate = green_kernel(field, x, y, envelope, tol=tol, series_tol=series_tol,
+                            t0_min=max(4.0, n_xy), kernel=kernel)
+    at_lam, at_nxy, at_t0 = _head_integral(estimate.profile,
+                                           [lam, n_xy, estimate.split_time])
+    term_local = float(at_lam)
+    term_mid = float(at_nxy - at_lam)
+    term_far = float(at_t0 - at_nxy) + estimate.tail_estimate
     decomp = GreenDecomposition(term_local, term_mid, term_far, lam, n_xy,
                                 term_local + term_mid + term_far)
     estimate.decomposition = decomp
@@ -366,9 +345,7 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None,
             for j, y in enumerate(ys):
                 dist = geometry.torus_distance(x, y)
                 t0 = t0_for_dist(dist)
-                head, _ = _integrate_with_check(
-                    lambda t: float(profile.hk(t)[j]), 0.0, t0
-                )
+                head = _head_integral(profile, t0, target=j)
                 samples[col, i] = head + _extrapolated_tail(profile, t0, geometry.d, target=j)
                 col += 1
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import special
 
 from .poisson import poisson_tail, poisson_weights
 
@@ -262,11 +263,8 @@ class TransitionProfile:
             raise ValueError("time outside the profiled range")
         if t == 0:
             return self.coeff[0].copy()
-        n_terms = self.coeff.shape[0]
-        weights = np.empty(n_terms)
-        weights[0] = math.exp(-t)
-        for n in range(1, n_terms):
-            weights[n] = weights[n - 1] * t / n
+        n = np.arange(self.coeff.shape[0])
+        weights = np.exp(n * math.log(t) - t - special.gammaln(n + 1))
         return weights @ self.coeff
 
     def hk(self, t):

@@ -20,11 +20,11 @@ from rcmlab.cli import main
 from rcmlab.envelopes import fit_envelopes, stability_radius, verify_bounds
 from rcmlab.environment import (ConductanceField, EnvironmentSpec,
                                 sample_environment)
-from rcmlab.green import annealed_green, chernoff_check, green_kernel, srw_green
+from rcmlab.green import annealed_green, green_kernel, srw_green
 from rcmlab.kernel import evolve, heat_kernel, jump_kernel, spectral_oracle
 from rcmlab.lattice import TorusGeometry, l1_norm
 from rcmlab.moments import association_check, rectangle_ladder
-from rcmlab.poisson import poisson_tail
+from rcmlab.poisson import chernoff_check, poisson_tail
 from rcmlab.seeding import child_seed
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
@@ -236,7 +236,7 @@ def test_criterion_09_green_oracle_and_scaling():
     env2 = dataclasses.replace(env, upper_amp=env.upper_amp / 2,
                                lower_amp=env.lower_amp / 2)
     est2 = green_kernel(doubled, (0, 0, 0), (0, 0, 0), env2, tol=0.5, t0_min=128)
-    combined_tol = (est.tail_bound + est.quad_error + est.trunc_error) / 2 + 1e-12
+    combined_tol = (est.tail_bound + est.trunc_error) / 2 + 1e-12
     assert abs(est2.value - est.value / 2.0) <= combined_tol
     report(9, f"Green value matches the lattice oracle to {rel:.2e} and halves "
               "under doubled weights", time.time() - start, 300.0)

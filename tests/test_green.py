@@ -1,17 +1,21 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmlab.envelopes import fit_envelopes
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
-from rcmlab.green import (annealed_green, green_cutoff_radius,
+from rcmlab.green import (_head_integral, annealed_green, green_cutoff_radius,
                           green_decomposition, green_kernel,
                           quenched_bound_check, srw_green)
-from rcmlab.kernel import heat_kernel, jump_kernel
+from rcmlab.kernel import heat_kernel, jump_kernel, transition_profile
 from rcmlab.lattice import TorusGeometry
 from rcmlab.poisson import chernoff_check, poisson_tail
 
@@ -93,7 +97,9 @@ def test_green_diagonal_matches_oracle():
     assert abs(est.value - oracle) / oracle <= 1e-3
     assert est.value >= est.head
     assert est.tail_bound <= 0.5 * est.value
-    assert est.quad_error <= 1e-10
+    ref, _ = scipy.integrate.quad(lambda t: est.profile.hk(t)[0], 0.0, est.split_time,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)
+    assert est.head == pytest.approx(ref, rel=1e-9)
 
 
 def test_green_offdiagonal_close_to_oracle():
@@ -180,6 +186,47 @@ def test_green_decomposition_poisson_bound_and_no_jump():
     assert est0.decomposition.term_local >= math.exp(-1.0) / 6.0
     with pytest.raises(ValueError, match="stability radius"):
         green_decomposition(field, (0, 0, 0), (4, 0, 0), 1.0, None, env, kernel=kern)
+
+
+SMALL_T_MAX = 64.0
+SMALL_TARGETS = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 3, 3)]
+
+
+@functools.cache
+def small_elliptic_setup():
+    geo = TorusGeometry(3, 6)
+    field = sample_environment(ELLIPTIC, geo, 9)
+    kern = jump_kernel(field)
+    slices = [heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
+              for t in (2.0, 4.0, 8.0)]
+    env = fit_envelopes(slices, lower_threshold=1.0, window=2.0)
+    profile = transition_profile(field, (0, 0, 0), SMALL_TARGETS, SMALL_T_MAX,
+                                 tol=1e-13, kernel=kern)
+    return field, kern, env, profile
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(times=st.lists(st.floats(0.0, SMALL_T_MAX, exclude_min=True),
+                      min_size=2, max_size=4),
+       target=st.integers(0, len(SMALL_TARGETS) - 1))
+def test_green_head_closed_form_properties(times, target):
+    field, kern, env, profile = small_elliptic_setup()
+    times = sorted(times)
+    heads = _head_integral(profile, times, target=target)
+    for t, head in zip(times, heads):
+        ref, _ = scipy.integrate.quad(lambda s: profile.hk(s)[target], 0.0, t,
+                                      epsabs=0.0, epsrel=1e-12, limit=200)
+        assert head == pytest.approx(ref, rel=1e-9, abs=1e-300)
+    # nondecreasing in T, up to the rounding of gammainc itself
+    assert np.all(np.diff(heads) >= -1e-15 * heads[1:])
+
+    est = green_decomposition(field, (0, 0, 0), SMALL_TARGETS[target], 1.0,
+                              math.sqrt(times[0]), env, kernel=kern)
+    dec = est.decomposition
+    assert dec.total == pytest.approx(est.head + est.tail_estimate, rel=1e-12)
+    assert dec.term_local >= 0 and dec.term_mid >= 0 and dec.term_far >= 0
+    # the estimate's own profile stops at its split time, not at SMALL_T_MAX
+    assert dec.term_local == pytest.approx(heads[0], rel=1e-9, abs=1e-300)
 
 
 def test_green_cutoff_radius():
