@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import avg_norm
-from .kernel import heat_kernel, jump_kernel
+from .kernel import heat_slices, jump_kernel
 from .lattice import corner_points, l1_norm, path_points
 
 
@@ -172,6 +172,11 @@ def _step_term(field, point, s, p, q, power):
     return max(1.0, nm) ** power * max(1.0, nn) ** power, nm, nn
 
 
+def chain_step_requests(plan, geometry):
+    """(s, y) for every vertex y a step check starts from: the members of B_0 .. B_{k-1}."""
+    return [(plan.s, y) for j in range(plan.k) for y in _ball_members(plan, j, geometry)]
+
+
 def chain_sum(field, plan, p, q, power=1.0, waypoints=None, return_terms=False):
     """Sum over j < k of (1 v mu-norm)^power (1 v nu-norm)^power on B(y_j, sqrt(s)).
 
@@ -259,14 +264,16 @@ class ChainedBound:
 
 
 def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
-                        p=2.0, q=2.0, verify_steps=False, tol=1e-10):
+                        p=2.0, q=2.0, verify_steps=False, tol=1e-10, slices=None):
     """Numeric chained lower bound on p(t, 0, x).
 
     Every step uses the worst (largest) constant over its ball, so the
     product times the ball-mass product is a true lower bound whenever each
     per-step near-diagonal inequality holds; ``verify_steps`` checks those
-    inequalities against computed kernel slices.  Also reports the
-    harmonic-geometric mean diagnostic for the ball-averaged mu product.
+    inequalities against computed kernel slices, taken from ``slices`` (a
+    :func:`heat_slices` table covering :func:`chain_step_requests`) when
+    given.  Also reports the harmonic-geometric mean diagnostic for the
+    ball-averaged mu product.
     """
     plan = build_chain(x, t)
     if plan.s < 1:
@@ -313,14 +320,14 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
 
     step_checks = None
     if verify_steps:
+        if slices is None:
+            slices = heat_slices(kern, chain_step_requests(plan, geo), tol)
         step_checks = []
         for j in range(plan.k):
             factor = amp * plan.s ** (-plan.d / 2.0) / worst_constants[j]
-            min_p = math.inf
-            for y in _ball_members(plan, j, geo):
-                s_slice = heat_kernel(field, plan.s, y, tol=tol, kernel=kern)
-                for y2 in _ball_members(plan, j + 1, geo):
-                    min_p = min(min_p, float(s_slice.hk[geo.index(y2)]))
+            min_p = min(float(slices[plan.s, geo.wrap(y)].hk[geo.index(y2)])
+                        for y in _ball_members(plan, j, geo)
+                        for y2 in _ball_members(plan, j + 1, geo))
             step_checks.append((j, min_p, factor, min_p >= factor * (1 - 1e-9)))
 
     return ChainedBound(
@@ -335,20 +342,19 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
     )
 
 
-def calibrate_harnack_amp(field, probes, growth=1.0, power=1.0, p=2.0, q=2.0, tol=1e-10):
+def calibrate_harnack_amp(field, probes, growth=1.0, power=1.0, p=2.0, q=2.0, tol=1e-10,
+                          slices=None):
     """Largest amp for which the near-diagonal bound holds at every probe.
 
     Probes are (t, x1, x2) triples; the result is the minimum over probes of
-    p(t, x1, x2) * C(x1) * t^(d/2).
+    p(t, x1, x2) * C(x1) * t^(d/2), read from ``slices`` (a :func:`heat_slices`
+    table covering every (t, x1)) when given.
     """
     geo = field.geometry
-    kern = jump_kernel(field)
-    slices = {}
+    if slices is None:
+        slices = heat_slices(jump_kernel(field), [(t, x1) for t, x1, _ in probes], tol)
     best = math.inf
     for t, x1, x2 in probes:
-        key = (float(t), geo.wrap(x1))
-        if key not in slices:
-            slices[key] = heat_kernel(field, t, x1, tol=tol, kernel=kern)
         ball = geo.ball_indices(x1, math.sqrt(t))
         c = harnack_constant(
             avg_norm(field, "mu", p, ball),
@@ -356,7 +362,7 @@ def calibrate_harnack_amp(field, probes, growth=1.0, power=1.0, p=2.0, q=2.0, to
             growth,
             power,
         )
-        value = float(slices[key].hk[geo.index(x2)])
+        value = float(slices[float(t), geo.wrap(x1)].hk[geo.index(x2)])
         best = min(best, value * c * t ** (geo.d / 2.0))
     return best
 

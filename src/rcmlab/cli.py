@@ -1,6 +1,6 @@
 """Command-line orchestration of the laboratory pipelines.
 
-Commands (all take --config <path> plus optional --seed, --out, --threads):
+Commands (all take --config <path> plus optional --seed and --out):
 
   env      sample a conductance field, write it in binary and CSV form
   heat     heat kernel slices on a (time, source) grid, as CSV
@@ -13,7 +13,7 @@ Commands (all take --config <path> plus optional --seed, --out, --threads):
 Exit codes: 0 success, 2 verification found violations, 3 precondition or
 configuration error, 4 I/O error.  Outputs embed the configuration hash and
 artifact version, and identical configurations reproduce byte-identical
-files at any --threads value (RCMLAB_THREADS is the environment fallback).
+files.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ import sys
 
 from . import __version__
 from .chaining import (NearDiagonalRegime, build_chain, calibrate_harnack_amp,
-                       chained_lower_bound, plan_step_probes, waypoint_multiplicity)
+                       chain_step_requests, chained_lower_bound, plan_step_probes,
+                       waypoint_multiplicity)
 from .envelopes import fit_envelopes, stability_radius, verify_bounds
 from .environment import (EnvironmentSpec, estimate_moments, field_to_csv,
                           sample_environment, write_field)
 from .green import annealed_green, green_kernel
-from .kernel import heat_kernel, jump_kernel
+from .kernel import heat_slices, jump_kernel
 from .lattice import TorusGeometry
 from .moments import annealed_power_mean, default_rectangles, rectangle_ladder
 from .reports import scatter_svg, write_csv, write_json
@@ -135,15 +136,16 @@ def cmd_heat(config, out_dir):
     targets = section.get("targets")
     target_points = ([_point(p) for p in targets] if targets
                      else [geo.coords(i) for i in range(geo.n_vertices)])
+    target_idx = [geo.index(y) for y in target_points]
+    target_labels = [" ".join(map(str, y)) for y in target_points]
+    requests = [(float(t), _point(src)) for t in section["times"] for src in section["sources"]]
+    slices = heat_slices(kern, requests, tol)
     rows = []
-    for t in section["times"]:
-        for src in section["sources"]:
-            src_pt = _point(src)
-            s = heat_kernel(field, float(t), src_pt, tol=tol, kernel=kern)
-            for y in target_points:
-                idx = geo.index(y)
-                rows.append([float(t), " ".join(map(str, src_pt)), " ".join(map(str, y)),
-                             float(s.prob[idx]), float(s.hk[idx])])
+    for t, src in requests:
+        s = slices[t, geo.wrap(src)]
+        label = " ".join(map(str, src))
+        rows.extend([t, label, y, p, h] for y, p, h in
+                    zip(target_labels, s.prob[target_idx].tolist(), s.hk[target_idx].tolist()))
     write_csv(os.path.join(out_dir, "heat.csv"),
               ["t", "x", "y", "prob", "hk"], rows, config.meta())
     return EXIT_OK
@@ -179,9 +181,8 @@ def _verify_pipeline(config):
                 field, src, p, q, moments.mean_mu_p, moments.mean_nu_q, max_window)
         return table
 
-    fit_kern = jump_kernel(fit_field)
-    slices = [heat_kernel(fit_field, t, src, tol=tol, kernel=fit_kern)
-              for t in times for src in sources]
+    fit_slices = heat_slices(jump_kernel(fit_field), [(t, s) for t in times for s in sources], tol)
+    slices = [fit_slices[t, geo.wrap(src)] for t in times for src in sources]
     env = fit_envelopes(slices, lower_threshold=n_table(fit_field), window=window)
     if mode == "cross":
         # same constants; validity thresholds from the field under verification
@@ -205,14 +206,14 @@ def _verify_pipeline(config):
             for idx in geo.ball_indices(src, reach):
                 grid.append((t, src, geo.coords(idx)))
     report = verify_bounds(ver_field, env_verify, grid, tol=tol)
-    return env, report, grid, ver_field
+    return env, report
 
 
 def cmd_verify(config, out_dir):
     section = config.section("verify")
     margin = float(section.get("margin", 0.05))
     max_fraction = float(section.get("max_fraction", 0.01))
-    env, report, grid, ver_field = _verify_pipeline(config)
+    env, report = _verify_pipeline(config)
 
     meta = config.meta()
 
@@ -245,20 +246,9 @@ def cmd_verify(config, out_dir):
         meta,
     )
 
-    geo = ver_field.geometry
-    kern = jump_kernel(ver_field)
-    points = []
-    groups = {}
-    for t, x, y in grid:
-        groups.setdefault((t, geo.wrap(x)), []).append(y)
-    for (t, x), ys in sorted(groups.items()):
-        s = heat_kernel(ver_field, t, x, tol=1e-10, kernel=kern)
-        for y in ys:
-            u = geo.torus_distance(x, y)
-            val = float(s.hk[geo.index(y)])
-            ratio = u * u / t
-            scaled = math.log(val * t ** (geo.d / 2.0)) if val > 0 else math.nan
-            points.append((ratio, scaled))
+    d = config.geometry.d
+    points = [(u * u / t, math.log(val * t ** (d / 2.0)) if val > 0 else math.nan)
+              for t, u, val in report.checked]
     ratios = sorted({r for r, _ in points if math.isfinite(r)})
     if ratios:
         lines = {
@@ -290,13 +280,16 @@ def cmd_chain(config, out_dir):
     tol = float(section.get("tol", 1e-10))
 
     plan = build_chain(target, t)
+    # one sweep per source serves the calibration, the step checks and the true value
+    origin = (0,) * geo.d
+    slices = heat_slices(jump_kernel(field), [(t, origin)] + chain_step_requests(plan, geo), tol)
     amp = section.get("amp")
     if amp is None:
-        amp = calibrate_harnack_amp(field, plan_step_probes(plan), growth, power, p, q, tol)
-    bound = chained_lower_bound(field, t, target, amp=float(amp), growth=growth,
-                                power=power, p=p, q=q, verify_steps=True, tol=tol)
-    slice_true = heat_kernel(field, t, (0,) * geo.d, tol=tol)
-    true_value = float(slice_true.hk[geo.index(target)])
+        amp = calibrate_harnack_amp(field, plan_step_probes(plan), growth, power, p, q, tol,
+                                    slices=slices)
+    bound = chained_lower_bound(field, t, target, amp=float(amp), growth=growth, power=power,
+                                p=p, q=q, verify_steps=True, tol=tol, slices=slices)
+    true_value = float(slices[t, origin].hk[geo.index(target)])
 
     meta = config.meta()
     payload = {
@@ -413,8 +406,8 @@ def cmd_green(config, out_dir):
     sources = sorted({x for x, _ in pairs})
     n_table = {geo.wrap(x): stability_radius(field, x, p, q, mean_mu, mean_nu, geo.L // 2)
                for x in sources}
-    slices = [heat_kernel(field, t, x, tol=1e-12, kernel=kern)
-              for t in env_times for x in sources]
+    env_slices = heat_slices(kern, [(t, x) for t in env_times for x in sources], 1e-12)
+    slices = [env_slices[t, geo.wrap(x)] for t in env_times for x in sources]
     env = fit_envelopes(slices, lower_threshold=n_table, window=2.0)
 
     rows = []
@@ -455,16 +448,11 @@ def build_parser():
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--out", default="out")
-        cmd.add_argument("--threads", type=int,
-                         default=int(os.environ.get("RCMLAB_THREADS", "1")))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_PRECONDITION
     try:
         config = load_config(args.config, seed_override=args.seed)
     except OSError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .kernel import heat_kernel, jump_kernel
+from .kernel import heat_slices, jump_kernel
 
 
 def stability_radius(field, x, p, q, mean_mu_p, mean_nu_q, max_window):
@@ -361,9 +361,13 @@ class Violation:
 @dataclass
 class BoundReport:
     violations: list
-    n_checked: int
+    checked: list  # (t, |x-y|, p) of every checked point, in check order
     n_lower_active: int
     n_upper_active: int
+
+    @property
+    def n_checked(self):
+        return len(self.checked)
 
     @property
     def ok(self):
@@ -392,17 +396,18 @@ def verify_bounds(field, env, grid, tol=1e-10, kernel=None):
         groups.setdefault((float(t), geo.wrap(x)), []).append(geo.wrap(y))
     mu_min = float(kern.mu.min())
 
+    slices = heat_slices(kern, sorted(groups), tol)
     violations = []
-    n_checked = 0
+    checked = []
     n_lower = 0
     n_upper = 0
     for (t, x), ys in sorted(groups.items()):
-        s = heat_kernel(field, t, x, tol=tol, kernel=kern)
+        s = slices[t, x]
         slack = s.trunc_error / mu_min + 1e-15
         for y in ys:
-            n_checked += 1
             u = geo.torus_distance(x, y)
             p = float(s.hk[geo.index(y)])
+            checked.append((t, u, p))
             if env.upper_active(t, x):
                 n_upper += 1
                 upper = env.upper_profile(t, u)
@@ -415,4 +420,4 @@ def verify_bounds(field, env, grid, tol=1e-10, kernel=None):
                 if p < lower - slack:
                     violations.append(Violation(t, x, y, u, p, lower, "lower",
                                                 (lower - p) / lower))
-    return BoundReport(violations, n_checked, n_lower, n_upper)
+    return BoundReport(violations, checked, n_lower, n_upper)

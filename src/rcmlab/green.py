@@ -38,7 +38,7 @@ from scipy import integrate, special
 from .envelopes import resolve_threshold
 from .environment import sample_environment
 from .fitting import loglog_slope
-from .kernel import jump_kernel, transition_profile
+from .kernel import jump_kernel, point_mass, propagate
 from .poisson import poisson_tail
 from .seeding import child_seed
 
@@ -172,8 +172,8 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
     t0 = min(_pow2_at_least(start), _pow2_at_least(t0_cap))
 
     kern = kernel if kernel is not None else jump_kernel(field)
+    profile = propagate(kern, point_mass(geo, x), [t0], series_tol, targets=[geo.index(y)])
     while True:
-        profile = transition_profile(field, x, [y], t0, tol=series_tol, kernel=kern)
         head = float(_head_integral(profile, t0))
         tail_est = _extrapolated_tail(profile, t0, geo.d)
         tail_bound = _envelope_tail(envelope, t0, dist)
@@ -183,6 +183,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
         if t0 >= t0_cap:
             raise ValueError("cannot certify the tail within the requested budget")
         t0 *= 2.0
+        profile.extend(t0)
 
     mu_y = float(kern.mu[geo.index(y)])
     wrap = t0 * min(1.0, poisson_tail(t0, geo.L // 2)) / mu_y
@@ -341,7 +342,8 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None,
         kern = jump_kernel(fld)
         col = 0
         for x, ys in by_source.items():
-            profile = transition_profile(fld, x, ys, t_max, tol=series_tol, kernel=kern)
+            profile = propagate(kern, point_mass(geometry, x), [t_max], series_tol,
+                                targets=[geometry.index(y) for y in ys])
             for j, y in enumerate(ys):
                 dist = geometry.torus_distance(x, y)
                 t0 = t0_for_dist(dist)

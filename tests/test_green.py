@@ -15,9 +15,9 @@ from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environ
 from rcmlab.green import (_head_integral, annealed_green, green_cutoff_radius,
                           green_decomposition, green_kernel,
                           quenched_bound_check, srw_green)
-from rcmlab.kernel import heat_kernel, jump_kernel, transition_profile
+from rcmlab.kernel import JumpKernel, heat_kernel, jump_kernel, point_mass, propagate
 from rcmlab.lattice import TorusGeometry
-from rcmlab.poisson import chernoff_check, poisson_tail
+from rcmlab.poisson import chernoff_check, poisson_cutoff, poisson_tail
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
@@ -134,6 +134,23 @@ def test_green_split_doubling_within_certificate():
     assert abs(doubled.value - est.value) < est.tail_bound
 
 
+def test_green_split_doubling_computes_each_jump_power_once(monkeypatch):
+    geo, field, kern, env = constant_setup()
+    transpose = kern.matrix.T.tocsr()
+    products = []
+
+    class CountingTranspose:
+        def __matmul__(self, v):
+            products.append(1 if v.ndim == 1 else v.shape[1])
+            return transpose @ v
+
+    monkeypatch.setattr(JumpKernel, "transpose", property(lambda self: CountingTranspose()))
+    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=kern)
+    assert est.split_time >= 64.0  # the split time doubled at least once
+    # P^1 .. P^n for the cutoff n of the final split time, each once
+    assert sum(products) == poisson_cutoff(est.split_time, 1e-13)
+
+
 def test_green_symmetry_on_random_field():
     geo = TorusGeometry(3, 16)
     field = sample_environment(ELLIPTIC, geo, 4)
@@ -200,8 +217,8 @@ def small_elliptic_setup():
     slices = [heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
               for t in (2.0, 4.0, 8.0)]
     env = fit_envelopes(slices, lower_threshold=1.0, window=2.0)
-    profile = transition_profile(field, (0, 0, 0), SMALL_TARGETS, SMALL_T_MAX,
-                                 tol=1e-13, kernel=kern)
+    profile = propagate(kern, point_mass(field.geometry, (0, 0, 0)), [SMALL_T_MAX], 1e-13,
+                        targets=[field.geometry.index(y) for y in SMALL_TARGETS])
     return field, kern, env, profile
 
 

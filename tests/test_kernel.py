@@ -1,12 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
-from rcmlab.kernel import (evolve, heat_kernel, jump_kernel, simulate_walk,
-                           spectral_oracle, torus_size_for, transition_profile)
+from rcmlab.kernel import (heat_kernel, jump_kernel, point_mass, propagate, simulate_walk,
+                           spectral_oracle, torus_size_for)
 from rcmlab.lattice import TorusGeometry
 
 GEO = TorusGeometry(2, 8)
@@ -93,7 +96,7 @@ def test_semigroup_property():
     kern = jump_kernel(field)
     tol = 1e-10
     half = heat_kernel(field, 4.0, (0, 0), tol=tol, kernel=kern)
-    composed, _ = evolve(kern, half.prob, 4.0, tol=tol)
+    (composed,), _ = propagate(kern, half.prob, [4.0], tol)
     direct = heat_kernel(field, 8.0, (0, 0), tol=tol, kernel=kern)
     assert np.max(np.abs(composed - direct.prob)) <= 3 * tol
 
@@ -177,8 +180,41 @@ def test_transition_profile_matches_slices():
     field = sample_environment(ELLIPTIC, GEO, 15)
     kern = jump_kernel(field)
     targets = [(0, 0), (1, 0), (3, 4)]
-    profile = transition_profile(field, (0, 0), targets, 8.0, tol=1e-12, kernel=kern)
+    profile = propagate(kern, point_mass(GEO, (0, 0)), [8.0], 1e-12,
+                        targets=[GEO.index(y) for y in targets])
     for t in (0.5, 3.0, 8.0):
         s = heat_kernel(field, t, (0, 0), tol=1e-12, kernel=kern)
         for j, y in enumerate(targets):
             assert profile.hk(t)[j] == pytest.approx(s.hk[GEO.index(y)], abs=1e-12)
+
+
+@functools.cache
+def sweep_setup(d):
+    field = sample_environment(ELLIPTIC, TorusGeometry(d, 6 if d == 2 else 4), 30 + d)
+    return field, jump_kernel(field)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]),
+       times=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4),
+       data=st.data())
+def test_propagate_block_matches_lone_slices(d, times, data):
+    field, kern = sweep_setup(d)
+    geo = field.geometry
+    sources = data.draw(st.lists(st.integers(0, geo.n_vertices - 1), min_size=1, max_size=4))
+    points = [geo.coords(i) for i in sources]
+    block = np.column_stack([point_mass(geo, x) for x in points])
+    laws, tails = propagate(kern, block, times, 1e-12)
+    assert len(laws) == len(tails) == len(times)
+    for t, law, tail in zip(times, laws, tails):
+        for j, x in enumerate(points):
+            lone = heat_kernel(field, t, x, tol=1e-12, kernel=kern)
+            assert np.array_equal(law[:, j], lone.prob)
+            assert tail == lone.trunc_error
+            # conservation up to the truncated tail, plus summation rounding
+            assert abs(law[:, j].sum() - 1.0) <= tail + 1e-14
+        for jx, x in enumerate(sources):
+            for jy, y in enumerate(sources):
+                lhs = kern.mu[x] * law[y, jx]
+                rhs = kern.mu[y] * law[x, jy]
+                assert abs(lhs - rhs) <= 1e-9
