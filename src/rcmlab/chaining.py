@@ -279,8 +279,7 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
     if plan.s < 1:
         raise ValueError("chain step below one; near-diagonal factor undefined")
     geo = field.geometry
-    kern = jump_kernel(field)
-    mu_vec = kern.mu
+    mu_vec = field.mu_vector()
 
     step_logs = []
     worst_constants = []
@@ -321,7 +320,7 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
     step_checks = None
     if verify_steps:
         if slices is None:
-            slices = heat_slices(kern, chain_step_requests(plan, geo), tol)
+            slices = heat_slices(jump_kernel(field), chain_step_requests(plan, geo), tol)
         step_checks = []
         for j in range(plan.k):
             factor = amp * plan.s ** (-plan.d / 2.0) / worst_constants[j]

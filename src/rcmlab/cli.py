@@ -31,8 +31,7 @@ from .chaining import (NearDiagonalRegime, build_chain, calibrate_harnack_amp,
                        chain_step_requests, chained_lower_bound, plan_step_probes,
                        waypoint_multiplicity)
 from .envelopes import fit_envelopes, stability_radius, verify_bounds
-from .environment import (EnvironmentSpec, estimate_moments, field_to_csv,
-                          sample_environment, write_field)
+from .environment import EnvironmentSpec, field_to_csv, sample_environment, write_field
 from .green import annealed_green, green_kernel
 from .kernel import heat_slices, jump_kernel
 from .lattice import TorusGeometry
@@ -162,8 +161,9 @@ def _verify_pipeline(config):
     times = [float(t) for t in section["times"]]
     sources = [_point(s) for s in section.get("sources", [[0] * geo.d])]
 
-    moments = estimate_moments(spec, geo, p, q,
-                               int(section.get("moment_samples", 512)), config.seed)
+    means = annealed_power_mean(spec, geo, {"mu": p, "nu": q},
+                                n_fields=int(section.get("moment_samples", 512)),
+                                seed=config.seed)
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
     mode = section.get("mode", "cross")
     if mode == "self":
@@ -178,7 +178,7 @@ def _verify_pipeline(config):
         table = {}
         for src in sources:
             table[geo.wrap(src)] = stability_radius(
-                field, src, p, q, moments.mean_mu_p, moments.mean_nu_q, max_window)
+                field, src, p, q, means["mu"], means["nu"], max_window)
         return table
 
     fit_slices = heat_slices(jump_kernel(fit_field), [(t, s) for t in times for s in sources], tol)
@@ -401,10 +401,11 @@ def cmd_green(config, out_dir):
     q = float(section.get("q", 2.0))
     env_times = [float(t) for t in section.get("envelope_times", [16.0, 32.0, 64.0])]
     moment_samples = int(section.get("moment_samples", 128))
-    mean_mu = annealed_power_mean(spec, geo, "mu", p, n_fields=moment_samples, seed=config.seed)
-    mean_nu = annealed_power_mean(spec, geo, "nu", q, n_fields=moment_samples, seed=config.seed)
+    means = annealed_power_mean(spec, geo, {"mu": p, "nu": q}, n_fields=moment_samples,
+                                seed=config.seed)
     sources = sorted({x for x, _ in pairs})
-    n_table = {geo.wrap(x): stability_radius(field, x, p, q, mean_mu, mean_nu, geo.L // 2)
+    n_table = {geo.wrap(x): stability_radius(field, x, p, q, means["mu"], means["nu"],
+                                             geo.L // 2)
                for x in sources}
     env_slices = heat_slices(kern, [(t, x) for t in env_times for x in sources], 1e-12)
     slices = [env_slices[t, geo.wrap(x)] for t in env_times for x in sources]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lattice import TorusGeometry
-from .seeding import child_seed, rng_for
+from .seeding import rng_for
 
 MAGIC = b"RCM1"
 FORMAT_VERSION = "0.1.0"
@@ -378,60 +378,14 @@ def _sample_permutation(params, geometry, rng):
     n_blocks = blocks_per_axis**d
     shuffled = rng.permuted(np.tile(levels, (n_blocks, 1)), axis=1)
 
-    # scatter each block's d*block^d edge slots
+    # block b's slots run over its vertices in lexicographic order, d axes
+    # each; blocks are numbered lexicographically by their origin
+    origins = block * np.indices((blocks_per_axis,) * d).reshape(d, n_blocks, 1)
+    offsets = np.indices((block,) * d).reshape(d, 1, block**d)
+    vertex = np.ravel_multi_index(tuple(origins + offsets), (L,) * d)
     values = np.empty((geometry.n_vertices, d))
-    base_offsets = list(itertools.product(range(block), repeat=d))
-    for b, origin in enumerate(itertools.product(range(blocks_per_axis), repeat=d)):
-        slot = 0
-        for off in base_offsets:
-            vertex = tuple(o * block + q for o, q in zip(origin, off))
-            vi = geometry.index(vertex)
-            for a in range(d):
-                values[vi, a] = shuffled[b, slot]
-                slot += 1
+    values[vertex] = shuffled.reshape(n_blocks, block**d, d)
     return values
-
-
-# ---------------------------------------------------------------------------
-# annealed moments
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Monte Carlo estimates of the annealed moments of mu and nu at a vertex."""
-
-    p: float
-    q: float
-    mean_mu_p: float
-    mean_nu_q: float
-    stderr_mu: float
-    stderr_nu: float
-    n_samples: int
-
-
-def estimate_moments(spec, geometry, p, q, n_samples, seed):
-    """Estimate E[mu(0)^p] and E[nu(0)^q] over independent replica fields."""
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    origin = geometry.index((0,) * geometry.d)
-    mu_vals = np.empty(n_samples)
-    nu_vals = np.empty(n_samples)
-    for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed(seed, i))
-        with np.errstate(over="ignore"):
-            mu_vals[i] = fld.mu_vector()[origin] ** p
-            nu_vals[i] = fld.nu_vector()[origin] ** q
-        if not (np.isfinite(mu_vals[i]) and np.isfinite(nu_vals[i])):
-            raise ValueError(f"non-finite moment sample at replica {i}")
-    return MomentSummary(
-        p=p,
-        q=q,
-        mean_mu_p=float(mu_vals.mean()),
-        mean_nu_q=float(nu_vals.mean()),
-        stderr_mu=float(mu_vals.std(ddof=1) / math.sqrt(n_samples)),
-        stderr_nu=float(nu_vals.std(ddof=1) / math.sqrt(n_samples)),
-        n_samples=n_samples,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Concentration diagnostics for conductance fields.
 
-Centered variables, rectangle-sum moment ladders, the tail of the stability
-radius, and hypothesis checks for the association and mixing properties a
-sampler family claims.  All estimates use replicated-field Monte Carlo: a
-fresh field per sample, so annealed quantities carry no spatial-averaging
-bias.  Heavy powers are accumulated in log magnitude to dodge overflow.
+Annealed power means of mu and nu, rectangle-sum moment ladders, the tail of
+the stability radius, and hypothesis checks for the association and mixing
+properties a sampler family claims.  All estimates use replicated-field Monte
+Carlo: a fresh field per sample, so annealed quantities carry no
+spatial-averaging bias.  There is one estimator of the annealed means,
+:func:`annealed_power_mean`, which reads every power it is asked for from one
+pass over the pilot replicas, and one pass over the main replicas serves a
+whole rectangle ladder.  Heavy powers are accumulated in log magnitude to
+dodge overflow.
 """
 
 from __future__ import annotations
@@ -15,23 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import stability_radius
-from .environment import mu, nu, sample_environment
+from .environment import sample_environment
 from .fitting import SlopeFit, fit_theta, loglog_slope
 from .lattice import HyperRectangle
 from .seeding import child_seed
 
 # spawn-key streams so pilot estimates never share randomness with main runs
 _MAIN, _PILOT, _THRESH = 0, 1, 2
-
-
-def centered_mu_power(field, p, x, mean_mu_p):
-    """mu(x)^p minus its annealed mean."""
-    return mu(field, x) ** p - mean_mu_p
-
-
-def centered_nu_power(field, q, x, mean_nu_q):
-    """nu(x)^q minus its annealed mean."""
-    return nu(field, x) ** q - mean_nu_q
 
 
 def default_eta(spec, geometry, zeta=None):
@@ -51,14 +45,28 @@ def default_eta(spec, geometry, zeta=None):
     raise ValueError("sampler family certifies no decorrelation property")
 
 
-def annealed_power_mean(spec, geometry, quantity, p, n_fields=128, seed=0):
-    """Spatial-plus-replica average of mu^p or nu^p (unbiased by stationarity)."""
-    total = 0.0
+def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
+    """Spatial-plus-replica averages E[mu(0)^p] and E[nu(0)^q] (unbiased by
+    stationarity), for the exponents in ``powers``, e.g. {"mu": p, "nu": q}.
+
+    One pass over the pilot replicas serves every requested quantity, and only
+    those are computed.  Returns a dict keyed like ``powers``.
+    """
+    if n_fields < 2:
+        raise ValueError("need at least two samples")
+    if not set(powers) <= {"mu", "nu"}:
+        raise ValueError("quantities must be 'mu' or 'nu'")
+    totals = dict.fromkeys(powers, 0.0)
     for i in range(n_fields):
         fld = sample_environment(spec, geometry, child_seed(seed, _PILOT, i))
-        vec = fld.mu_vector() if quantity == "mu" else fld.nu_vector()
-        total += float(np.mean(vec**p))
-    return total / n_fields
+        for quantity, p in powers.items():
+            vec = fld.mu_vector() if quantity == "mu" else fld.nu_vector()
+            with np.errstate(over="ignore"):
+                mean = float(np.mean(vec**p))
+            if not math.isfinite(mean):
+                raise ValueError(f"non-finite {quantity} power mean at replica {i}")
+            totals[quantity] += mean
+    return {quantity: total / n_fields for quantity, total in totals.items()}
 
 
 @dataclass(frozen=True)
@@ -78,35 +86,41 @@ def _log_mean(logs):
     return math.exp(m + math.log(np.exp(finite - m).sum() / logs.size))
 
 
-def rectangle_sum_moment(spec, geometry, quantity, p, eta, rect, n_samples, seed,
+def rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, seed,
                          mean_value=None, mean_samples=128):
-    """Monte Carlo estimate of E | sum over the rectangle of the centered
-    p-th power of mu (or nu) | ^ eta, over independent fields."""
+    """Monte Carlo estimates of E | sum over a rectangle of the centered
+    p-th power of mu (or nu) | ^ eta, over independent fields: one
+    :class:`MomentEstimate` per rectangle in ``rects``, all from one pass."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if rect.length + 1 > geometry.L or 2 * rect.half_width + 1 > geometry.L:
-        raise ValueError("geometry too small to contain the rectangle")
-    idx = np.asarray([geometry.index(tuple(v)) for v in rect.vertex_array()])
+    for rect in rects:
+        if rect.length + 1 > geometry.L or 2 * rect.half_width + 1 > geometry.L:
+            raise ValueError("geometry too small to contain the rectangle")
+    indices = [np.asarray([geometry.index(tuple(v)) for v in rect.vertex_array()])
+               for rect in rects]
     if mean_value is None:
-        mean_value = annealed_power_mean(spec, geometry, quantity, p,
-                                         n_fields=mean_samples, seed=seed)
-    size = idx.size
-    logs = np.empty(n_samples)
+        mean_value = annealed_power_mean(spec, geometry, {quantity: p},
+                                         n_fields=mean_samples, seed=seed)[quantity]
+    logs = np.empty((len(rects), n_samples))
     for i in range(n_samples):
         fld = sample_environment(spec, geometry, child_seed(seed, _MAIN, i))
         vec = fld.mu_vector() if quantity == "mu" else fld.nu_vector()
-        with np.errstate(over="ignore"):
-            powered = vec[idx] ** p
-        if not np.all(np.isfinite(powered)):
-            raise ValueError(f"overflow at sample {i}; use a smaller exponent")
-        total = float(powered.sum()) - size * mean_value
-        logs[i] = eta * math.log(abs(total)) if total != 0.0 else -math.inf
-    value = _log_mean(logs)
-    second = _log_mean(2.0 * logs)
-    if not (math.isfinite(value) and math.isfinite(second)):
-        raise ValueError("overflow in moment accumulation; use a smaller exponent")
-    variance = max(0.0, second - value * value)
-    return MomentEstimate(value, math.sqrt(variance / n_samples), n_samples)
+        for j, idx in enumerate(indices):
+            with np.errstate(over="ignore"):
+                powered = vec[idx] ** p
+            if not np.all(np.isfinite(powered)):
+                raise ValueError(f"overflow at sample {i}; use a smaller exponent")
+            total = float(powered.sum()) - idx.size * mean_value
+            logs[j, i] = eta * math.log(abs(total)) if total != 0.0 else -math.inf
+    estimates = []
+    for row in logs:
+        value = _log_mean(row)
+        second = _log_mean(2.0 * row)
+        if not (math.isfinite(value) and math.isfinite(second)):
+            raise ValueError("overflow in moment accumulation; use a smaller exponent")
+        variance = max(0.0, second - value * value)
+        estimates.append(MomentEstimate(value, math.sqrt(variance / n_samples), n_samples))
+    return estimates
 
 
 @dataclass
@@ -134,15 +148,11 @@ def rectangle_ladder(spec, geometry, quantity, p, eta, rects, n_samples, seed,
                      mean_samples=128, n_boot=1000):
     """Moment estimates across a ladder of rectangle sizes, with a fitted
     growth exponent."""
-    mean_value = annealed_power_mean(spec, geometry, quantity, p,
-                                     n_fields=mean_samples, seed=seed)
-    sizes, estimates, stderrs = [], [], []
-    for rect in rects:
-        est = rectangle_sum_moment(spec, geometry, quantity, p, eta, rect,
-                                   n_samples, seed, mean_value=mean_value)
-        sizes.append(rect.n_vertices)
-        estimates.append(est.value)
-        stderrs.append(est.stderr)
+    ests = rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, seed,
+                                mean_samples=mean_samples)
+    sizes = [rect.n_vertices for rect in rects]
+    estimates = [est.value for est in ests]
+    stderrs = [est.stderr for est in ests]
     theta = fit_theta(sizes, estimates, stderrs, n_boot=n_boot, seed=seed)
     return MomentBoundReport(quantity, p, eta, sizes, estimates, stderrs, theta)
 
@@ -165,10 +175,15 @@ def n1_tail(spec, geometry, p, q, n_samples, n_grid, seed,
     """
     if max_window is None:
         max_window = geometry.L // 2
+    wanted = {}
     if mean_mu_p is None:
-        mean_mu_p = annealed_power_mean(spec, geometry, "mu", p, seed=seed)
+        wanted["mu"] = p
     if mean_nu_q is None:
-        mean_nu_q = annealed_power_mean(spec, geometry, "nu", q, seed=seed)
+        wanted["nu"] = q
+    if wanted:
+        means = annealed_power_mean(spec, geometry, wanted, seed=seed)
+        mean_mu_p = means.get("mu", mean_mu_p)
+        mean_nu_q = means.get("nu", mean_nu_q)
     origin = (0,) * geometry.d
     values = []
     for i in range(n_samples):

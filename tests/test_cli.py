@@ -3,8 +3,13 @@ import os
 
 import pytest
 
+import rcmlab.chaining
+import rcmlab.cli
+import rcmlab.environment
+import rcmlab.moments
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
                         load_config, main)
+from rcmlab.seeding import child_seed
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -128,6 +133,24 @@ def test_verify_cross_mode_and_violation_csv(tmp_path):
     assert len(lines) == 2 + report["n_violations"]
 
 
+def test_verify_moment_replicas_avoid_fit_and_verification_fields(tmp_path, monkeypatch):
+    seeds = []
+    real = rcmlab.environment.sample_environment
+
+    def recording(spec, geometry, seed):
+        seeds.append(seed)
+        return real(spec, geometry, seed)
+
+    for module in (rcmlab.environment, rcmlab.moments, rcmlab.cli):
+        monkeypatch.setattr(module, "sample_environment", recording)
+    cfg = base_config(verify={"times": [4.0], "sources": [[0, 0]], "moment_samples": 16})
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)
+    # 16 moment replicas, then the fit and the verification field, each once
+    assert len(seeds) == len(set(seeds)) == 16 + 2
+    assert seeds.count(child_seed(11, 10)) == seeds.count(child_seed(11, 11)) == 1
+
+
 def test_verify_injected_weak_constant_exits_two(tmp_path):
     cfg = {
         "geometry": {"d": 2, "L": 16},
@@ -160,6 +183,27 @@ def test_chain_command_and_near_diagonal_exit(tmp_path):
     near_path = write_config(tmp_path, near, "near.json")
     assert main(["chain", "--config", near_path,
                  "--out", str(tmp_path / "c2")]) == EXIT_PRECONDITION
+
+
+def test_chain_builds_one_jump_kernel(tmp_path, monkeypatch):
+    builds = []
+    real = rcmlab.cli.jump_kernel
+
+    def counting(field):
+        builds.append(field)
+        return real(field)
+
+    for module in (rcmlab.cli, rcmlab.chaining):
+        monkeypatch.setattr(module, "jump_kernel", counting)
+    cfg = {
+        "geometry": {"d": 2, "L": 32},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 0,
+        "chain": {"target": [6, 0], "time": 24.0},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["chain", "--config", cfg_path, "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert len(builds) == 1
 
 
 def test_moments_command_row_count(tmp_path):

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from rcmlab.environment import (ConductanceField, EnvironmentSpec, avg_norm,
-                                estimate_moments, field_to_csv, mu, nu,
-                                read_field, sample_environment, shift,
-                                write_field)
+                                field_to_csv, mu, nu, read_field,
+                                sample_environment, shift, write_field)
 from rcmlab.lattice import TorusGeometry
-from rcmlab.seeding import child_seed
+from rcmlab.moments import annealed_power_mean
+from rcmlab.seeding import child_seed, rng_for
 
 GEO = TorusGeometry(2, 8)
 
@@ -106,26 +107,31 @@ def test_avg_norm():
 
 
 def test_estimate_moments_constant():
-    summary = estimate_moments(EnvironmentSpec("constant"), GEO, 3, 1, 8, 1)
-    assert summary.mean_mu_p == pytest.approx(64.0)
-    assert summary.stderr_mu == 0.0
-    degenerate = estimate_moments(
-        EnvironmentSpec("uniform-elliptic-iid", {"low": 1.0, "high": 1.0}), GEO, 3, 1, 8, 1)
-    assert degenerate.mean_mu_p == pytest.approx(64.0)
+    means = annealed_power_mean(EnvironmentSpec("constant"), GEO, {"mu": 3, "nu": 1},
+                                n_fields=8, seed=1)
+    assert means == {"mu": 64.0, "nu": 4.0}
+    degenerate = annealed_power_mean(
+        EnvironmentSpec("uniform-elliptic-iid", {"low": 1.0, "high": 1.0}), GEO, {"mu": 3},
+        n_fields=8, seed=1)
+    assert degenerate == {"mu": 64.0}
 
 
 def test_estimate_moments_uniform_mean():
     spec = EnvironmentSpec("iid", {"marginal": "uniform", "low": 1.0, "high": 2.0})
-    summary = estimate_moments(spec, GEO, 1, 1, 400, 7)
-    assert abs(summary.mean_mu_p - 6.0) <= 3 * summary.stderr_mu
+    n_fields = 400
+    means = annealed_power_mean(spec, GEO, {"mu": 1}, n_fields=n_fields, seed=7)
+    # the spatial mean of mu is 4 times the mean of the torus's 2 * 64 edges,
+    # each of variance 1/12: replica variance 16 / (12 * 128) = 1 / 96
+    stderr = math.sqrt(1.0 / (96 * n_fields))
+    assert abs(means["mu"] - 6.0) <= 4 * stderr
 
 
 def test_estimate_moments_overflow_names_sample():
     heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.01})
-    with pytest.raises(ValueError, match="sample"):
-        estimate_moments(heavy, GEO, 1, 500.0, 10, 3)
+    with pytest.raises(ValueError, match="replica 0"):
+        annealed_power_mean(heavy, GEO, {"mu": 1, "nu": 500.0}, n_fields=10, seed=3)
     with pytest.raises(ValueError, match="two samples"):
-        estimate_moments(EnvironmentSpec("constant"), GEO, 1, 1, 1, 0)
+        annealed_power_mean(EnvironmentSpec("constant"), GEO, {"mu": 1}, n_fields=1)
 
 
 def _edge_samples(spec, geo, edge_ids, n, seed):
@@ -191,6 +197,35 @@ def test_na_permutation_nonpositive():
 def test_na_permutation_block_divides():
     with pytest.raises(ValueError, match="divide"):
         sample_environment(EnvironmentSpec("na-permutation", {"block": 3}), GEO, 0)
+
+
+def _reference_permutation(params, geometry, seed):
+    """The per-vertex scatter loop the na-permutation sampler vectorizes."""
+    rng = rng_for(seed)
+    block, d, L = int(params["block"]), geometry.d, geometry.L
+    per_block = d * block**d
+    levels = 0.5 + (np.arange(per_block) + 0.5) * 1.5 / per_block
+    blocks_per_axis = L // block
+    shuffled = rng.permuted(np.tile(levels, (blocks_per_axis**d, 1)), axis=1)
+    values = np.empty((geometry.n_vertices, d))
+    offsets = list(itertools.product(range(block), repeat=d))
+    for b, origin in enumerate(itertools.product(range(blocks_per_axis), repeat=d)):
+        slot = 0
+        for off in offsets:
+            vi = geometry.index(tuple(o * block + q for o, q in zip(origin, off)))
+            for a in range(d):
+                values[vi, a] = shuffled[b, slot]
+                slot += 1
+    return values
+
+
+@pytest.mark.parametrize("d, L, block", [(2, 8, 1), (2, 8, 2), (2, 16, 4),
+                                         (3, 12, 1), (3, 12, 2), (3, 12, 3), (3, 12, 4)])
+def test_na_permutation_matches_reference_scatter(d, L, block):
+    geo = TorusGeometry(d, L)
+    params = {"block": block}
+    field = sample_environment(EnvironmentSpec("na-permutation", params), geo, 31)
+    assert np.array_equal(field.values, _reference_permutation(params, geo, 31))
 
 
 def test_spec_validation():

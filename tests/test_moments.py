@@ -6,9 +6,9 @@ import pytest
 from rcmlab.environment import EnvironmentSpec, mu, sample_environment
 from rcmlab.fitting import fit_theta, loglog_slope
 from rcmlab.lattice import HyperRectangle, TorusGeometry
+import rcmlab.moments
 from rcmlab.moments import (annealed_power_mean, association_check,
-                            builtin_test_pairs, centered_mu_power,
-                            centered_nu_power, default_rectangles, mixing_decay,
+                            builtin_test_pairs, default_rectangles, mixing_decay,
                             n1_tail, rectangle_ladder, rectangle_sum_moment)
 from rcmlab.seeding import child_seed
 
@@ -17,23 +17,11 @@ ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
 IID_UNIFORM = EnvironmentSpec("iid", {"marginal": "uniform", "low": 0.5, "high": 2.0})
 
 
-def test_centered_variables():
-    geo = TorusGeometry(2, 8)
-    field = sample_environment(CONSTANT, geo, 0)
-    assert centered_mu_power(field, 2, (0, 0), 16.0) == 0.0
-    assert centered_nu_power(field, 1, (0, 0), 4.0) == 0.0
-    # mu = 15 at a prescribed vertex, p = 1, mean 6 -> delta 9
-    spec = EnvironmentSpec("iid", {"marginal": "uniform", "low": 1.0, "high": 2.0})
-    field2 = sample_environment(spec, geo, 1)
-    x = (2, 2)
-    assert centered_mu_power(field2, 1, x, 6.0) == pytest.approx(mu(field2, x) - 6.0)
-
-
 def test_centering_has_zero_mean():
     geo = TorusGeometry(2, 8)
-    mean = annealed_power_mean(IID_UNIFORM, geo, "mu", 2, n_fields=64, seed=5)
-    vals = [centered_mu_power(sample_environment(IID_UNIFORM, geo, child_seed(5, 0, i)),
-                              2, (0, 0), mean) for i in range(600)]
+    mean = annealed_power_mean(IID_UNIFORM, geo, {"mu": 2}, n_fields=64, seed=5)["mu"]
+    vals = [mu(sample_environment(IID_UNIFORM, geo, child_seed(5, 0, i)), (0, 0)) ** 2 - mean
+            for i in range(600)]
     arr = np.asarray(vals)
     stderr = arr.std(ddof=1) / math.sqrt(len(arr))
     assert abs(arr.mean()) <= 3 * stderr
@@ -42,14 +30,14 @@ def test_centering_has_zero_mean():
 def test_rectangle_sum_moment_constant_is_zero():
     geo = TorusGeometry(2, 16)
     rect = HyperRectangle((0, 0), 1, 3, 1)
-    est = rectangle_sum_moment(CONSTANT, geo, "mu", 2, 2.0, rect, 50, 3)
+    (est,) = rectangle_sum_moment(CONSTANT, geo, "mu", 2, 2.0, [rect], 50, 3)
     assert est.value == 0.0 and est.stderr == 0.0
 
 
 def test_rectangle_sum_moment_single_vertex_variance_oracle():
     geo = TorusGeometry(2, 8)
     rect = HyperRectangle((0, 0), 1, 0, 0)
-    est = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, rect, 800, 17)
+    (est,) = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, [rect], 800, 17)
     # independent oracle: plain Monte Carlo variance of mu(0) over replicas
     vals = np.asarray([mu(sample_environment(IID_UNIFORM, geo, child_seed(555, 0, i)), (0, 0))
                        for i in range(800)])
@@ -61,11 +49,9 @@ def test_rectangle_sum_moment_doubling_ratio():
     geo = TorusGeometry(2, 32)
     small = HyperRectangle((0, 0), 1, 7, 1)  # 24 vertices
     big = HyperRectangle((0, 0), 1, 15, 1)  # 48 vertices
-    mean = annealed_power_mean(IID_UNIFORM, geo, "mu", 1, n_fields=256, seed=2)
-    est_small = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, small, 1200, 2,
-                                     mean_value=mean)
-    est_big = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, big, 1200, 2,
-                                   mean_value=mean)
+    mean = annealed_power_mean(IID_UNIFORM, geo, {"mu": 1}, n_fields=256, seed=2)["mu"]
+    est_small, est_big = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, [small, big],
+                                              1200, 2, mean_value=mean)
     ratio = est_big.value / est_small.value
     assert 1.5 <= ratio <= 2.6
 
@@ -74,7 +60,7 @@ def test_rectangle_too_large_rejected():
     geo = TorusGeometry(2, 8)
     with pytest.raises(ValueError, match="too small"):
         rectangle_sum_moment(CONSTANT, geo, "mu", 1, 2.0,
-                             HyperRectangle((0, 0), 1, 9, 1), 10, 0)
+                             [HyperRectangle((0, 0), 1, 9, 1)], 10, 0)
 
 
 def test_heavy_tail_overflow_reports_sample():
@@ -82,8 +68,30 @@ def test_heavy_tail_overflow_reports_sample():
     heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.01})
     rect = HyperRectangle((0, 0), 1, 3, 1)
     with pytest.raises(ValueError, match="smaller exponent"):
-        rectangle_sum_moment(heavy, geo, "nu", 40.0, 8.0, rect, 50, 0,
+        rectangle_sum_moment(heavy, geo, "nu", 40.0, 8.0, [rect], 50, 0,
                              mean_value=1.0)
+
+
+def test_ladder_samples_each_field_once(monkeypatch):
+    geo = TorusGeometry(2, 16)
+    rects = default_rectangles([(1, 0), (3, 1), (5, 2), (7, 3)])
+    seeds = []
+    real = rcmlab.moments.sample_environment
+
+    def recording(spec, geometry, seed):
+        seeds.append(seed)
+        return real(spec, geometry, seed)
+
+    monkeypatch.setattr(rcmlab.moments, "sample_environment", recording)
+    rectangle_ladder(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5, mean_samples=8)
+    assert len(seeds) == len(set(seeds)) == 30 + 8
+
+    joint = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5,
+                                 mean_samples=8)
+    for rect, est in zip(rects, joint):
+        (alone,) = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, [rect], 30, 5,
+                                        mean_samples=8)
+        assert est == alone
 
 
 def test_fit_theta_exact_ladder():
