@@ -26,12 +26,15 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .chaining import (NearDiagonalRegime, build_chain, calibrate_harnack_amp,
                        chain_step_requests, chained_lower_bound, plan_step_probes,
                        waypoint_multiplicity)
 from .envelopes import fit_envelopes, stability_radius, verify_bounds
-from .environment import EnvironmentSpec, field_to_csv, sample_environment, write_field
+from .environment import (EnvironmentSpec, avg_norm, field_to_csv, sample_environment,
+                          write_field)
 from .green import annealed_green, green_kernel
 from .kernel import heat_slices, jump_kernel
 from .lattice import TorusGeometry
@@ -114,6 +117,10 @@ def _point(values):
     return tuple(int(v) for v in values)
 
 
+def _label(point):
+    return " ".join(map(str, point))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -133,20 +140,25 @@ def cmd_heat(config, out_dir):
     kern = jump_kernel(field)
     tol = float(section.get("tol", 1e-10))
     targets = section.get("targets")
-    target_points = ([_point(p) for p in targets] if targets
-                     else [geo.coords(i) for i in range(geo.n_vertices)])
-    target_idx = [geo.index(y) for y in target_points]
-    target_labels = [" ".join(map(str, y)) for y in target_points]
+    if targets:
+        points = [_point(p) for p in targets]
+        target_idx = np.array([geo.index(y) for y in points], dtype=np.int64)
+    else:
+        points = np.indices((geo.L,) * geo.d).reshape(geo.d, -1).T.tolist()
+        target_idx = np.arange(geo.n_vertices)
+    target_labels = [_label(y) for y in points]
+    del points
     requests = [(float(t), _point(src)) for t in section["times"] for src in section["sources"]]
     slices = heat_slices(kern, requests, tol)
-    rows = []
-    for t, src in requests:
-        s = slices[t, geo.wrap(src)]
-        label = " ".join(map(str, src))
-        rows.extend([t, label, y, p, h] for y, p, h in
-                    zip(target_labels, s.prob[target_idx].tolist(), s.hk[target_idx].tolist()))
+
+    def blocks():
+        # one block per (t, x) request, so the table is never held whole
+        for t, src in requests:
+            s = slices[t, geo.wrap(src)]
+            yield [t, _label(src), target_labels, s.prob[target_idx], s.hk[target_idx]]
+
     write_csv(os.path.join(out_dir, "heat.csv"),
-              ["t", "x", "y", "prob", "hk"], rows, config.meta())
+              ["t", "x", "y", "prob", "hk"], blocks(), config.meta())
     return EXIT_OK
 
 
@@ -220,7 +232,7 @@ def cmd_verify(config, out_dir):
     def threshold_table(table):
         if not isinstance(table, dict):
             return table
-        return {" ".join(map(str, k)): v for k, v in sorted(table.items())}
+        return {_label(k): v for k, v in sorted(table.items())}
 
     payload = {
         "envelope": env.to_dict(),
@@ -238,11 +250,13 @@ def cmd_verify(config, out_dir):
         ],
     }
     write_json(os.path.join(out_dir, "envelope.json"), payload, meta)
+    vs = report.violations
     write_csv(
         os.path.join(out_dir, "violations.csv"),
         ["t", "x", "y", "dist", "side", "value", "bound", "margin"],
-        [[v.t, " ".join(map(str, v.x)), " ".join(map(str, v.y)), v.dist,
-          v.side, v.value, v.bound, v.margin] for v in report.violations],
+        [[[v.t for v in vs], [_label(v.x) for v in vs], [_label(v.y) for v in vs],
+          [v.dist for v in vs], [v.side for v in vs], [v.value for v in vs],
+          [v.bound for v in vs], [v.margin for v in vs]]],
         meta,
     )
 
@@ -309,21 +323,17 @@ def cmd_chain(config, out_dir):
         "mean_product_diag": bound.mean_product_diag,
     }
     write_json(os.path.join(out_dir, "chain.json"), payload, meta)
-    from .environment import avg_norm
 
-    ball_rows = []
     root_s = math.sqrt(bound.plan.s)
-    for j in range(bound.plan.k):
-        z = bound.plan.waypoints[j]
-        ball = geo.ball_indices(z, root_s)
-        ball_rows.append([j, " ".join(map(str, z)),
-                          avg_norm(field, "mu", p, ball),
-                          avg_norm(field, "nu", q, ball),
-                          bound.step_logs[j]])
+    waypoints = bound.plan.waypoints[:bound.plan.k]
+    balls = [geo.ball_indices(z, root_s) for z in waypoints]
     write_csv(
         os.path.join(out_dir, "chain_balls.csv"),
         ["j", "z", "mu_norm", "nu_norm", "step_log_factor"],
-        ball_rows,
+        [[list(range(bound.plan.k)), [_label(z) for z in waypoints],
+          [avg_norm(field, "mu", p, ball) for ball in balls],
+          [avg_norm(field, "nu", q, ball) for ball in balls],
+          bound.step_logs]],
         meta,
     )
     return EXIT_OK
@@ -350,8 +360,7 @@ def cmd_moments(config, out_dir):
         "implied_zeta": report.implied_zeta,
     }, meta)
     write_csv(os.path.join(out_dir, "ladder.csv"), ["size", "estimate", "stderr"],
-              [[s, e, se] for s, e, se in zip(report.sizes, report.estimates, report.stderrs)],
-              meta)
+              [[report.sizes, report.estimates, report.stderrs]], meta)
     pts = [(math.log(s), math.log(e)) for s, e in zip(report.sizes, report.estimates) if e > 0]
     line = [(math.log(s), report.theta.intercept + report.theta.slope * math.log(s))
             for s in report.sizes]
@@ -382,9 +391,8 @@ def cmd_green(config, out_dir):
                                 config.seed)
         write_csv(os.path.join(out_dir, "green.csv"),
                   ["x", "y", "dist", "mean", "stderr"],
-                  [[" ".join(map(str, x)), " ".join(map(str, y)), u, m, s]
-                   for (x, y), u, m, s in zip(report.pairs, report.distances,
-                                              report.means, report.stderrs)],
+                  [[[_label(x) for x, _ in report.pairs], [_label(y) for _, y in report.pairs],
+                    report.distances, report.means, report.stderrs]],
                   meta)
         write_json(os.path.join(out_dir, "green.json"), {
             "mode": "annealed",
@@ -411,21 +419,20 @@ def cmd_green(config, out_dir):
     slices = [env_slices[t, geo.wrap(x)] for t in env_times for x in sources]
     env = fit_envelopes(slices, lower_threshold=n_table, window=2.0)
 
-    rows = []
-    for x, y in pairs:
-        est = green_kernel(field, x, y, env, tol=tol, kernel=kern)
-        u = geo.torus_distance(x, y)
-        rows.append([" ".join(map(str, est.x)), " ".join(map(str, est.y)), u,
-                     est.value, est.value * u ** (geo.d - 2.0) if u else math.nan,
-                     est.tail_bound, est.split_time])
+    ests = [green_kernel(field, x, y, env, tol=tol, kernel=kern) for x, y in pairs]
+    dists = [geo.torus_distance(x, y) for x, y in pairs]
     write_csv(os.path.join(out_dir, "green.csv"),
               ["x", "y", "dist", "g", "g_scaled", "tail_bound", "split_time"],
-              rows, meta)
+              [[[_label(e.x) for e in ests], [_label(e.y) for e in ests], dists,
+                [e.value for e in ests],
+                [e.value * u ** (geo.d - 2.0) if u else math.nan for e, u in zip(ests, dists)],
+                [e.tail_bound for e in ests], [e.split_time for e in ests]]],
+              meta)
     write_json(os.path.join(out_dir, "green.json"), {
         "mode": "quenched",
         "envelope": env.to_dict(),
         "pairs": [[list(x), list(y)] for x, y in pairs],
-        "values": [float(r[3]) for r in rows],
+        "values": [float(e.value) for e in ests],
     }, meta)
     return EXIT_OK
 

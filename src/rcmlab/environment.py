@@ -194,27 +194,27 @@ class ConductanceField:
     def mu_vector(self):
         """mu at every vertex (flat indexing)."""
         if self._mu is None:
-            table = self.geometry.neighbor_table()
-            d = self.geometry.d
-            total = self.values.sum(axis=1)
-            for a in range(d):
-                total = total + self.values[table[:, d + a], a]
-            self._mu = total
-            self._mu.setflags(write=False)
+            self._mu = self._incident_sum(self.values)
         return self._mu
 
     def nu_vector(self):
         """nu at every vertex (flat indexing)."""
         if self._nu is None:
-            table = self.geometry.neighbor_table()
-            d = self.geometry.d
-            inv = 1.0 / self.values
-            total = inv.sum(axis=1)
-            for a in range(d):
-                total = total + inv[table[:, d + a], a]
-            self._nu = total
-            self._nu.setflags(write=False)
+            self._nu = self._incident_sum(1.0 / self.values)
         return self._nu
+
+    def _incident_sum(self, weights):
+        """Per-vertex sum of ``weights`` over the 2d incident edges: the d
+        forward edges column by column, then the d backward ones."""
+        table = self.geometry.neighbor_table()
+        d = self.geometry.d
+        total = weights[:, 0]
+        for a in range(1, d):
+            total = total + weights[:, a]
+        for a in range(d):
+            total = total + weights[table[:, d + a], a]
+        total.setflags(write=False)
+        return total
 
 
 def mu(field, x):
@@ -230,12 +230,9 @@ def nu(field, x):
 def shift(field, z):
     """The field translated by z: new edge {x, y} takes the old {x+z, y+z}."""
     geo = field.geometry
-    n = geo.n_vertices
-    perm = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        c = geo.coords(i)
-        perm[i] = geo.index(tuple(ci + zi for ci, zi in zip(c, z)))
-    return ConductanceField(geo, field.values[perm, :], field.spec, field.seed)
+    grid = field.values.reshape((geo.L,) * geo.d + (geo.d,))
+    moved = np.roll(grid, tuple(-int(c) for c in z), axis=tuple(range(geo.d)))
+    return ConductanceField(geo, moved.reshape(field.values.shape), field.spec, field.seed)
 
 
 def avg_norm(field, quantity, exponent, region):
@@ -434,11 +431,12 @@ def read_field(path):
 def field_to_csv(field, path):
     """Plain CSV export: one row per edge (vertex coords, axis, weight)."""
     geo = field.geometry
+    cols = [f"x{i + 1}" for i in range(geo.d)] + ["axis", "value"]
+    coords = np.indices((geo.L,) * geo.d).reshape(geo.d, -1).T.tolist()
+    vertex = [",".join(map(str, c)) + "," for c in coords]
+    axes = [f"{a + 1}," for a in range(geo.d)]
+    # "x1,...,xd,axis," for every (vertex, axis) pair, in row order
+    prefixes = [v + a for v in vertex for a in axes]
+    values = map(repr, field.values.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        cols = [f"x{i + 1}" for i in range(geo.d)] + ["axis", "value"]
-        fh.write(",".join(cols) + "\r\n")
-        for i in range(geo.n_vertices):
-            coords = geo.coords(i)
-            for a in range(geo.d):
-                row = [str(c) for c in coords] + [str(a + 1), repr(float(field.values[i, a]))]
-                fh.write(",".join(row) + "\r\n")
+        fh.write("\r\n".join([",".join(cols), *map(str.__add__, prefixes, values)]) + "\r\n")

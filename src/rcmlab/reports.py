@@ -3,13 +3,27 @@
 Every file embeds the configuration hash and artifact version.  Floats are
 rendered with shortest round-trip formatting, iteration orders are fixed, so
 identical inputs always produce byte-identical files.
+
+CSV bodies are written a column block at a time: a block is a list of
+equal-length columns, formatted column by column and written with one
+``write`` call, so a caller can stream a large table without holding its
+rows.  A float array column is rendered as ``repr`` of each value; every
+other cell goes through :func:`format_value`.  Cells are then quoted the way
+``csv.writer``'s ``QUOTE_MINIMAL`` quotes them: a cell holding ``,``, ``"``,
+``\r`` or ``\n`` is wrapped in double quotes with inner quotes doubled, and
+a row whose only cell is empty is written as ``""``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+from itertools import chain, repeat
+
+import numpy as np
+
+_NEEDS_QUOTES = (",", '"', "\r", "\n")
+_PER_ROW = (list, tuple, np.ndarray)
 
 
 def format_value(v):
@@ -19,14 +33,52 @@ def format_value(v):
     return str(v)
 
 
-def write_csv(path, header, rows, meta):
-    """RFC-4180 style CSV preceded by one '#'-prefixed metadata line."""
+def _quote(cell):
+    if any(c in cell for c in _NEEDS_QUOTES):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(column):
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.tolist())
+    # format_value leaves a str as it is, so a column of str skips the call
+    cells = column if set(map(type, column)) <= {str} else list(map(format_value, column))
+    if any(c in "".join(cells) for c in _NEEDS_QUOTES):
+        return map(_quote, cells)
+    return cells
+
+
+def _block_text(columns):
+    """CSV text of one block: each column is a numpy array, list or tuple with
+    one cell per row; any other value is one cell repeated on every row."""
+    lengths = {len(c) for c in columns if isinstance(c, _PER_ROW)}
+    if len(lengths) != 1:
+        raise ValueError("a block needs at least one column, all of equal length")
+    (n,) = lengths
+    if n == 0:
+        return ""
+    cols = [_cells(c) if isinstance(c, _PER_ROW) else repeat(_quote(format_value(c)), n)
+            for c in columns]
+    if len(cols) == 1:
+        lines = ('""' if c == "" else c for c in cols[0])
+    else:
+        lines = map(",".join, zip(*cols))
+    # the empty last line gives the block its final terminator
+    return "\r\n".join(chain(lines, [""]))
+
+
+def write_csv(path, header, blocks, meta):
+    """RFC-4180 style CSV preceded by one '#'-prefixed metadata line.
+
+    ``blocks`` is an iterable of column blocks (see the module docstring);
+    their rows follow the header in order.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"#config_hash={meta['config_hash']},version={meta['version']}\r\n")
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        fh.write(_block_text([[h] for h in header]))
+        for columns in blocks:
+            fh.write(_block_text(columns))
 
 
 def write_json(path, payload, meta):

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,24 @@ def test_heat_rows_and_zero_time(tmp_path):
     # the zero-time slice is a point mass at the source
     delta_row = [l for l in lines if l.startswith("0.0,0 0,0 0,")][0]
     assert delta_row.split(",")[3] == "1.0"
+
+
+def test_heat_streams_its_table(tmp_path):
+    # 8 full-torus blocks of 4096 rows.  Holding the whole table as rows peaked
+    # at 7.0 MB under tracemalloc (Python 3.11, numpy 2.4); writing one block
+    # at a time peaks at 2.6 MB
+    cfg = ExperimentConfig(base_config(
+        geometry={"d": 2, "L": 64},
+        heat={"times": [1.0, 4.0, 16.0, 64.0], "sources": [[0, 0], [32, 32]]}))
+    tracemalloc.start()
+    try:
+        assert rcmlab.cli.cmd_heat(cfg, str(tmp_path)) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6, peak
+    lines = (tmp_path / "heat.csv").read_text().splitlines()
+    assert len(lines) == 2 + 8 * 64 * 64
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -91,6 +91,52 @@ def test_shift_group_action():
     assert mu(moved, (0, 0)) == pytest.approx(mu(field, (2, 5)))
 
 
+def _reference_shift(field, z):
+    """The per-vertex permutation loop that ``shift`` replaces with np.roll."""
+    geo = field.geometry
+    perm = np.empty(geo.n_vertices, dtype=np.int64)
+    for i in range(geo.n_vertices):
+        c = geo.coords(i)
+        perm[i] = geo.index(tuple(ci + zi for ci, zi in zip(c, z)))
+    return field.values[perm, :]
+
+
+@pytest.mark.parametrize("d, L, z", [(2, 8, (3, 2)), (2, 8, (-3, 5)), (2, 8, (17, -9)),
+                                     (2, 6, (0, -6)), (3, 4, (1, 2, 3)),
+                                     (3, 6, (-1, 13, -20)), (3, 6, (6, 0, -7))])
+def test_shift_matches_reference_loop(d, L, z):
+    geo = TorusGeometry(d, L)
+    spec = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
+    field = sample_environment(spec, geo, 5)
+    assert np.array_equal(shift(field, z).values, _reference_shift(field, z))
+
+
+FAMILIES = [
+    EnvironmentSpec("constant", {"level": 1.5}),
+    EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0}),
+    EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}),
+    EnvironmentSpec("finite-range", {"range": 3, "link": "exp"}),
+    EnvironmentSpec("gaussian-fkg", {"mass": 0.5, "scale": 0.7}),
+    EnvironmentSpec("na-permutation", {"block": 2}),
+]
+
+
+@pytest.mark.parametrize("d, L", [(2, 8), (3, 6), (4, 6)])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+def test_mu_nu_match_reference_sums(spec, d, L):
+    geo = TorusGeometry(d, L)
+    field = sample_environment(spec, geo, 17)
+    table = geo.neighbor_table()
+    for weights, vec in ((field.values, field.mu_vector()),
+                         (1.0 / field.values, field.nu_vector())):
+        # the row sum plus back-neighbor gathers the vectors used to be built from
+        total = weights.sum(axis=1)
+        for a in range(d):
+            total = total + weights[table[:, d + a], a]
+        assert np.array_equal(vec, total)
+        assert not vec.flags.writeable
+
+
 def test_avg_norm():
     const = sample_environment(EnvironmentSpec("constant"), GEO, 0)
     region = [(0, 0), (1, 0), (2, 2)]
@@ -278,3 +324,25 @@ def test_field_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,x2,axis,value"
     assert len(lines) == 1 + GEO.n_edges
+
+
+def _reference_field_csv(field, path):
+    """The per-edge row loop that ``field_to_csv`` replaces."""
+    geo = field.geometry
+    with open(path, "w", newline="") as fh:
+        cols = [f"x{i + 1}" for i in range(geo.d)] + ["axis", "value"]
+        fh.write(",".join(cols) + "\r\n")
+        for i in range(geo.n_vertices):
+            coords = geo.coords(i)
+            for a in range(geo.d):
+                row = [str(c) for c in coords] + [str(a + 1), repr(float(field.values[i, a]))]
+                fh.write(",".join(row) + "\r\n")
+
+
+@pytest.mark.parametrize("d, L", [(2, 12), (3, 6)])
+def test_field_csv_matches_reference_rows(tmp_path, d, L):
+    spec = EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 2.0})
+    field = sample_environment(spec, TorusGeometry(d, L), 9)
+    field_to_csv(field, tmp_path / "new.csv")
+    _reference_field_csv(field, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
