@@ -1,9 +1,10 @@
 """Numerical laboratory for random walks among random conductances.
 
 Samples conductance environments on the discrete torus, computes the walk's
-heat kernel exactly by the Poisson jump series, fits and verifies Gaussian
-envelopes, runs ball-chain lower bounds, estimates concentration exponents of
-rectangle sums, and evaluates Green kernels in transient dimensions.
+heat kernel to a certified tolerance by a Chebyshev series, fits and verifies
+Gaussian envelopes, runs ball-chain lower bounds, estimates concentration
+exponents of rectangle sums, and evaluates Green kernels in transient
+dimensions.
 """
 
 __version__ = "0.1.0"

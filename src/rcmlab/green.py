@@ -3,12 +3,14 @@
 The Green kernel g(x, y) integrates the heat kernel over all time.  The
 artifact splits the integral at a time T0:
 
-  * head [0, T0]: exact, in closed form.  One sparse sweep stores the jump
-    chain coefficients a_n = P^n(x, y), and p(t, x, y) is their Poisson
-    mixture sum_n e^-t t^n / n! a_n / mu(y).  Since
-    int_0^T e^-t t^n / n! dt = P(Poisson(T) >= n + 1) = gammainc(n + 1, T),
-    the head is sum_n a_n gammainc(n + 1, T0) / mu(y), up to the series
-    truncation;
+  * head [0, T0]: exact, in closed form.  One sparse sweep stores the
+    Chebyshev terms v_k = T_k(P^T) delta_x at y, and p(t, x, y) is
+    sum_k c_k(t) v_k / mu(y) with c_0 = ive(0, t), c_k = 2 ive(k, t) (see
+    :mod:`rcmlab.kernel`).  Integrating the Bessel recurrence
+    d/ds ive(k, s) = (ive(k - 1, s) + ive(k + 1, s)) / 2 - ive(k, s) over
+    [0, T] gives int_0^T ive(k, s) ds = 2 sum_{j > k} (j - k) ive(j, T), a
+    sum of positive terms, so the head is sum_k B_k(T0) v_k / mu(y) with
+    B_k the integrals of c_k, up to the series truncation;
   * tail [T0, infinity): two numbers.  The reported value adds an
     extrapolated tail: log(p * t^{d/2}) is fitted as gamma - a/t from the
     values at T0/2 and T0 and the fit integrates in closed form (an additive
@@ -65,26 +67,36 @@ class GreenEstimate:
     tail_bound: float
     split_time: float
     trunc_error: float
-    wrap_error: float
     decomposition: object = None
-    # the jump-chain profile the head integrates; green_decomposition reuses it
+    # the Chebyshev profile the head integrates; green_decomposition reuses it
     profile: object = dataclass_field(default=None, repr=False)
 
 
-def _head_integral(profile, times, target=0):
-    """Exact integral of p(t, x, target) over [0, T] for each T in ``times``.
+def _head_weights(n_terms, t):
+    """B_k(T) = int_0^T c_k(s) ds for k < n_terms, from ive(j, T) alone:
+    int_0^T ive(k, s) ds = 2 sum_{j > k} (j - k) ive(j, T) (module docstring),
+    as two cumulative sums from the small end.  Past j_max the terms are
+    below e^-50 of the largest."""
+    j_max = n_terms + int(10.0 * math.sqrt(t)) + 30
+    above = np.cumsum(special.ive(np.arange(j_max + 1), t)[::-1])[::-1]
+    weights = 2.0 * np.cumsum(above[::-1])[::-1][1 : n_terms + 1]
+    weights[1:] *= 2.0
+    return weights
 
-    Sums a_n gammainc(n + 1, T) / mu(target) over the stored coefficients
-    (see the module docstring).  The sum runs in the same order for every T,
-    so equal times give equal values and the result inherits gammainc's
-    monotonicity in T.
+
+def _head_integral(profile, times):
+    """Exact integral of p(t, x, target) over [0, T] for each T in ``times``
+    and each target of the profile, shape ``times`` + (targets,).
+
+    Sums B_k(T) v_k / mu(target) over the stored Chebyshev terms (see the
+    module docstring), with B_k(T) computed once per T for all targets.
     """
     t = np.asarray(times, dtype=np.float64)
     if np.any(t < 0) or np.any(t > profile.t_max * (1 + 1e-12)):
         raise ValueError("time outside the profiled range")
-    n = np.arange(profile.coeff.shape[0])
-    terms = special.gammainc(n + 1, t[..., None]) * profile.coeff[:, target]
-    return terms.sum(axis=-1) / profile.mu_targets[target]
+    n_terms = len(profile.coeff)
+    weights = np.array([_head_weights(n_terms, s) for s in t.reshape(-1)])
+    return (weights @ profile.coeff / profile.mu_targets).reshape(t.shape + (-1,))
 
 
 def _envelope_tail(envelope, t0, dist):
@@ -145,9 +157,9 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
                  t0_min=None, t0_cap=512.0, kernel=None):
     """Green kernel value with an exact head and a certified tail budget.
 
-    The head over [0, T0] is the closed form sum_n a_n gammainc(n + 1, T0) /
-    mu(y) over the jump-chain coefficients a_n = P^n(x, y), because
-    int_0^T0 e^-t t^n / n! dt = P(Poisson(T0) >= n + 1); only the series
+    The head over [0, T0] is the closed form sum_k B_k(T0) v_k / mu(y) over
+    the Chebyshev terms v_k = T_k(P^T) delta_x at y, with B_k(T0) the exact
+    integral of the k-th coefficient (module docstring); only the series
     truncation, bounded by ``trunc_error``, separates it from the integral.
 
     ``envelope`` must be a fitted and verified upper envelope for this field;
@@ -174,7 +186,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
     kern = kernel if kernel is not None else jump_kernel(field)
     profile = propagate(kern, point_mass(geo, x), [t0], series_tol, targets=[geo.index(y)])
     while True:
-        head = float(_head_integral(profile, t0))
+        head = float(_head_integral(profile, t0)[0])
         tail_est = _extrapolated_tail(profile, t0, geo.d)
         tail_bound = _envelope_tail(envelope, t0, dist)
         value = head + tail_est
@@ -185,8 +197,6 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
         t0 *= 2.0
         profile.extend(t0)
 
-    mu_y = float(kern.mu[geo.index(y)])
-    wrap = t0 * min(1.0, poisson_tail(t0, geo.L // 2)) / mu_y
     return GreenEstimate(
         x=geo.wrap(x),
         y=geo.wrap(y),
@@ -195,8 +205,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
         tail_estimate=tail_est,
         tail_bound=tail_bound,
         split_time=t0,
-        trunc_error=t0 * series_tol / mu_y,
-        wrap_error=wrap,
+        trunc_error=t0 * profile.trunc_error / float(kern.mu[geo.index(y)]),
         profile=profile,
     )
 
@@ -221,7 +230,7 @@ def green_decomposition(field, x, y, regime_split, n1, envelope, tol=1.0,
     estimate = green_kernel(field, x, y, envelope, tol=tol, series_tol=series_tol,
                             t0_min=max(4.0, n_xy), kernel=kernel)
     at_lam, at_nxy, at_t0 = _head_integral(estimate.profile,
-                                           [lam, n_xy, estimate.split_time])
+                                           [lam, n_xy, estimate.split_time])[:, 0]
     term_local = float(at_lam)
     term_mid = float(at_nxy - at_lam)
     term_far = float(at_t0 - at_nxy) + estimate.tail_estimate
@@ -331,31 +340,39 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None,
         t0_for_dist = lambda dist: min(_pow2_at_least(max(128.0, 4.0 * dist * dist)), 512.0)
 
     by_source = {}
-    for x, y in pairs:
-        by_source.setdefault(tuple(x), []).append(tuple(y))
+    for row, (x, y) in enumerate(pairs):
+        by_source.setdefault(tuple(x), []).append((row, tuple(y)))
     dists = [geometry.torus_distance(x, y) for x, y in pairs]
     t_max = max(t0_for_dist(u) for u in dists)
 
     samples = np.empty((len(pairs), n_samples))
     for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed(seed, 0, i))
-        kern = jump_kernel(fld)
-        col = 0
-        for x, ys in by_source.items():
-            profile = propagate(kern, point_mass(geometry, x), [t_max], series_tol,
-                                targets=[geometry.index(y) for y in ys])
-            for j, y in enumerate(ys):
-                dist = geometry.torus_distance(x, y)
-                t0 = t0_for_dist(dist)
-                head = _head_integral(profile, t0, target=j)
-                samples[col, i] = head + _extrapolated_tail(profile, t0, geometry.d, target=j)
-                col += 1
+        samples[:, i] = _annealed_replica(
+            sample_environment(spec, geometry, child_seed(seed, 0, i)),
+            by_source, t0_for_dist, t_max, series_tol)
 
     means = samples.mean(axis=1)
     stderrs = samples.std(axis=1, ddof=1) / math.sqrt(n_samples)
     slope = loglog_slope(dists, means, stderrs, n_boot=n_boot, seed=seed)
     return AnnealedReport([(tuple(x), tuple(y)) for x, y in pairs], dists,
                           means.tolist(), stderrs.tolist(), slope)
+
+
+def _annealed_replica(field, by_source, t0_for_dist, t_max, series_tol):
+    """One replica's Green values, at the pair rows ``by_source`` lists per
+    source.  Its field and kernel are freed on return, before the next
+    replica's are built."""
+    geo = field.geometry
+    kern = jump_kernel(field)
+    values = np.empty(sum(len(rows) for rows in by_source.values()))
+    for x, rows in by_source.items():
+        profile = propagate(kern, point_mass(geo, x), [t_max], series_tol,
+                            targets=[geo.index(y) for _, y in rows])
+        t0s = [t0_for_dist(geo.torus_distance(x, y)) for _, y in rows]
+        heads = {t0: _head_integral(profile, t0) for t0 in t0s}
+        for j, ((row, _), t0) in enumerate(zip(rows, t0s)):
+            values[row] = heads[t0][j] + _extrapolated_tail(profile, t0, geo.d, target=j)
+    return values
 
 
 # ---------------------------------------------------------------------------

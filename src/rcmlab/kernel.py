@@ -1,23 +1,33 @@
 """The constant speed random walk and its heat kernel.
 
 The walk waits a mean-one exponential time at each vertex, then jumps to a
-neighbor y of x with probability w(x, y) / mu(x).  Because the total jump
-rate is one everywhere, the time-t law from x is an exact Poisson mixture of
-powers of the embedded jump matrix P:
+neighbor y of x with probability w(x, y) / mu(x), so its time-t law from a
+start distribution is e^{t(P^T - I)} start, with P the jump matrix.  With A
+the weight matrix and D = diag(mu), P^T = D^1/2 S D^-1/2 for the symmetric
+S = D^-1/2 A D^-1/2, whose spectrum lies in [-1, 1], and there
+e^{t(s - 1)} = sum_k c_k(t) T_k(s) with c_0 = ive(0, t), c_k = 2 ive(k, t)
+and T_k the Chebyshev polynomials (Tal-Ezer and Kosloff's propagator).  The
+vectors u_k = T_k(S) D^-1/2 start obey u_{k+1} = 2 S u_k - u_{k-1}, one
+sparse product per term, and the law is D^1/2 sum_k c_k(t) u_k.
 
-    P_x[X_t = .] = sum_{n >= 0} e^-t t^n / n! * P^n(x, .)
+As |T_k| <= 1 on [-1, 1], dropping the terms k > K moves the law of any start
+distribution by at most sqrt(sum mu / min mu) * sum_{k > K} c_k(t) in l1 (so
+also sup) norm.  K is the least degree keeping this below the tolerance,
+about sqrt(t log(1/tol)).  It does not depend on the source, so a source
+swept alone or inside a block gets the same bits; the dropped mass is a
+Skellam tail, nondecreasing in t, so the degree for a time covers every
+earlier one.  Entries the truncated series leaves negative are set to zero,
+which moves no entry further from the true law.
 
-Truncating the series at a Poisson-tail cutoff gives the distribution with a
-certified sup-norm error.  The heat kernel (density with respect to the
-reversible measure mu) is p(t, x, y) = P_x[X_t = y] / mu(y).  Everything built
-from p comes from one sweep, :func:`propagate`: a block of sources, one column
-each, advances once to the cutoff of the largest requested time, and every
-time sums its own Poisson weights on the way; with targets the sweep keeps
-the coefficients P^n(x, target) instead.
+The heat kernel (density with respect to the reversible measure mu) is
+p(t, x, y) = P_x[X_t = y] / mu(y).  Everything built from p comes from one
+sweep, :func:`propagate`: a block of sources, one column each, advances once
+to the degree of the largest requested time, and every time sums its own
+coefficients on the way; with targets the sweep keeps the terms
+T_k(P^T) start at the targets instead.
 
-A dense spectral route through the symmetrized matrix
-S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) serves as an independent oracle for
-cross-validation on small tori.
+A dense spectral route through the same matrix S serves as an independent
+oracle for cross-validation on small tori.
 
 Both computations live on the torus.  A slice additionally reports a wrap
 certificate: a walk can only feel the periodic identification after at least
@@ -35,42 +45,55 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import special
 
-from .poisson import poisson_cutoff, poisson_tail, poisson_weights
+from .poisson import poisson_tail
 
 
 @dataclass
 class JumpKernel:
-    """Row-stochastic jump matrix of the embedded chain, with mu alongside."""
+    """The symmetric S = D^-1/2 A D^-1/2 that every sweep multiplies by, with
+    mu alongside; the row-stochastic jump matrix P is built on first use."""
 
     geometry: object
-    matrix: sp.csr_matrix
     mu: np.ndarray
+    symmetric: sp.csr_matrix
 
     @cached_property
-    def transpose(self):
-        return self.matrix.T.tocsr()
+    def matrix(self):
+        """P(x, y) = w(x, y) / mu(x) = S(x, y) sqrt(mu(y) / mu(x)), the walk
+        simulator's jump probabilities; column indices sorted, so each row
+        lists its neighbors in vertex order."""
+        s = self.symmetric
+        root = np.sqrt(self.mu)
+        rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+        return sp.csr_matrix((s.data * root[s.indices] / root[rows], s.indices, s.indptr),
+                             shape=s.shape).sorted_indices()
 
 
 def jump_kernel(field):
-    """Build P(x, y) = w(x, y) / mu(x) on neighbors; validates stochasticity."""
+    """Build S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) on neighbors; validates that
+    the jump probabilities w(x, y) / mu(x) sum to one."""
     geo = field.geometry
     n, d = geo.n_vertices, geo.d
     mu_vec = field.mu_vector()
     if np.any(mu_vec <= 0):
         raise ValueError("mu must be positive at every vertex")
     table = geo.neighbor_table()
-    rows = np.repeat(np.arange(n), 2 * d)
-    cols = table.reshape(-1)
     weights = np.empty((n, 2 * d))
     for a in range(d):
         weights[:, a] = field.values[:, a]
         weights[:, d + a] = field.values[table[:, d + a], a]
-    data = (weights / mu_vec[:, None]).reshape(-1)
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    row_sums = np.asarray(matrix.sum(axis=1)).reshape(-1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-12:
+    # row x holds its 2d neighbors in table order: CSR straight from the table.
+    # One product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
+    root = np.sqrt(mu_vec)
+    s_data = root[table]
+    s_data *= root[:, None]
+    np.divide(weights, s_data, out=s_data)
+    symmetric = sp.csr_matrix((s_data.reshape(-1), table.reshape(-1),
+                               np.arange(0, 2 * d * n + 1, 2 * d)), shape=(n, n))
+    # row sums of P, since (S sqrt(mu))(x) / sqrt(mu(x)) = sum_y P(x, y)
+    if np.max(np.abs(symmetric @ root / root - 1.0)) > 1e-12:
         raise ValueError("jump matrix rows must sum to one")
-    return JumpKernel(geo, matrix, mu_vec)
+    return JumpKernel(geo, mu_vec, symmetric)
 
 
 @dataclass
@@ -78,8 +101,9 @@ class HeatKernelSlice:
     """Time-t law from one source, as probabilities and as a density.
 
     ``prob`` is P_x[X_t = .]; ``hk`` is prob / mu.  ``trunc_error`` bounds the
-    sup-norm series truncation; ``wrap_error`` bounds the discrepancy to the
-    full-lattice law of the periodically extended environment.
+    series truncation in l1 (hence sup) norm; ``wrap_error`` bounds the
+    discrepancy to the full-lattice law of the periodically extended
+    environment.
     """
 
     t: float
@@ -102,36 +126,77 @@ def point_mass(geometry, x):
     return v
 
 
-def _powers(pt, v):
-    """Yields v, P^T v, (P^T)^2 v, ...: one SpMV per item after the first.  Holds only
-    the matrix and the last vector, so a finished profile keeps no kernel alive."""
-    v = np.asarray(v, dtype=np.float64)
+def _coefficients(t, n_terms):
+    """c_0(t), ..., c_{n_terms - 1}(t): c_0 = ive(0, t), c_k = 2 ive(k, t)."""
+    c = special.ive(np.arange(n_terms), t)
+    c[1:] *= 2.0
+    return c
+
+
+def _series(t, tol, scale):
+    """Coefficients c_0..c_K(t) for the least K with scale * sum_{k > K} c_k(t)
+    <= tol, and that bound.  ``scale`` is sqrt(sum mu / min mu)."""
+    n_terms = int(12.0 * math.sqrt(t)) + 40
     while True:
-        yield v
-        v = pt @ v
+        c = _coefficients(t, n_terms)
+        # tails[k] = sum_{j > k} c_j, summed from the small end; the terms past
+        # n_terms fall geometrically and are far below the last one kept
+        tails = np.append(np.cumsum(c[:0:-1])[::-1], 0.0)
+        ok = np.flatnonzero(scale * tails <= tol)
+        degree = int(ok[0]) if ok.size else n_terms
+        if degree + 4 * math.sqrt(t) + 20 < n_terms:
+            return c[: degree + 1], scale * float(tails[degree])
+        n_terms *= 2
+
+
+def _chebyshev_terms(s_matrix, u):
+    """Yields T_1(S) u, T_2(S) u, ...: one SpMV each, by u_{k+1} = 2 S u_k - u_{k-1}.
+    Holds only the matrix and the last two vectors, so a finished profile keeps
+    no kernel alive."""
+    prev, cur = u, s_matrix @ u
+    while True:
+        yield cur
+        nxt = s_matrix @ cur
+        nxt *= 2.0
+        nxt -= prev
+        prev, cur = cur, nxt
 
 
 def propagate(kernel, start, times, tol=1e-10, targets=None):
     """Laws at ``times`` from ``start`` (a distribution, or a block of them as
-    columns) and their truncation tails, by one sweep to the Poisson cutoff of
-    the largest time.  With ``targets`` (vertex indices) it returns the
-    coefficients P^n(start, targets) as a :class:`TransitionProfile` instead.
+    columns) and their truncation bounds, by one Chebyshev sweep to the degree
+    of the largest time.  With ``targets`` (vertex indices) it returns the
+    terms T_k(P^T) start at the targets as a :class:`TransitionProfile` instead.
     """
     if min(times) < 0:
         raise ValueError("time must be nonnegative")
     if not (0 < tol < 1):
         raise ValueError("tolerance must be in (0, 1)")
+    start = np.asarray(start, dtype=np.float64)
+    root = np.sqrt(kernel.mu)
+    if start.ndim == 2:
+        root = root[:, None]
+    terms = _chebyshev_terms(kernel.symmetric, start / root)
+    scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     if targets is not None:
-        terms = (v[targets] for v in _powers(kernel.transpose, start))
-        profile = TransitionProfile(np.array([next(terms)]), kernel.mu[targets], 0.0, tol, terms)
+        root_t = root[targets]
+        coeff = (root_t * u[targets] for u in terms)
+        profile = TransitionProfile(start[targets][None], kernel.mu[targets], 0.0, tol,
+                                    scale, 0.0, coeff)
         return profile.extend(max(times))
-    series = [poisson_weights(t, tol) for t in times]
-    laws = [None] * len(series)
-    for n, v in zip(range(max(len(w) for w, _ in series)), _powers(kernel.transpose, start)):
-        for i, (weights, _) in enumerate(series):
-            if n < len(weights):
-                laws[i] = weights[n] * v if n == 0 else laws[i] + weights[n] * v
-    return laws, [tail for _, tail in series]
+    series = [_series(t, tol, scale) for t in times]
+    sums = [None] * len(series)
+    for k, u in zip(range(1, max(len(c) for c, _ in series)), terms):
+        for i, (c, _) in enumerate(series):
+            if k < len(c):
+                if k == 1:
+                    sums[i] = c[k] * u
+                else:
+                    sums[i] += c[k] * u
+    # the k = 0 term in the start's own coordinates, so t = 0 returns the start
+    laws = [c[0] * start if acc is None else np.maximum(c[0] * start + root * acc, 0.0)
+            for (c, _), acc in zip(series, sums)]
+    return laws, [bound for _, bound in series]
 
 
 def heat_slices(kernel, requests, tol=1e-10):
@@ -154,7 +219,7 @@ def heat_slices(kernel, requests, tol=1e-10):
 
 
 def heat_kernel(field, t, x, tol=1e-10, wrap_tol=None, kernel=None):
-    """Heat kernel slice at time t from source x, by the Poisson jump series.
+    """Heat kernel slice at time t from source x, by the Chebyshev sweep.
 
     ``tol`` bounds the series truncation error.  When ``wrap_tol`` is given,
     the torus wrap certificate must also meet it, otherwise the geometry is
@@ -182,11 +247,8 @@ def spectral_oracle(field, t, x):
     if t < 0:
         raise ValueError("time must be nonnegative")
     kern = jump_kernel(field)
-    mu_vec = kern.mu
-    root = np.sqrt(mu_vec)
-    a_dense = kern.matrix.toarray() * mu_vec[:, None]
-    s_matrix = a_dense / root[:, None] / root[None, :]
-    eigvals, eigvecs = np.linalg.eigh(s_matrix)
+    root = np.sqrt(kern.mu)
+    eigvals, eigvecs = np.linalg.eigh(kern.symmetric.toarray())
     if eigvals[0] < -1.0 - 1e-10 or eigvals[-1] > 1.0 + 1e-10:
         raise ValueError("spectrum escapes [-1, 1]")
     xi = geo.index(x)
@@ -194,7 +256,7 @@ def spectral_oracle(field, t, x):
     # prob(y) = sum_k U[x,k] e^{t(lam_k - 1)} U[y,k] sqrt(mu(y)/mu(x))
     prob = (eigvecs @ (decay * eigvecs[xi])) * (root / root[xi])
     prob = np.maximum(prob, 0.0)
-    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / mu_vec, 0.0,
+    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / kern.mu, 0.0,
                            _wrap_bound(geo, t), geo)
 
 
@@ -222,47 +284,34 @@ def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
     return endpoint
 
 
-def torus_size_for(t, tol):
-    """Smallest even torus side L with wrap certificate P(Pois(t) >= L/2) <= tol."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if not (0 < tol < 1):
-        raise ValueError("tolerance must be in (0, 1)")
-    side = 4
-    while poisson_tail(t, side // 2) > tol:
-        side += 2
-    return side
-
-
 @dataclass
 class TransitionProfile:
-    """Jump-chain coefficients coeff[n] = P^n(x, targets) up to the Poisson
-    cutoff of ``t_max``; ``terms`` yields the next ones of the same sweep."""
+    """Terms coeff[k] = T_k(P^T) start at the targets, for the degree that
+    ``t_max`` needs; ``terms`` yields the next ones of the same sweep.
+    ``trunc_error`` bounds the dropped terms' effect on ``prob`` up to t_max."""
 
     coeff: np.ndarray
     mu_targets: np.ndarray
     t_max: float
     tol: float
+    scale: float
+    trunc_error: float
     terms: object = dataclass_field(repr=False)
 
     def extend(self, t_max):
-        """Continue the sweep until the coefficients cover t_max; returns self."""
-        n_terms = poisson_cutoff(t_max, self.tol) + 1
-        more = [c for _, c in zip(range(n_terms - len(self.coeff)), self.terms)]
+        """Continue the sweep until the terms cover t_max; returns self."""
+        self.t_max = max(self.t_max, float(t_max))
+        c, self.trunc_error = _series(self.t_max, self.tol, self.scale)
+        more = [v for _, v in zip(range(len(c) - len(self.coeff)), self.terms)]
         if more:
             self.coeff = np.concatenate([self.coeff, more])
-        self.t_max = max(self.t_max, float(t_max))
         return self
 
     def prob(self, t):
         """P_x[X_t = target] for each target; valid for 0 <= t <= t_max."""
         if not (0 <= t <= self.t_max * (1 + 1e-12)):
             raise ValueError("time outside the profiled range")
-        if t == 0:
-            return self.coeff[0].copy()
-        n = np.arange(self.coeff.shape[0])
-        weights = np.exp(n * math.log(t) - t - special.gammaln(n + 1))
-        return weights @ self.coeff
+        return np.maximum(_coefficients(t, len(self.coeff)) @ self.coeff, 0.0)
 
     def hk(self, t):
         """p(t, x, target) for each target."""

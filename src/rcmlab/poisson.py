@@ -1,7 +1,9 @@
 """Poisson tail probabilities by stable direct summation.
 
 The jump count of a unit-rate continuous-time walk by time t is Poisson(t),
-so these tails certify both series truncation and torus wrap errors.
+so these tails certify torus wrap errors.  ``poisson_weights`` sums the
+Poisson jump series of the heat kernel; tests keep it as the reference the
+Chebyshev sweep is checked against.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def chernoff_check(lam, r):
     return poisson_tail(lam, r) <= math.exp(-r + 7 * lam)
 
 
-def poisson_cutoff(lam, tol):
+def _cutoff(lam, tol):
     """Smallest n with P(Poisson(lam) > n) <= tol."""
     if not (0 < tol < 1):
         raise ValueError("tolerance must be in (0, 1)")
@@ -84,7 +86,7 @@ def poisson_weights(lam, tol):
         raise ValueError("rate too large for linear-space weights")
     if lam == 0:
         return [1.0], 0.0
-    n_max = poisson_cutoff(lam, tol)
+    n_max = _cutoff(lam, tol)
     weights = [math.exp(-lam)]
     for n in range(1, n_max + 1):
         weights.append(weights[-1] * lam / n)

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from rcmlab.envelopes import fit_envelopes
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
-from rcmlab.green import (_head_integral, annealed_green, green_cutoff_radius,
+from rcmlab.green import (_head_integral, _head_weights, annealed_green, green_cutoff_radius,
                           green_decomposition, green_kernel,
                           quenched_bound_check, srw_green)
-from rcmlab.kernel import JumpKernel, heat_kernel, jump_kernel, point_mass, propagate
+from rcmlab.kernel import heat_kernel, jump_kernel, point_mass, propagate
 from rcmlab.lattice import TorusGeometry
-from rcmlab.poisson import chernoff_check, poisson_cutoff, poisson_tail
+from rcmlab.poisson import chernoff_check, poisson_tail
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
@@ -134,21 +134,26 @@ def test_green_split_doubling_within_certificate():
     assert abs(doubled.value - est.value) < est.tail_bound
 
 
-def test_green_split_doubling_computes_each_jump_power_once(monkeypatch):
+def test_green_split_doubling_computes_each_jump_power_once():
     geo, field, kern, env = constant_setup()
-    transpose = kern.matrix.T.tocsr()
     products = []
 
-    class CountingTranspose:
+    class CountingS:
         def __matmul__(self, v):
             products.append(1 if v.ndim == 1 else v.shape[1])
-            return transpose @ v
+            return kern.symmetric @ v
 
-    monkeypatch.setattr(JumpKernel, "transpose", property(lambda self: CountingTranspose()))
-    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=kern)
+    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env,
+                       kernel=dataclasses.replace(kern, symmetric=CountingS()))
     assert est.split_time >= 64.0  # the split time doubled at least once
-    # P^1 .. P^n for the cutoff n of the final split time, each once
-    assert sum(products) == poisson_cutoff(est.split_time, 1e-13)
+    # the degree K of the final split time: the least K whose dropped
+    # coefficients, times sqrt(sum mu / min mu), stay below the series tol
+    c = 2.0 * scipy.special.ive(np.arange(1, 1000), est.split_time)
+    dropped = np.cumsum(c[::-1])[::-1]  # dropped[k] = sum_{j > k} c_j
+    scale = math.sqrt(kern.mu.sum() / kern.mu.min())
+    degree = int(np.flatnonzero(scale * dropped <= 1e-13)[0])
+    # T_1(S) u .. T_K(S) u, each once
+    assert sum(products) == degree == len(est.profile.coeff) - 1
 
 
 def test_green_symmetry_on_random_field():
@@ -222,6 +227,23 @@ def small_elliptic_setup():
     return field, kern, env, profile
 
 
+@pytest.mark.parametrize("k, T", [(0, 16.0), (3, 100.0), (40, 512.0), (5, 0.5), (100, 2048.0)])
+def test_head_weights_match_skellam_form_and_quadrature(k, T):
+    weight = _head_weights(k + 1, T)[k]
+    # Skellam: e^-s I_k(s) = sum_m e^-s s^n / n! * C(n, m) / 2^n with n = 2m + k,
+    # and int_0^T e^-s s^n / n! ds = gammainc(n + 1, T)
+    n = np.arange(k, int(T + 20 * math.sqrt(T)) + 200, 2)
+    m = (n - k) // 2
+    binom = np.exp(scipy.special.gammaln(n + 1) - scipy.special.gammaln(m + 1)
+                   - scipy.special.gammaln(m + k + 1) - n * math.log(2.0))
+    factor = 1.0 if k == 0 else 2.0
+    skellam = factor * np.sum(binom * scipy.special.gammainc(n + 1, T))
+    quad, _ = scipy.integrate.quad(lambda s: factor * scipy.special.ive(k, s), 0.0, T,
+                                   epsabs=0.0, epsrel=1e-13, limit=500)
+    assert weight == pytest.approx(skellam, rel=1e-13)
+    assert weight == pytest.approx(quad, rel=1e-13)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(times=st.lists(st.floats(0.0, SMALL_T_MAX, exclude_min=True),
                       min_size=2, max_size=4),
@@ -229,12 +251,13 @@ def small_elliptic_setup():
 def test_green_head_closed_form_properties(times, target):
     field, kern, env, profile = small_elliptic_setup()
     times = sorted(times)
-    heads = _head_integral(profile, times, target=target)
+    heads = _head_integral(profile, times)[:, target]
     for t, head in zip(times, heads):
         ref, _ = scipy.integrate.quad(lambda s: profile.hk(s)[target], 0.0, t,
                                       epsabs=0.0, epsrel=1e-12, limit=200)
         assert head == pytest.approx(ref, rel=1e-9, abs=1e-300)
-    # nondecreasing in T, up to the rounding of gammainc itself
+    # nondecreasing in T up to rounding: the integrand is a law, and the
+    # truncated series stays within its 1e-13 certificate of it
     assert np.all(np.diff(heads) >= -1e-15 * heads[1:])
 
     est = green_decomposition(field, (0, 0, 0), SMALL_TARGETS[target], 1.0,
@@ -294,6 +317,18 @@ def test_annealed_green_constant_matches_oracle_fit():
 
     oracle_fit = loglog_slope(distances, oracle_vals)
     assert report.slope.slope == pytest.approx(oracle_fit.slope, abs=0.08)
+
+
+def test_annealed_green_keeps_pair_order():
+    # pairs from two sources, interleaved: each mean belongs to its own pair
+    geo = TorusGeometry(3, 8)
+    pairs = [((0, 0, 0), (2, 0, 0)), ((1, 1, 1), (1, 1, 2)), ((0, 0, 0), (3, 1, 0))]
+    grouped = [pairs[0], pairs[2], pairs[1]]
+    rule = lambda dist: 16.0
+    interleaved = annealed_green(ELLIPTIC, geo, pairs, 2, 5, t0_for_dist=rule).means
+    by_source = annealed_green(ELLIPTIC, geo, grouped, 2, 5, t0_for_dist=rule).means
+    assert interleaved == [by_source[0], by_source[2], by_source[1]]
+    assert len(set(interleaved)) == 3
 
 
 def test_annealed_green_validation():

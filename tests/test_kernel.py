@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
+import scipy.sparse as sp
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
-from rcmlab.kernel import (heat_kernel, jump_kernel, point_mass, propagate, simulate_walk,
-                           spectral_oracle, torus_size_for)
+from rcmlab.green import _head_integral
+from rcmlab.kernel import (_DENSE_LIMIT, heat_kernel, jump_kernel, point_mass, propagate,
+                           simulate_walk, spectral_oracle)
 from rcmlab.lattice import TorusGeometry
+from rcmlab.poisson import poisson_weights
 
 GEO = TorusGeometry(2, 8)
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
@@ -33,6 +37,32 @@ def test_jump_kernel_rows_and_detailed_balance():
     dense = kern.matrix.toarray()
     flux = dense * kern.mu[:, None]
     assert np.max(np.abs(flux - flux.T)) <= 1e-12
+
+
+FAMILIES = [
+    EnvironmentSpec("constant", {"level": 1.5}),
+    EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0}),
+    EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}),
+    EnvironmentSpec("finite-range", {"range": 3, "link": "exp"}),
+    EnvironmentSpec("gaussian-fkg", {"mass": 0.5, "scale": 0.7}),
+    EnvironmentSpec("na-permutation", {"block": 2}),
+]
+
+
+@pytest.mark.parametrize("d, L", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_jump_kernel_invariants(spec, d, L, seed):
+    kern = jump_kernel(sample_environment(spec, TorusGeometry(d, L), seed))
+    rows = np.asarray(kern.matrix.sum(axis=1)).reshape(-1)
+    assert np.max(np.abs(rows - 1.0)) <= 1e-12
+    flux = kern.matrix.toarray() * kern.mu[:, None]
+    assert np.max(np.abs(flux - flux.T)) <= 1e-12
+    s = kern.symmetric.toarray()
+    assert np.array_equal(s, s.T)
+    root = np.sqrt(kern.mu)
+    assert np.max(np.abs(kern.symmetric @ root - root)) <= 1e-12
 
 
 def test_jump_probabilities_proportional_to_weights():
@@ -89,6 +119,16 @@ def test_heat_kernel_conservation_and_reversibility():
             rhs = mu_vec[geo.index(y)] * slices[y].prob[geo.index(x)]
             assert abs(lhs - rhs) <= 1e-9
             assert abs(slices[x].hk[geo.index(y)] - slices[y].hk[geo.index(x)]) <= 1e-9
+
+
+def test_truncated_series_is_clipped_at_zero():
+    # at this loose tolerance the degree-4 series dips below zero at some vertices
+    field = sample_environment(EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}),
+                               TorusGeometry(2, 4), 0)
+    x = field.geometry.coords(15)
+    s = heat_kernel(field, 10.0, x, tol=0.9)
+    assert s.prob.min() == 0.0
+    assert np.max(np.abs(s.prob - spectral_oracle(field, 10.0, x).prob)) <= s.trunc_error
 
 
 def test_semigroup_property():
@@ -159,23 +199,6 @@ def test_walk_matches_uniformization():
     assert abs(phat - target) <= 4 * stderr
 
 
-def test_torus_size_for_minimality():
-    from rcmlab.poisson import poisson_tail
-
-    assert torus_size_for(0.0, 1e-6) == 4
-    for t, tol in [(4.0, 1e-12), (2.0, 1e-8), (10.0, 1e-10)]:
-        side = torus_size_for(t, tol)
-        assert side % 2 == 0
-        assert poisson_tail(t, side // 2) <= tol
-        if side > 4:
-            assert poisson_tail(t, (side - 2) // 2) > tol
-    # independent oracle: smallest r with scipy sf(r-1, 4) <= 1e-12
-    r = 1
-    while scipy.stats.poisson.sf(r - 1, 4.0) > 1e-12:
-        r += 1
-    assert torus_size_for(4.0, 1e-12) == 2 * r
-
-
 def test_transition_profile_matches_slices():
     field = sample_environment(ELLIPTIC, GEO, 15)
     kern = jump_kernel(field)
@@ -218,3 +241,59 @@ def test_propagate_block_matches_lone_slices(d, times, data):
                 lhs = kern.mu[x] * law[y, jx]
                 rhs = kern.mu[y] * law[x, jy]
                 assert abs(lhs - rhs) <= 1e-9
+
+
+def poisson_sweep(kern, start, t, tol):
+    """The Poisson jump series sum_n e^-t t^n / n! (P^T)^n start, cut where the
+    Poisson tail drops below tol: the reference for the Chebyshev sweep.
+    Returns the terms (P^T)^n start, the law and the dropped tail."""
+    weights, tail = poisson_weights(t, tol)
+    pt = kern.matrix.T.tocsr()
+    terms = [start]
+    for _ in weights[1:]:
+        terms.append(pt @ terms[-1])
+    terms = np.array(terms)
+    return terms, np.tensordot(weights, terms, axes=1), tail
+
+
+@functools.cache
+def reference_setup(d):
+    field = sample_environment(ELLIPTIC, TorusGeometry(d, 8 if d == 2 else 6), 50 + d)
+    return field, jump_kernel(field)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), t=st.floats(0.0, 64.0), data=st.data())
+def test_chebyshev_sweep_matches_poisson_reference(d, t, data):
+    field, kern = reference_setup(d)
+    geo = field.geometry
+    sources = data.draw(st.lists(st.integers(0, geo.n_vertices - 1), min_size=1, max_size=4))
+    block = np.column_stack([point_mass(geo, geo.coords(i)) for i in sources])
+    (law,), (bound,) = propagate(kern, block, [t], 1e-12)
+    terms, ref, ref_tail = poisson_sweep(kern, block, t, 1e-12)
+    # both certificates bound the sup-norm error; 1e-15 is summation rounding
+    assert np.max(np.abs(law - ref)) <= bound + ref_tail + 1e-15
+    # Green heads over [0, T] from the first source to every vertex: the
+    # reference integrates the Poisson mixture termwise, sum_n a_n gammainc(n + 1, T)
+    big_t = data.draw(st.floats(0.0, t))
+    profile = propagate(kern, block[:, 0], [t], 1e-12, targets=np.arange(geo.n_vertices))
+    head = _head_integral(profile, big_t)
+    n = np.arange(len(terms))
+    ref_head = scipy.special.gammainc(n + 1, big_t) @ terms[:, :, 0] / kern.mu
+    slack = big_t * (profile.trunc_error + ref_tail) / kern.mu
+    assert np.all(np.abs(head - ref_head) <= slack + 1e-15 * (1.0 + ref_head))
+
+
+def test_chebyshev_matches_expm_multiply_beyond_dense_limit():
+    geo = TorusGeometry(3, 24)
+    assert geo.n_vertices > _DENSE_LIMIT
+    field = sample_environment(ELLIPTIC, geo, 24)
+    kern = jump_kernel(field)
+    generator = (kern.matrix.T - sp.identity(geo.n_vertices, format="csr")).tocsr()
+    start = point_mass(geo, (0, 0, 0))
+    with pytest.raises(ValueError):
+        poisson_weights(2048.0, 1e-12)  # the Poisson series cannot reach t = 2048
+    for t in (512.0, 2048.0):
+        s = heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
+        ref = expm_multiply(t * generator, start)
+        assert np.max(np.abs(s.prob - ref)) <= s.trunc_error + 1e-15
