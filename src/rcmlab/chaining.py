@@ -33,7 +33,7 @@ from .kernel import heat_slices, jump_kernel
 from .lattice import corner_points, l1_norm, path_points
 
 
-class NearDiagonalRegime(Exception):
+class NearDiagonalRegime(ValueError):
     """Raised when |x|^2 / t <= 1/4: use the near-diagonal bound directly."""
 
 
@@ -106,16 +106,15 @@ def build_chain(x, t):
     )
 
 
-def waypoint_multiplicity(plan, radius=None):
-    """Largest number of waypoints inside any ball B(z_j, radius); radius
-    defaults to the chain scale r.  Recorded as a dimension diagnostic."""
-    radius = plan.r if radius is None else radius
+def waypoint_multiplicity(plan):
+    """Largest number of waypoints inside any ball B(z_j, r), r the chain
+    scale.  Recorded as a dimension diagnostic."""
     best = 0
     for z in plan.waypoints:
         count = sum(
             1
             for w in plan.waypoints
-            if sum(abs(a - b) for a, b in zip(z, w)) < radius
+            if sum(abs(a - b) for a, b in zip(z, w)) < plan.r
         )
         best = max(best, count)
     return best
@@ -130,27 +129,6 @@ def harnack_constant(norm_mu, norm_nu, growth=1.0, power=1.0):
     return growth * math.exp(
         growth * max(1.0, norm_mu) ** power * max(1.0, norm_nu) ** power
     )
-
-
-def harnack_lower(field, t, x1, x2, amp, growth=1.0, power=1.0, p=2.0, q=2.0):
-    """Near-diagonal lower bound amp / C * t^(-d/2) at (t, x1, x2).
-
-    Requires t >= 1 and x2 strictly inside the half ball B(x1, sqrt(t)/2);
-    the constant C uses the mu and nu norms over B(x1, sqrt(t)).
-    """
-    if t < 1:
-        raise ValueError("time must be at least one")
-    geo = field.geometry
-    if geo.torus_distance(x1, x2) >= math.sqrt(t) / 2:
-        raise ValueError("second point outside the half ball")
-    ball = geo.ball_indices(x1, math.sqrt(t))
-    c = harnack_constant(
-        avg_norm(field, "mu", p, ball),
-        avg_norm(field, "nu", q, ball),
-        growth,
-        power,
-    )
-    return amp / c * t ** (-geo.d / 2.0)
 
 
 def _ball_members(plan, j, geometry):
@@ -169,38 +147,20 @@ def _step_term(field, point, s, p, q, power):
     ball = field.geometry.ball_indices(point, math.sqrt(s))
     nm = avg_norm(field, "mu", p, ball)
     nn = avg_norm(field, "nu", q, ball)
-    return max(1.0, nm) ** power * max(1.0, nn) ** power, nm, nn
+    return max(1.0, nm) ** power * max(1.0, nn) ** power
+
+
+def _worst_step_terms(field, plan, p, q, power):
+    """Largest step term (1 v mu-norm)^power (1 v nu-norm)^power on
+    B(y, sqrt(s)) over the members y of each chain ball B_0 .. B_{k-1}."""
+    geo = field.geometry
+    return [max(_step_term(field, y, plan.s, p, q, power) for y in _ball_members(plan, j, geo))
+            for j in range(plan.k)]
 
 
 def chain_step_requests(plan, geometry):
     """(s, y) for every vertex y a step check starts from: the members of B_0 .. B_{k-1}."""
     return [(plan.s, y) for j in range(plan.k) for y in _ball_members(plan, j, geometry)]
-
-
-def chain_sum(field, plan, p, q, power=1.0, waypoints=None, return_terms=False):
-    """Sum over j < k of (1 v mu-norm)^power (1 v nu-norm)^power on B(y_j, sqrt(s)).
-
-    The default choice is y_j = z_j; any supplied choice must keep y_0 = 0,
-    y_k = x, and y_j inside the chain ball B_j.
-    """
-    if waypoints is None:
-        waypoints = list(plan.waypoints)
-    if len(waypoints) != plan.k + 1:
-        raise ValueError("waypoint choice must list k + 1 vertices")
-    if tuple(waypoints[0]) != (0,) * plan.d or tuple(waypoints[-1]) != plan.x:
-        raise ValueError("waypoint choice must pin the endpoints")
-    for j in range(1, plan.k):
-        gap = sum(abs(a - b) for a, b in zip(waypoints[j], plan.waypoints[j]))
-        if gap > 0 and gap >= plan.ball_radius:
-            raise ValueError(f"waypoint {j} outside its chain ball")
-    terms = []
-    for j in range(plan.k):
-        term, _, _ = _step_term(field, waypoints[j], plan.s, p, q, power)
-        terms.append(term)
-    total = float(sum(terms))
-    if return_terms:
-        return total, terms
-    return total
 
 
 @dataclass
@@ -217,7 +177,6 @@ def chain_scale_threshold(field, p, q, power, budget, x_set, r_grid):
     Targets too close for a given r are skipped.  Returns None as threshold
     when no grid scale works ("exceeds grid").
     """
-    geo = field.geometry
     table = []
     threshold = None
     for r in sorted(r_grid):
@@ -229,13 +188,7 @@ def chain_scale_threshold(field, p, q, power, budget, x_set, r_grid):
                 continue
             any_target = True
             plan = build_chain(x, D * float(r))
-            total = 0.0
-            for j in range(plan.k):
-                best = 0.0
-                for y in _ball_members(plan, j, geo):
-                    term, _, _ = _step_term(field, y, plan.s, p, q, power)
-                    best = max(best, term)
-                total += best
+            total = sum(_worst_step_terms(field, plan, p, q, power))
             worst_ratio = max(worst_ratio, total / plan.k)
         if not any_target:
             continue
@@ -280,24 +233,21 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
         raise ValueError("chain step below one; near-diagonal factor undefined")
     geo = field.geometry
     mu_vec = field.mu_vector()
+    nu_vec = field.nu_vector()
 
-    step_logs = []
-    worst_constants = []
-    for j in range(plan.k):
-        worst = 0.0
-        for y in _ball_members(plan, j, geo):
-            term, _, _ = _step_term(field, y, plan.s, p, q, power)
-            worst = max(worst, growth * math.exp(growth * term))
-        worst_constants.append(worst)
-        step_logs.append(math.log(amp) - (plan.d / 2.0) * math.log(plan.s) - math.log(worst))
+    worst_constants = [growth * math.exp(growth * term)
+                       for term in _worst_step_terms(field, plan, p, q, power)]
+    step_logs = [math.log(amp) - (plan.d / 2.0) * math.log(plan.s) - math.log(worst)
+                 for worst in worst_constants]
 
     mass_logs = []
     mean_norms = []
+    nu_norms = []
     for j in range(1, plan.k):
-        members = _ball_members(plan, j, geo)
-        idx = np.asarray([geo.index(v) for v in members])
+        idx = np.asarray([geo.index(v) for v in _ball_members(plan, j, geo)])
         mass_logs.append(math.log(float(mu_vec[idx].sum())))
         mean_norms.append(float(mu_vec[idx].mean()))
+        nu_norms.append(float(nu_vec[idx].mean()))
 
     log_value = sum(step_logs) + sum(mass_logs)
     try:
@@ -306,11 +256,6 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
         value = math.inf
 
     geom_mean = math.exp(sum(math.log(m) for m in mean_norms) / len(mean_norms))
-    nu_norms = []
-    for j in range(1, plan.k):
-        members = _ball_members(plan, j, geo)
-        idx = np.asarray([geo.index(v) for v in members])
-        nu_norms.append(float(field.nu_vector()[idx].mean()))
     diag = {
         "geometric_mean_mu": geom_mean,
         "harmonic_bound": (plan.k - 1) / sum(nu_norms),

@@ -29,9 +29,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chaining import (NearDiagonalRegime, build_chain, calibrate_harnack_amp,
-                       chain_step_requests, chained_lower_bound, plan_step_probes,
-                       waypoint_multiplicity)
+from .chaining import (build_chain, calibrate_harnack_amp, chain_step_requests,
+                       chained_lower_bound, plan_step_probes, waypoint_multiplicity)
 from .envelopes import fit_envelopes, stability_radius, verify_bounds
 from .environment import (EnvironmentSpec, avg_norm, field_to_csv, sample_environment,
                           write_field)
@@ -472,9 +471,6 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](config, args.out)
-    except NearDiagonalRegime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -66,36 +66,11 @@ def composite_threshold(n1, chain_scale, chain_scale_powered):
     return max(math.inf if p is None else float(p) for p in parts)
 
 
-def data_driven_threshold(slices, rel_tol=0.2):
-    """Pragmatic per-source threshold: the smallest slice time from which the
-    rescaled on-diagonal value p(t, x, x) * t^(d/2) stays within ``rel_tol``
-    of its value at every later sampled time."""
-    by_source = {}
-    for s in slices:
-        d = s.geometry.d
-        value = float(s.hk[s.geometry.index(s.source)]) * s.t ** (d / 2.0)
-        by_source.setdefault(s.source, []).append((s.t, value))
-    out = {}
-    for source, pts in by_source.items():
-        pts.sort()
-        threshold = None
-        for i in range(len(pts)):
-            tail = [v for _, v in pts[i:]]
-            ref = tail[-1]
-            if ref > 0 and all(abs(v / ref - 1.0) <= rel_tol for v in tail):
-                threshold = pts[i][0]
-                break
-        out[source] = threshold
-    return out
-
-
 def resolve_threshold(table, x):
-    """Threshold lookup supporting a constant, a dict keyed by point, or a callable."""
+    """Threshold lookup supporting a constant or a dict keyed by point."""
     if table is None:
         return math.inf
-    if callable(table):
-        value = table(x)
-    elif isinstance(table, dict):
+    if isinstance(table, dict):
         value = table.get(tuple(x), math.inf)
     else:
         value = table
@@ -167,50 +142,29 @@ def _safe_log(v):
     return math.log(v) if v > 0 else -math.inf
 
 
-def _distance(x, y, geometry=None):
-    if geometry is not None:
-        return geometry.torus_distance(x, y)
-    return sum(abs(int(a) - int(b)) for a, b in zip(x, y))
-
-
-def upper_envelope(env, t, x, y, geometry=None):
-    """Evaluate the upper envelope at (t, x, y)."""
-    return env.upper_profile(t, _distance(x, y, geometry))
-
-
-def lower_envelope(env, t, x, y, geometry=None):
-    """Evaluate the lower envelope; zero (vacuous) below the validity threshold."""
-    dist = _distance(x, y, geometry)
-    if not env.lower_active(t, x, dist):
-        return 0.0
-    return env.lower_profile(t, dist)
-
-
 # ---------------------------------------------------------------------------
 # fitting
 
 
-_SPLIT_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+_REGIME_SPLIT = 1.0
+_RATE_FLOOR = 1e-12
 
 
-def fit_envelopes(slices, lower_threshold, upper_threshold=None, window=2.0,
-                  regime_split=1.0, rate_floor=1e-12):
+def fit_envelopes(slices, lower_threshold, window=2.0):
     """Fit the tightest envelope consistent with the supplied slices.
 
     Only points with |x-y| <= window * sqrt(t) enter the fit, and only where
     the slice resolves them (heat kernel above ten times the truncation
-    bound).  The lower amplitude takes half the smallest on-diagonal value of
-    p * t^(d/2); the lower rate takes the largest rate any off-diagonal point
-    demands.  The upper amplitude doubles the largest on-diagonal value and
-    the upper rates take the smallest rates the data allows.  The result is
-    re-verified against every point used.
-
-    ``regime_split`` may be a number or "fit", which picks the smallest grid
-    value for which the far regime still admits a positive linear rate.
+    bound).  ``lower_threshold`` (a constant or a dict keyed by source)
+    gates both bounds: the lower one at t >= N(x) * max(1, |x-y|), the upper
+    one at sqrt(t) >= N(x).  The lower amplitude takes half the smallest
+    on-diagonal value of p * t^(d/2); the lower rate takes the largest rate
+    any off-diagonal point demands.  The upper amplitude doubles the largest
+    on-diagonal value and the upper rates take the smallest rates the data
+    allows, with the near and far regimes split at |x-y| = t and every rate
+    floored at 1e-12.  The result is re-verified against every point used.
     """
-    if upper_threshold is None:
-        upper_threshold = lower_threshold
-    points = _collect_points(slices, lower_threshold, upper_threshold, window)
+    points = _collect_points(slices, lower_threshold, window)
     if not points["diag_lower"] and not points["diag_upper"]:
         raise ValueError("no valid on-diagonal points to fit")
 
@@ -220,7 +174,7 @@ def fit_envelopes(slices, lower_threshold, upper_threshold=None, window=2.0,
         lower_amp = 0.5 * min(p * t ** (d / 2.0) for t, p in points["diag_lower"])
     else:
         raise ValueError("no valid on-diagonal points for the lower fit")
-    lower_rate = rate_floor
+    lower_rate = _RATE_FLOOR
     for t, dist, p in points["off_lower"]:
         if p <= 0:
             raise ValueError("lower bound violated")
@@ -229,23 +183,9 @@ def fit_envelopes(slices, lower_threshold, upper_threshold=None, window=2.0,
 
     upper_amp = 2.0 * max(p * t ** (d / 2.0) for t, p in points["diag_upper"])
 
-    if regime_split == "fit":
-        split = None
-        for cand in _SPLIT_GRID:
-            rate = _upper_far_rate(points["off_upper"], upper_amp, d, cand)
-            if rate is None or rate > rate_floor:
-                split = cand
-                break
-        if split is None:
-            split = 1.0
-    else:
-        split = float(regime_split)
-        if split <= 0:
-            raise ValueError("regime split must be positive")
-
     gauss_rate = math.inf
     for t, dist, p in points["off_upper"]:
-        if dist > split * t or p <= 0:
+        if dist > _REGIME_SPLIT * t or p <= 0:
             continue
         candidate = (t / (dist * dist)) * math.log(upper_amp * t ** (-d / 2.0) / p)
         if candidate <= 0:
@@ -254,22 +194,22 @@ def fit_envelopes(slices, lower_threshold, upper_threshold=None, window=2.0,
     if not math.isfinite(gauss_rate):
         gauss_rate = 1.0  # no near-regime off-diagonal data; any rate is consistent
 
-    far_rate = _upper_far_rate(points["off_upper"], upper_amp, d, split)
+    far_rate = _upper_far_rate(points["off_upper"], upper_amp, d)
     if far_rate is None:
-        far_rate = max(rate_floor, gauss_rate * split)
+        far_rate = max(_RATE_FLOOR, gauss_rate * _REGIME_SPLIT)
     elif far_rate <= 0:
         raise ValueError("upper fit failed: off-diagonal exceeds the diagonal cap")
 
     env = GaussianEnvelope(
         d=d,
-        regime_split=split,
+        regime_split=_REGIME_SPLIT,
         upper_amp=upper_amp,
-        upper_gauss_rate=max(gauss_rate, rate_floor),
-        upper_linear_rate=max(far_rate, rate_floor),
+        upper_gauss_rate=max(gauss_rate, _RATE_FLOOR),
+        upper_linear_rate=max(far_rate, _RATE_FLOOR),
         lower_amp=lower_amp,
-        lower_gauss_rate=max(lower_rate, rate_floor),
+        lower_gauss_rate=max(lower_rate, _RATE_FLOOR),
         lower_threshold=lower_threshold,
-        upper_threshold=upper_threshold,
+        upper_threshold=lower_threshold,
         fit_info={
             "n_diag_lower": len(points["diag_lower"]),
             "n_off_lower": len(points["off_lower"]),
@@ -282,10 +222,10 @@ def fit_envelopes(slices, lower_threshold, upper_threshold=None, window=2.0,
     return env
 
 
-def _upper_far_rate(off_points, upper_amp, d, split):
+def _upper_far_rate(off_points, upper_amp, d):
     rate = None
     for t, dist, p in off_points:
-        if dist < split * t or p <= 0:
+        if dist < _REGIME_SPLIT * t or p <= 0:
             continue
         denom = dist * max(1.0, _safe_log(dist / t))
         candidate = math.log(upper_amp * t ** (-d / 2.0) / p) / denom
@@ -293,21 +233,20 @@ def _upper_far_rate(off_points, upper_amp, d, split):
     return rate
 
 
-def _collect_points(slices, lower_threshold, upper_threshold, window):
+def _collect_points(slices, threshold, window):
     diag_lower, off_lower, diag_upper, off_upper = [], [], [], []
     for s in slices:
         geo = s.geometry
         floor = 10.0 * s.trunc_error
-        n_lower = resolve_threshold(lower_threshold, s.source)
-        n_upper = resolve_threshold(upper_threshold, s.source)
+        n = resolve_threshold(threshold, s.source)
         dist = geo.distance_field(s.source)
         within = dist <= window * math.sqrt(s.t)
-        lower_ok = math.isfinite(n_lower)
-        upper_ok = math.sqrt(s.t) >= n_upper
+        lower_ok = math.isfinite(n)
+        upper_ok = math.sqrt(s.t) >= n
         for idx in np.flatnonzero(within):
             u = float(dist[idx])
             p = float(s.hk[idx])
-            if lower_ok and s.t >= n_lower * max(1.0, u):
+            if lower_ok and s.t >= n * max(1.0, u):
                 if u == 0:
                     if p > floor:
                         diag_lower.append((s.t, p))
@@ -369,13 +308,8 @@ class BoundReport:
     def n_checked(self):
         return len(self.checked)
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def worst_margin(self, side=None):
-        margins = [v.margin for v in self.violations if side is None or v.side == side]
-        return max(margins) if margins else 0.0
+    def worst_margin(self):
+        return max((v.margin for v in self.violations), default=0.0)
 
     def count_beyond(self, margin, side=None):
         return sum(1 for v in self.violations

@@ -173,24 +173,6 @@ class ConductanceField:
         self._mu = None
         self._nu = None
 
-    def edge_weight(self, x, axis):
-        """Weight of the edge from x to x + e_axis (axis 1-based)."""
-        return float(self.values[self.geometry.index(x), axis - 1])
-
-    def weight_between(self, x, y):
-        """Weight of the undirected edge {x, y}; 0 if not adjacent."""
-        geo = self.geometry
-        for a in range(geo.d):
-            plus = list(x)
-            plus[a] += 1
-            if geo.wrap(plus) == geo.wrap(y):
-                return float(self.values[geo.index(x), a])
-            minus = list(x)
-            minus[a] -= 1
-            if geo.wrap(minus) == geo.wrap(y):
-                return float(self.values[geo.index(y), a])
-        return 0.0
-
     def mu_vector(self):
         """mu at every vertex (flat indexing)."""
         if self._mu is None:

@@ -16,10 +16,6 @@ class SlopeFit:
     ci_high: float
     intercept: float
 
-    @property
-    def ci_width(self):
-        return self.ci_high - self.ci_low
-
 
 def loglog_slope(xs, ys, stderrs=None, n_boot=1000, seed=0):
     """Least-squares slope of log y against log x.
@@ -51,7 +47,7 @@ def loglog_slope(xs, ys, stderrs=None, n_boot=1000, seed=0):
     return SlopeFit(float(slope), float(lo), float(hi), float(intercept))
 
 
-def fit_theta(sizes, estimates, stderrs=None, n_boot=1000, seed=0):
+def fit_theta(sizes, estimates, stderrs=None, seed=0):
     """Growth exponent of rectangle-sum moments against rectangle size.
 
     Requires at least four sizes spanning a decade and positive estimates.
@@ -64,4 +60,4 @@ def fit_theta(sizes, estimates, stderrs=None, n_boot=1000, seed=0):
         raise ValueError("ladder must span at least one decade")
     if np.any(estimates <= 0):
         raise ValueError("ladder estimates must be positive")
-    return loglog_slope(sizes, estimates, stderrs, n_boot=n_boot, seed=seed)
+    return loglog_slope(sizes, estimates, stderrs, seed=seed)

@@ -153,8 +153,7 @@ def _pow2_at_least(v):
     return out
 
 
-def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
-                 t0_min=None, t0_cap=512.0, kernel=None):
+def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kernel=None):
     """Green kernel value with an exact head and a certified tail budget.
 
     The head over [0, T0] is the closed form sum_k B_k(T0) v_k / mu(y) over
@@ -184,7 +183,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, series_tol=1e-13,
     t0 = min(_pow2_at_least(start), _pow2_at_least(t0_cap))
 
     kern = kernel if kernel is not None else jump_kernel(field)
-    profile = propagate(kern, point_mass(geo, x), [t0], series_tol, targets=[geo.index(y)])
+    profile = propagate(kern, point_mass(geo, x), [t0], 1e-13, targets=[geo.index(y)])
     while True:
         head = float(_head_integral(profile, t0)[0])
         tail_est = _extrapolated_tail(profile, t0, geo.d)
@@ -220,15 +219,14 @@ class GreenDecomposition:
     total: float
 
 
-def green_decomposition(field, x, y, regime_split, n1, envelope, tol=1.0,
-                        series_tol=1e-13, kernel=None):
+def green_decomposition(field, x, y, regime_split, n1, envelope, tol=1.0, kernel=None):
     """Three-piece split of the Green integral at n1^2 and max(n1^2, dist/split)."""
     if n1 is None:
         raise ValueError("stability radius not available")
     lam = float(n1 * n1)
     n_xy = max(lam, field.geometry.torus_distance(x, y) / regime_split)
-    estimate = green_kernel(field, x, y, envelope, tol=tol, series_tol=series_tol,
-                            t0_min=max(4.0, n_xy), kernel=kernel)
+    estimate = green_kernel(field, x, y, envelope, tol=tol, t0_min=max(4.0, n_xy),
+                            kernel=kernel)
     at_lam, at_nxy, at_t0 = _head_integral(estimate.profile,
                                            [lam, n_xy, estimate.split_time])[:, 0]
     term_local = float(at_lam)
@@ -325,8 +323,7 @@ class AnnealedReport:
     slope: object  # SlopeFit of mean against distance
 
 
-def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None,
-                   series_tol=1e-12, n_boot=1000):
+def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None):
     """Monte Carlo annealed Green means per pair and their distance power law.
 
     Tail integrals use the Richardson extrapolation (estimates, not
@@ -349,16 +346,16 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None,
     for i in range(n_samples):
         samples[:, i] = _annealed_replica(
             sample_environment(spec, geometry, child_seed(seed, 0, i)),
-            by_source, t0_for_dist, t_max, series_tol)
+            by_source, t0_for_dist, t_max)
 
     means = samples.mean(axis=1)
     stderrs = samples.std(axis=1, ddof=1) / math.sqrt(n_samples)
-    slope = loglog_slope(dists, means, stderrs, n_boot=n_boot, seed=seed)
+    slope = loglog_slope(dists, means, stderrs, seed=seed)
     return AnnealedReport([(tuple(x), tuple(y)) for x, y in pairs], dists,
                           means.tolist(), stderrs.tolist(), slope)
 
 
-def _annealed_replica(field, by_source, t0_for_dist, t_max, series_tol):
+def _annealed_replica(field, by_source, t0_for_dist, t_max):
     """One replica's Green values, at the pair rows ``by_source`` lists per
     source.  Its field and kernel are freed on return, before the next
     replica's are built."""
@@ -366,7 +363,7 @@ def _annealed_replica(field, by_source, t0_for_dist, t_max, series_tol):
     kern = jump_kernel(field)
     values = np.empty(sum(len(rows) for rows in by_source.values()))
     for x, rows in by_source.items():
-        profile = propagate(kern, point_mass(geo, x), [t_max], series_tol,
+        profile = propagate(kern, point_mass(geo, x), [t_max], 1e-12,
                             targets=[geo.index(y) for _, y in rows])
         t0s = [t0_for_dist(geo.torus_distance(x, y)) for _, y in rows]
         heads = {t0: _head_integral(profile, t0) for t0 in t0s}

@@ -196,11 +196,6 @@ class HyperRectangle:
         return offs + np.asarray(self.base, dtype=np.int64)
 
 
-def hyper_rectangle_vertices(rect):
-    """Vertex set of a hyper-rectangle, as a set of tuples."""
-    return {tuple(int(c) for c in row) for row in rect.vertex_array()}
-
-
 def corner_points(x):
     """The d+1 segment corners of the staircase path from 0 to x.
 

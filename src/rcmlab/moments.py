@@ -28,23 +28,6 @@ from .seeding import child_seed
 _MAIN, _PILOT, _THRESH = 0, 1, 2
 
 
-def default_eta(spec, geometry, zeta=None):
-    """Default moment order for rectangle-sum ladders.
-
-    Families relying on short-range or negative dependence concentrate like
-    sums of independent blocks, where order 2 * zeta suffices; purely
-    association-plus-mixing families need order d * zeta.  zeta defaults
-    to the dimension.
-    """
-    zeta = float(geometry.d if zeta is None else zeta)
-    certified = spec.certified_assumptions
-    if {"spectral-gap", "finite-range", "negative-association"} & set(certified):
-        return 2.0 * zeta
-    if "positive-association" in certified:
-        return geometry.d * zeta
-    raise ValueError("sampler family certifies no decorrelation property")
-
-
 def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
     """Spatial-plus-replica averages E[mu(0)^p] and E[nu(0)^q] (unbiased by
     stationarity), for the exponents in ``powers``, e.g. {"mu": p, "nu": q}.
@@ -145,7 +128,7 @@ def default_rectangles(sizes_spec, d=2):
 
 
 def rectangle_ladder(spec, geometry, quantity, p, eta, rects, n_samples, seed,
-                     mean_samples=128, n_boot=1000):
+                     mean_samples=128):
     """Moment estimates across a ladder of rectangle sizes, with a fitted
     growth exponent."""
     ests = rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, seed,
@@ -153,7 +136,7 @@ def rectangle_ladder(spec, geometry, quantity, p, eta, rects, n_samples, seed,
     sizes = [rect.n_vertices for rect in rects]
     estimates = [est.value for est in ests]
     stderrs = [est.stderr for est in ests]
-    theta = fit_theta(sizes, estimates, stderrs, n_boot=n_boot, seed=seed)
+    theta = fit_theta(sizes, estimates, stderrs, seed=seed)
     return MomentBoundReport(quantity, p, eta, sizes, estimates, stderrs, theta)
 
 
@@ -277,7 +260,7 @@ def builtin_test_pairs(geometry):
     return {"fkg": fkg, "na": na}
 
 
-def association_check(spec, geometry, test_pairs=None, n_samples=10_000, seed=0):
+def association_check(spec, geometry, n_samples=10_000, seed=0):
     """Covariance estimates for nondecreasing function pairs, with a verdict
     against the assumption the sampler family is certified for.
 
@@ -285,7 +268,7 @@ def association_check(spec, geometry, test_pairs=None, n_samples=10_000, seed=0)
     (possibly overlapping) pair; negatively associated families must show
     cov <= +3 stderr on every disjoint pair.
     """
-    pairs = test_pairs if test_pairs is not None else builtin_test_pairs(geometry)
+    pairs = builtin_test_pairs(geometry)
     certified = spec.certified_assumptions
     jobs = []
     if "positive-association" in certified:
@@ -339,17 +322,17 @@ class MixingReport:
     slope: object  # SlopeFit on positive covariances, or None
 
 
-def mixing_decay(spec, geometry, distance_grid, n_samples, seed, kind="sum"):
-    """Covariance of a nondecreasing origin-edge function with its translate,
+def mixing_decay(spec, geometry, distance_grid, n_samples, seed):
+    """Covariance of the sum of the origin's edges with its translate,
     against translation distance, plus a log-log decay slope when measurable.
     """
     d = geometry.d
     origin = (0,) * d
-    base = EdgeFunction("origin", _edges_at(geometry, origin), kind)
+    base = EdgeFunction("origin", _edges_at(geometry, origin), "sum")
     shifted = []
     for dist in distance_grid:
         vertex = (int(dist),) + (0,) * (d - 1)
-        shifted.append(EdgeFunction(f"shift {dist}", _edges_at(geometry, vertex), kind))
+        shifted.append(EdgeFunction(f"shift {dist}", _edges_at(geometry, vertex), "sum"))
     threshold = _pilot_median(spec, geometry, seed)
 
     base_vals = np.empty(n_samples)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rcmlab.envelopes import (GaussianEnvelope, fit_envelopes, lower_envelope,
-                              stability_radius, upper_envelope, verify_bounds)
+from rcmlab.envelopes import (GaussianEnvelope, fit_envelopes, stability_radius,
+                              verify_bounds)
 from rcmlab.environment import (ConductanceField, EnvironmentSpec,
                                 sample_environment)
 from rcmlab.kernel import HeatKernelSlice, heat_kernel, jump_kernel
@@ -69,9 +69,9 @@ def test_stability_radius_finite_for_most_elliptic_fields():
 
 def test_upper_envelope_formulas():
     env = make_env(upper_amp=2.0)
-    assert upper_envelope(env, 4.0, (0, 0), (0, 0)) == pytest.approx(2.0 / 4.0)
+    assert env.upper_profile(4.0, 0) == pytest.approx(2.0 / 4.0)
     env_unit = make_env(upper_amp=1.0, upper_gauss_rate=1.0)
-    val = upper_envelope(env_unit, 4.0, (0, 0), (2, 0))
+    val = env_unit.upper_profile(4.0, 2)
     assert val == pytest.approx(0.25 * math.exp(-1.0))
 
 
@@ -85,11 +85,12 @@ def test_upper_envelope_boundary_max_of_branches():
 
 def test_lower_envelope_formula_and_threshold():
     env = make_env(lower_amp=0.1, lower_gauss_rate=2.0, lower_threshold=2.0)
-    assert lower_envelope(env, 8.0, (0, 0), (2, 0)) == pytest.approx(
-        0.1 / 8.0 * math.exp(-2.0 * 4.0 / 8.0))
-    assert lower_envelope(env, 8.0, (0, 0), (0, 0)) == pytest.approx(0.1 / 8.0)
+    assert env.lower_active(8.0, (0, 0), 2)
+    assert env.lower_profile(8.0, 2) == pytest.approx(0.1 / 8.0 * math.exp(-2.0 * 4.0 / 8.0))
+    assert env.lower_active(8.0, (0, 0), 0)
+    assert env.lower_profile(8.0, 0) == pytest.approx(0.1 / 8.0)
     # below threshold the bound is vacuous
-    assert lower_envelope(env, 3.0, (0, 0), (2, 0)) == 0.0
+    assert not env.lower_active(3.0, (0, 0), 2)
 
 
 def test_lower_scaling_depends_on_ratio_only():
@@ -139,7 +140,7 @@ def test_fit_constant_field_and_verify():
     grid = [(t, (0, 0), geo.coords(i)) for t in times
             for i in geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)]
     report = verify_bounds(field, env, grid, kernel=kern)
-    assert report.ok
+    assert not report.violations
     assert report.n_checked == len(grid)
 
     # upper envelope dominates the lower wherever both are active
@@ -172,23 +173,11 @@ def test_envelope_requires_positive_constants():
 
 
 def test_composite_and_data_driven_thresholds():
-    from rcmlab.envelopes import composite_threshold, data_driven_threshold
+    from rcmlab.envelopes import composite_threshold
 
     assert composite_threshold(2, 4.0, 3.0) == 4.0
     assert composite_threshold(None, 4.0, 3.0) == math.inf
     assert composite_threshold(2, None, 3.0) == math.inf
-
-    geo = TorusGeometry(2, 32)
-    field = sample_environment(CONSTANT, geo, 0)
-    kern = jump_kernel(field)
-    slices = [heat_kernel(field, t, (0, 0), tol=1e-10, kernel=kern)
-              for t in (2.0, 8.0, 32.0)]
-    table = data_driven_threshold(slices, rel_tol=0.2)
-    # the rescaled diagonal of the homogeneous walk settles quickly
-    assert table[(0, 0)] is not None and table[(0, 0)] <= 8.0
-    # an impossible tolerance never stabilizes
-    strict = data_driven_threshold(slices, rel_tol=1e-9)
-    assert strict[(0, 0)] == 32.0  # only the last point trivially qualifies
 
 
 def test_cross_field_verification_elliptic():

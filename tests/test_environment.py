@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmlab.environment import (ConductanceField, EnvironmentSpec, avg_norm,
                                 field_to_csv, mu, nu, read_field,
@@ -42,19 +44,6 @@ def test_determinism_bit_identical():
         assert np.array_equal(a.values, b.values), kind
         c = sample_environment(spec, GEO, 100)
         assert not np.array_equal(a.values, c.values), kind
-
-
-def test_edge_symmetry():
-    spec = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
-    field = sample_environment(spec, GEO, 5)
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        x = tuple(int(v) for v in rng.integers(0, 8, size=2))
-        axis = int(rng.integers(1, 3))
-        step = [0, 0]
-        step[axis - 1] = 1
-        y = GEO.wrap((x[0] + step[0], x[1] + step[1]))
-        assert field.weight_between(x, y) == field.weight_between(y, x)
 
 
 def test_mu_nu_prescribed_edges():
@@ -297,6 +286,21 @@ def test_field_roundtrip(tmp_path):
     loaded = read_field(path)
     assert np.array_equal(loaded.values, field.values)
     assert loaded.spec.kind == field.spec.kind
+    assert loaded.seed == field.seed
+    assert loaded.geometry == field.geometry
+
+
+@pytest.mark.parametrize("d, L", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_field_roundtrip_every_family(tmp_path_factory, spec, d, L, seed):
+    field = sample_environment(spec, TorusGeometry(d, L), seed)
+    path = tmp_path_factory.mktemp("rcm") / "f.rcm"
+    write_field(field, path)
+    loaded = read_field(path)
+    assert np.array_equal(loaded.values, field.values)
+    assert loaded.spec == field.spec
     assert loaded.seed == field.seed
     assert loaded.geometry == field.geometry
 

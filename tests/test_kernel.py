@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
-from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
+from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment, shift
 from rcmlab.green import _head_integral
 from rcmlab.kernel import (_DENSE_LIMIT, heat_kernel, jump_kernel, point_mass, propagate,
                            simulate_walk, spectral_oracle)
@@ -63,6 +63,25 @@ def test_jump_kernel_invariants(spec, d, L, seed):
     assert np.array_equal(s, s.T)
     root = np.sqrt(kern.mu)
     assert np.max(np.abs(kern.symmetric @ root - root)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, L", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), t=st.floats(0.0, 16.0), data=st.data())
+def test_heat_kernel_shift_covariance(spec, d, L, seed, t, data):
+    # p_{shift(w, z)}(t, x, y) = p_w(t, x + z, y + z) for every y
+    field = sample_environment(spec, TorusGeometry(d, L), seed)
+    geo = field.geometry
+    coord = st.integers(-L, L)
+    x = tuple(data.draw(st.tuples(*[coord] * d)))
+    z = tuple(data.draw(st.tuples(*[coord] * d)))
+    moved = heat_kernel(shift(field, z), t, x, tol=1e-12)
+    plain = heat_kernel(field, t, tuple(a + b for a, b in zip(x, z)), tol=1e-12)
+    perm = [geo.index(tuple(a + b for a, b in zip(geo.coords(i), z)))
+            for i in range(geo.n_vertices)]
+    bound = moved.trunc_error + plain.trunc_error + 1e-14
+    assert np.max(np.abs(moved.prob - plain.prob[perm])) <= bound
 
 
 def test_jump_probabilities_proportional_to_weights():

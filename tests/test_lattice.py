@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rcmlab.lattice import (HyperRectangle, TorusGeometry, ball, corner_points,
-                            covering_rectangles, hyper_rectangle_vertices,
-                            l1_norm, path_points)
+                            covering_rectangles, l1_norm, path_points)
 
 
 def brute_ball(center, radius):
@@ -89,17 +88,21 @@ def test_neighbor_table_degree():
         assert table[table[i, 0], geo.d + 0] == i
 
 
+def vertex_set(rect):
+    return {tuple(int(c) for c in row) for row in rect.vertex_array()}
+
+
 def test_hyper_rectangle_counts():
     r0 = HyperRectangle((0,), 1, 0, 0)
-    assert hyper_rectangle_vertices(r0) == {(0,)}
+    assert vertex_set(r0) == {(0,)}
     r1 = HyperRectangle((0, 0), 1, 3, 1)
     assert r1.n_vertices == 12
-    assert len(hyper_rectangle_vertices(r1)) == 12
+    assert len(vertex_set(r1)) == 12
 
 
 def test_hyper_rectangle_translated_enumeration():
     rect = HyperRectangle((2, 0), 2, 2, 1)
-    verts = hyper_rectangle_vertices(rect)
+    verts = vertex_set(rect)
     assert len(verts) == 9
     expected = {(2 + dx, 0 + dy) for dx in (-1, 0, 1) for dy in (0, 1, 2)}
     assert verts == expected

@@ -98,7 +98,7 @@ def test_fit_theta_exact_ladder():
     sizes = [10, 30, 100, 300, 1000]
     fit = fit_theta(sizes, [float(s) for s in sizes], [0.0] * 5)
     assert fit.slope == pytest.approx(1.0)
-    assert fit.ci_width == pytest.approx(0.0, abs=1e-12)
+    assert fit.ci_high - fit.ci_low == pytest.approx(0.0, abs=1e-12)
     quad = fit_theta(sizes, [float(s) ** 2 for s in sizes])
     assert quad.slope == pytest.approx(2.0)
 
@@ -131,19 +131,6 @@ def test_finite_range_eta_four_theta_near_two():
     # literal boundedness of the scaled estimates across the ladder
     scaled = [e / s**2 for e, s in zip(report.estimates, report.sizes)]
     assert max(scaled) / min(scaled) <= 4.0
-
-
-def test_default_eta_by_family():
-    from rcmlab.moments import default_eta
-
-    geo = TorusGeometry(2, 8)
-    assert default_eta(EnvironmentSpec("finite-range", {"range": 3}), geo) == 4.0
-    assert default_eta(EnvironmentSpec("na-permutation", {"block": 4}), geo) == 4.0
-    # the spectral-gap certificate takes the cheaper two-zeta route
-    assert default_eta(EnvironmentSpec("gaussian-fkg", {"mass": 1.0}), geo) == 4.0
-    geo3 = TorusGeometry(3, 8)
-    assert default_eta(EnvironmentSpec("gaussian-fkg", {"mass": 1.0}), geo3) == 6.0
-    assert default_eta(EnvironmentSpec("finite-range", {"range": 3}), geo3, zeta=4) == 8.0
 
 
 def test_n1_tail_constant_field():
