@@ -12,7 +12,6 @@ around that path, both of which the ball-chain construction relies on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,28 +118,6 @@ def _neighbor_table(d, L):
         table[:, a] = np.roll(idx, -1, axis=a).reshape(-1)
         table[:, d + a] = np.roll(idx, 1, axis=a).reshape(-1)
     return table
-
-
-def ball(center, radius, geometry=None):
-    """Vertex set of the l1 ball B(center, radius) = {y : |center - y| < r}.
-
-    Without a geometry the ball is enumerated in the full lattice and the
-    returned set holds plain integer tuples.  With a geometry, distances are
-    torus distances and the members are wrapped representatives; a radius
-    exceeding L/2 is rejected because the ball would wrap onto itself.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if geometry is not None:
-        idxs = geometry.ball_indices(center, radius)
-        return {geometry.coords(i) for i in idxs}
-    d = len(center)
-    m = int(np.ceil(radius)) - 1
-    out = set()
-    for offset in itertools.product(range(-m, m + 1), repeat=d):
-        if sum(abs(o) for o in offset) < radius:
-            out.add(tuple(int(c) + o for c, o in zip(center, offset)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rcmlab"
 
 # The paper's hypothesis checks, the independent oracles tests compare
-# against (``lattice.ball`` is the reference set ``covering_rectangles`` is
-# checked against), the documented .rcm reader, the model's mu(x) and nu(x),
-# and poisson_weights, which the benchmark tracer binds at import.
+# against, the documented .rcm reader, the model's mu(x) and nu(x), and
+# poisson_weights, which the benchmark tracer binds at import.
 ALLOWED = {
     "chaining.chain_scale_threshold",
     "envelopes.composite_threshold",
@@ -33,7 +32,6 @@ ALLOWED = {
     "kernel.simulate_walk",
     "kernel.spectral_oracle",
     "lattice.HyperRectangle.contains",
-    "lattice.ball",
     "lattice.covering_rectangles",
     "moments.association_check",
     "moments.mixing_decay",

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rcmlab.lattice import (HyperRectangle, TorusGeometry, ball, corner_points,
+from rcmlab.lattice import (HyperRectangle, TorusGeometry, corner_points,
                             covering_rectangles, l1_norm, path_points)
 
 
@@ -33,15 +33,22 @@ def test_l1_triangle_inequality_sampled():
         assert dxz <= dxy + dyz
 
 
+def torus_ball(geo, center, radius):
+    return {geo.coords(int(i)) for i in geo.ball_indices(center, radius)}
+
+
 def test_ball_strict_inequality():
-    assert ball((0, 0), 1) == {(0, 0)}
-    b2 = ball((0, 0), 2)
+    geo = TorusGeometry(2, 16)
+    assert torus_ball(geo, (0, 0), 1) == {(0, 0)}
+    b2 = torus_ball(geo, (0, 0), 2)
     assert len(b2) == 5 and (1, 0) in b2 and (1, 1) not in b2
 
 
 def test_ball_radius_three_enumeration_oracle():
-    assert ball((0, 0), 3) == brute_ball((0, 0), 3)
-    assert len(ball((0, 0), 3)) == 13
+    geo = TorusGeometry(2, 16)
+    wrapped = {tuple(c % 16 for c in v) for v in brute_ball((0, 0), 3)}
+    assert torus_ball(geo, (0, 0), 3) == wrapped
+    assert len(wrapped) == 13
 
 
 def test_ball_translation_invariance_on_torus():
@@ -50,16 +57,16 @@ def test_ball_translation_invariance_on_torus():
     sizes = set()
     for _ in range(10):
         center = tuple(int(c) for c in rng.integers(0, 16, size=2))
-        sizes.add(len(ball(center, 3.5, geo)))
+        sizes.add(len(geo.ball_indices(center, 3.5)))
     assert len(sizes) == 1
 
 
 def test_ball_wrap_rejected():
     geo = TorusGeometry(2, 8)
     with pytest.raises(ValueError, match="ball wraps"):
-        ball((0, 0), 5, geo)
+        geo.ball_indices((0, 0), 5)
     with pytest.raises(ValueError):
-        ball((0, 0), 0)
+        geo.ball_indices((0, 0), 0)
 
 
 def test_torus_geometry_validation():
@@ -138,7 +145,7 @@ def test_covering_contains_chain_balls_exhaustively():
     rects = covering_rectangles(x, r)
     root_s = plan.s**0.5
     for z in plan.waypoints:
-        for v in ball(z, root_s):
+        for v in brute_ball(z, root_s):
             assert any(rc.contains(v) for rc in rects), (z, v)
 
 
@@ -152,7 +159,7 @@ def test_covering_tube_property(x):
         radius = (r * r / 12.0) ** 0.5 + r / 48.0
         rects = covering_rectangles(x, r)
         for pt in path_points(x):
-            for v in ball(pt, radius + 1e-9):
+            for v in brute_ball(pt, radius + 1e-9):
                 assert any(rc.contains(v) for rc in rects), (x, r, v)
 
 
