@@ -17,8 +17,8 @@ Each step contributes a near-diagonal factor amp * s^(-d/2) / C(y_j), where
 is an explicit function of the averaged mu and nu norms over B(y_j, sqrt(s)).
 Multiplying the step factors and summing over intermediate ball choices
 yields a lower bound on p(t, 0, x) whose soundness only requires the
-per-step inequalities to hold, which can be checked directly against
-computed kernel slices.
+per-step inequalities to hold, which are checked directly against computed
+kernel slices over every member pair of consecutive balls.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class ChainingPlan:
     waypoints: list
     ball_radius: float
     corners: list
-    gap_bound: float
     max_gap: int
     relaxed: bool
 
@@ -86,8 +85,7 @@ def build_chain(x, t):
     waypoints = [path[a] for a in arcs]
     gaps = [arcs[j] - arcs[j - 1] for j in range(1, k + 1)]
     max_gap = max(gaps)
-    gap_bound = max(1.0, r / 12.0)
-    relaxed = max_gap > gap_bound + 1e-9
+    relaxed = max_gap > max(1.0, r / 12.0) + 1e-9
 
     return ChainingPlan(
         x=tuple(int(c) for c in x),
@@ -100,7 +98,6 @@ def build_chain(x, t):
         waypoints=waypoints,
         ball_radius=r / 48.0,
         corners=corner_points(x),
-        gap_bound=gap_bound,
         max_gap=max_gap,
         relaxed=relaxed,
     )
@@ -120,15 +117,17 @@ def waypoint_multiplicity(plan):
     return best
 
 
+def _harnack_term(norm_mu, norm_nu, power):
+    return max(1.0, norm_mu) ** power * max(1.0, norm_nu) ** power
+
+
 def harnack_constant(norm_mu, norm_nu, growth=1.0, power=1.0):
     """growth * exp(growth * (1 v norm_mu)^power * (1 v norm_nu)^power)."""
     if growth <= 0:
         raise ValueError("growth must be positive")
     if power < 1:
         raise ValueError("power must be at least one")
-    return growth * math.exp(
-        growth * max(1.0, norm_mu) ** power * max(1.0, norm_nu) ** power
-    )
+    return growth * math.exp(growth * _harnack_term(norm_mu, norm_nu, power))
 
 
 def _ball_members(plan, j, geometry):
@@ -143,24 +142,19 @@ def _ball_members(plan, j, geometry):
     return [geometry.coords(idx) for idx in geometry.ball_indices(z, plan.ball_radius)]
 
 
-def _step_term(field, point, s, p, q, power):
+def _step_norms(field, point, s, p, q):
+    """Averaged mu and nu norms on B(point, sqrt(s))."""
     ball = field.geometry.ball_indices(point, math.sqrt(s))
-    nm = avg_norm(field, "mu", p, ball)
-    nn = avg_norm(field, "nu", q, ball)
-    return max(1.0, nm) ** power * max(1.0, nn) ** power
+    return avg_norm(field, "mu", p, ball), avg_norm(field, "nu", q, ball)
 
 
 def _worst_step_terms(field, plan, p, q, power):
     """Largest step term (1 v mu-norm)^power (1 v nu-norm)^power on
     B(y, sqrt(s)) over the members y of each chain ball B_0 .. B_{k-1}."""
     geo = field.geometry
-    return [max(_step_term(field, y, plan.s, p, q, power) for y in _ball_members(plan, j, geo))
+    return [max(_harnack_term(*_step_norms(field, y, plan.s, p, q), power)
+                for y in _ball_members(plan, j, geo))
             for j in range(plan.k)]
-
-
-def chain_step_requests(plan, geometry):
-    """(s, y) for every vertex y a step check starts from: the members of B_0 .. B_{k-1}."""
-    return [(plan.s, y) for j in range(plan.k) for y in _ball_members(plan, j, geometry)]
 
 
 @dataclass
@@ -207,26 +201,30 @@ class ChainedBound:
     mass_logs: list
     mean_product_diag: dict
     constants: dict
-    step_checks: object = None
+    step_checks: list  # (j, min p(s, y, y') over B_j x B_{j+1}, step factor, holds)
+    true_value: float  # computed p(t, 0, x)
 
     @property
     def steps_valid(self):
-        if self.step_checks is None:
-            return None
         return all(ok for _, _, _, ok in self.step_checks)
 
+    @property
+    def sound(self):
+        return self.true_value > 0 and self.log_value <= math.log(self.true_value)
 
-def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
-                        p=2.0, q=2.0, verify_steps=False, tol=1e-10, slices=None):
-    """Numeric chained lower bound on p(t, 0, x).
 
-    Every step uses the worst (largest) constant over its ball, so the
-    product times the ball-mass product is a true lower bound whenever each
-    per-step near-diagonal inequality holds; ``verify_steps`` checks those
-    inequalities against computed kernel slices, taken from ``slices`` (a
-    :func:`heat_slices` table covering :func:`chain_step_requests`) when
-    given.  Also reports the harmonic-geometric mean diagnostic for the
-    ball-averaged mu product.
+def chained_lower_bound(field, t, x, amp=None, growth=1.0, power=1.0, p=2.0, q=2.0, tol=1e-10):
+    """Chained lower bound on p(t, 0, x), checked step by step.
+
+    Every step uses the worst (largest) Harnack constant C_j over its ball,
+    so the product times the ball-mass product is a true lower bound whenever
+    each per-step near-diagonal inequality
+    min p(s, y, y') >= amp * s^(-d/2) / C_j over y in B_j, y' in B_{j+1}
+    holds.  One :func:`heat_slices` table over (t, 0) and every step's start
+    vertex gives those minima and the true value p(t, 0, x).  With ``amp``
+    None the amplitude is calibrated as the largest for which every step
+    holds, min_j (min p_j * C_j * s^(d/2)).  Also reports the
+    harmonic-geometric mean diagnostic for the ball-averaged mu product.
     """
     plan = build_chain(x, t)
     if plan.s < 1:
@@ -234,17 +232,34 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
     geo = field.geometry
     mu_vec = field.mu_vector()
     nu_vec = field.nu_vector()
+    balls = [_ball_members(plan, j, geo) for j in range(plan.k + 1)]
 
-    worst_constants = [growth * math.exp(growth * term)
-                       for term in _worst_step_terms(field, plan, p, q, power)]
+    worst_constants = [max(harnack_constant(*_step_norms(field, y, plan.s, p, q), growth, power)
+                           for y in ball)
+                       for ball in balls[:-1]]
+
+    origin = (0,) * plan.d
+    slices = heat_slices(jump_kernel(field),
+                         [(plan.t, origin)] + [(plan.s, y) for ball in balls[:-1] for y in ball],
+                         tol)
+    min_ps = [min(float(slices[plan.s, geo.wrap(y)].hk[geo.index(y2)])
+                  for y in ball for y2 in next_ball)
+              for ball, next_ball in zip(balls, balls[1:])]
+    if amp is None:
+        amp = min(min_p * c * plan.s ** (plan.d / 2.0)
+                  for min_p, c in zip(min_ps, worst_constants))
+
     step_logs = [math.log(amp) - (plan.d / 2.0) * math.log(plan.s) - math.log(worst)
                  for worst in worst_constants]
+    factors = [amp * plan.s ** (-plan.d / 2.0) / worst for worst in worst_constants]
+    step_checks = [(j, min_p, factor, min_p >= factor * (1 - 1e-9))
+                   for j, (min_p, factor) in enumerate(zip(min_ps, factors))]
 
     mass_logs = []
     mean_norms = []
     nu_norms = []
-    for j in range(1, plan.k):
-        idx = np.asarray([geo.index(v) for v in _ball_members(plan, j, geo)])
+    for ball in balls[1:-1]:
+        idx = np.asarray([geo.index(v) for v in ball])
         mass_logs.append(math.log(float(mu_vec[idx].sum())))
         mean_norms.append(float(mu_vec[idx].mean()))
         nu_norms.append(float(nu_vec[idx].mean()))
@@ -262,18 +277,6 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
         "holds": geom_mean >= (plan.k - 1) / sum(nu_norms) - 1e-12,
     }
 
-    step_checks = None
-    if verify_steps:
-        if slices is None:
-            slices = heat_slices(jump_kernel(field), chain_step_requests(plan, geo), tol)
-        step_checks = []
-        for j in range(plan.k):
-            factor = amp * plan.s ** (-plan.d / 2.0) / worst_constants[j]
-            min_p = min(float(slices[plan.s, geo.wrap(y)].hk[geo.index(y2)])
-                        for y in _ball_members(plan, j, geo)
-                        for y2 in _ball_members(plan, j + 1, geo))
-            step_checks.append((j, min_p, factor, min_p >= factor * (1 - 1e-9)))
-
     return ChainedBound(
         value=value,
         log_value=log_value,
@@ -283,34 +286,5 @@ def chained_lower_bound(field, t, x, amp=1.0, growth=1.0, power=1.0,
         mean_product_diag=diag,
         constants={"amp": amp, "growth": growth, "power": power, "p": p, "q": q},
         step_checks=step_checks,
+        true_value=float(slices[plan.t, origin].hk[geo.index(plan.x)]),
     )
-
-
-def calibrate_harnack_amp(field, probes, growth=1.0, power=1.0, p=2.0, q=2.0, tol=1e-10,
-                          slices=None):
-    """Largest amp for which the near-diagonal bound holds at every probe.
-
-    Probes are (t, x1, x2) triples; the result is the minimum over probes of
-    p(t, x1, x2) * C(x1) * t^(d/2), read from ``slices`` (a :func:`heat_slices`
-    table covering every (t, x1)) when given.
-    """
-    geo = field.geometry
-    if slices is None:
-        slices = heat_slices(jump_kernel(field), [(t, x1) for t, x1, _ in probes], tol)
-    best = math.inf
-    for t, x1, x2 in probes:
-        ball = geo.ball_indices(x1, math.sqrt(t))
-        c = harnack_constant(
-            avg_norm(field, "mu", p, ball),
-            avg_norm(field, "nu", q, ball),
-            growth,
-            power,
-        )
-        value = float(slices[float(t), geo.wrap(x1)].hk[geo.index(x2)])
-        best = min(best, value * c * t ** (geo.d / 2.0))
-    return best
-
-
-def plan_step_probes(plan):
-    """Consecutive waypoint probes (s, z_j, z_{j+1}) for calibrating a chain."""
-    return [(plan.s, plan.waypoints[j], plan.waypoints[j + 1]) for j in range(plan.k)]

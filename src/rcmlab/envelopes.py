@@ -22,7 +22,7 @@ twice its annealed mean at every larger radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class GaussianEnvelope:
     lower_gauss_rate: float
     lower_threshold: object = None
     upper_threshold: object = None
-    fit_info: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("regime_split", "upper_amp", "upper_gauss_rate",
@@ -210,13 +209,6 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
         lower_gauss_rate=max(lower_rate, _RATE_FLOOR),
         lower_threshold=lower_threshold,
         upper_threshold=lower_threshold,
-        fit_info={
-            "n_diag_lower": len(points["diag_lower"]),
-            "n_off_lower": len(points["off_lower"]),
-            "n_diag_upper": len(points["diag_upper"]),
-            "n_off_upper": len(points["off_upper"]),
-            "window": window,
-        },
     )
     _recheck_fit(env, points)
     return env

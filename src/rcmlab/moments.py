@@ -290,11 +290,7 @@ def association_check(spec, geometry, n_samples=10_000, seed=0):
 
     results = []
     for j, (side, name, _, _) in enumerate(jobs):
-        fc = f_vals[j] - f_vals[j].mean()
-        gc = g_vals[j] - g_vals[j].mean()
-        prods = fc * gc
-        cov = float(prods.mean()) * n_samples / (n_samples - 1)
-        stderr = float(prods.std(ddof=1) / math.sqrt(n_samples))
+        cov, stderr = _cov_stderr(f_vals[j], g_vals[j])
         if side == "fkg":
             passed = cov >= -3 * stderr
             expectation = "nonnegative"
@@ -303,6 +299,13 @@ def association_check(spec, geometry, n_samples=10_000, seed=0):
             expectation = "nonpositive"
         results.append(PairResult(f"{side}:{name}", cov, stderr, expectation, passed))
     return results
+
+
+def _cov_stderr(f_vals, g_vals):
+    """Unbiased sample covariance and the standard error of its mean product."""
+    n = len(f_vals)
+    prods = (f_vals - f_vals.mean()) * (g_vals - g_vals.mean())
+    return float(prods.mean()) * n / (n - 1), float(prods.std(ddof=1) / math.sqrt(n))
 
 
 def _pilot_median(spec, geometry, seed, n_pilot=200):
@@ -333,24 +336,19 @@ def mixing_decay(spec, geometry, distance_grid, n_samples, seed):
     for dist in distance_grid:
         vertex = (int(dist),) + (0,) * (d - 1)
         shifted.append(EdgeFunction(f"shift {dist}", _edges_at(geometry, vertex), "sum"))
-    threshold = _pilot_median(spec, geometry, seed)
 
     base_vals = np.empty(n_samples)
     shift_vals = np.empty((len(shifted), n_samples))
     for i in range(n_samples):
         fld = sample_environment(spec, geometry, child_seed(seed, _MAIN, i))
         flat = fld.values.reshape(-1)
-        base_vals[i] = base(flat, threshold)
+        base_vals[i] = base(flat, None)  # "sum" functions read no threshold
         for j, fn in enumerate(shifted):
-            shift_vals[j, i] = fn(flat, threshold)
+            shift_vals[j, i] = fn(flat, None)
 
-    covs, errs = [], []
-    bc = base_vals - base_vals.mean()
-    for j in range(len(shifted)):
-        gc = shift_vals[j] - shift_vals[j].mean()
-        prods = bc * gc
-        covs.append(float(prods.mean()) * n_samples / (n_samples - 1))
-        errs.append(float(prods.std(ddof=1) / math.sqrt(n_samples)))
+    stats = [_cov_stderr(base_vals, vals) for vals in shift_vals]
+    covs = [cov for cov, _ in stats]
+    errs = [err for _, err in stats]
 
     positive = [(x, c) for x, c in zip(distance_grid, covs) if c > 0]
     slope = None

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from rcmlab.chaining import (NearDiagonalRegime, build_chain,
-                             calibrate_harnack_amp, chain_scale_threshold,
-                             chained_lower_bound, harnack_constant,
-                             plan_step_probes, waypoint_multiplicity)
+                             chain_scale_threshold, chained_lower_bound,
+                             harnack_constant, waypoint_multiplicity)
 from rcmlab.environment import EnvironmentSpec, avg_norm, sample_environment
 from rcmlab.kernel import heat_kernel
 from rcmlab.lattice import TorusGeometry, l1_norm
@@ -121,9 +120,7 @@ def test_chained_lower_bound_sound_after_calibration():
     geo = TorusGeometry(2, 64)
     field = sample_environment(CONSTANT, geo, 0)
     t, x = 32.0, (8, 0)
-    plan = build_chain(x, t)
-    amp = calibrate_harnack_amp(field, plan_step_probes(plan))
-    bound = chained_lower_bound(field, t, x, amp=amp, verify_steps=True)
+    bound = chained_lower_bound(field, t, x)
     assert bound.steps_valid
     true_slice = heat_kernel(field, t, (0, 0), tol=1e-12)
     true_value = float(true_slice.hk[geo.index(x)])
@@ -138,14 +135,24 @@ def test_chained_lower_bound_requires_unit_step():
         chained_lower_bound(field, 12.0, (8, 0), amp=1.0)  # r = 1.5, s < 1
 
 
-def test_calibration_makes_every_probe_hold():
+def test_calibration_makes_every_step_hold_over_all_member_pairs():
+    # r = 64 gives chain balls B(z_j, 4/3) of five members between the
+    # pinned endpoints; every member pair of consecutive balls must satisfy
+    # p(s, y, y') >= amp s^(-d/2) / C_j, C_j the largest constant on B_j
     geo = TorusGeometry(2, 32)
     field = sample_environment(ELLIPTIC, geo, 8)
-    probes = [(4.0, (0, 0), (0, 0)), (4.0, (3, 3), (3, 3)), (9.0, (5, 1), (5, 2))]
-    amp = calibrate_harnack_amp(field, probes)
-    for t, x1, x2 in probes:
-        s = heat_kernel(field, t, x1, tol=1e-12)
-        value = float(s.hk[geo.index(x2)])
-        ball = geo.ball_indices(x1, math.sqrt(t))
-        c = harnack_constant(avg_norm(field, "mu", 2.0, ball), avg_norm(field, "nu", 2.0, ball))
-        assert value >= amp / c * t ** (-geo.d / 2.0) * (1 - 1e-9)
+    t, x = 1024.0, (16, 0)
+    bound = chained_lower_bound(field, t, x)
+    plan, amp = bound.plan, bound.constants["amp"]
+    balls = [[(0, 0)]] + [[geo.coords(i) for i in geo.ball_indices(z, plan.r / 48)]
+                          for z in plan.waypoints[1:-1]] + [[x]]
+    assert [len(b) for b in balls] == [1, 5, 5, 5, 1]
+    for j in range(plan.k):
+        c = max(harnack_constant(avg_norm(field, "mu", 2.0, ball), avg_norm(field, "nu", 2.0, ball))
+                for ball in (geo.ball_indices(y, math.sqrt(plan.s)) for y in balls[j]))
+        factor = amp / c * plan.s ** (-geo.d / 2.0)
+        for y in balls[j]:
+            hk = heat_kernel(field, plan.s, y, tol=1e-12).hk
+            for y2 in balls[j + 1]:
+                assert hk[geo.index(y2)] >= factor * (1 - 1e-9)
+    assert bound.steps_valid

@@ -204,6 +204,34 @@ def test_chain_command_and_near_diagonal_exit(tmp_path):
                  "--out", str(tmp_path / "c2")]) == EXIT_PRECONDITION
 
 
+def test_chain_checks_growth_and_power_with_a_fixed_amp(tmp_path):
+    cfg = {
+        "geometry": {"d": 2, "L": 32},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 0,
+        "chain": {"target": [6, 0], "time": 24.0, "power": 0.5},
+    }
+    for name, chain in [("calibrated", cfg["chain"]), ("fixed", dict(cfg["chain"], amp=1.0))]:
+        cfg_path = write_config(tmp_path, dict(cfg, chain=chain), f"{name}.json")
+        assert main(["chain", "--config", cfg_path,
+                     "--out", str(tmp_path / name)]) == EXIT_PRECONDITION
+
+
+def test_chain_steps_hold_on_multi_member_balls(tmp_path):
+    # r = 64: the interior chain balls have five members, so the calibrated
+    # amplitude must hold on every member pair, not only on the waypoints
+    cfg = {
+        "geometry": {"d": 2, "L": 64},
+        "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
+        "seed": 3,
+        "chain": {"target": [16, 0], "time": 1024.0},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["chain", "--config", cfg_path, "--out", str(tmp_path / "c")]) == EXIT_OK
+    report = json.loads((tmp_path / "c" / "chain.json").read_text())
+    assert report["sound"] is True and report["steps_valid"] is True
+
+
 def test_chain_builds_one_jump_kernel(tmp_path, monkeypatch):
     builds = []
     real = rcmlab.cli.jump_kernel
