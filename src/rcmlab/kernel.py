@@ -10,6 +10,16 @@ and T_k the Chebyshev polynomials (Tal-Ezer and Kosloff's propagator).  The
 vectors u_k = T_k(S) D^-1/2 start obey u_{k+1} = 2 S u_k - u_{k-1}, one
 sparse product per term, and the law is D^1/2 sum_k c_k(t) u_k.
 
+The torus side L is even (:class:`~rcmlab.lattice.TorusGeometry` admits no
+other), so the nearest-neighbour graph is bipartite: S links the even colour
+class (coordinate sum even) only to the odd one.  The sweep keeps each u_k as
+its two halves and multiplies by the two off-diagonal blocks of S (the
+red-black ordering, Saad, Iterative Methods for Sparse Linear Systems,
+sec. 2.3), skipping a half that is identically zero.  From a point source x,
+T_k(S) delta_x lives on x's class for even k and on the other class for odd
+k, so each term is one half-size product.  The full product's entries off
+the occupied class are exact zeros, so the split changes no bit.
+
 As |T_k| <= 1 on [-1, 1], dropping the terms k > K moves the law of any start
 distribution by at most sqrt(sum mu / min mu) * sum_{k > K} c_k(t) in l1 (so
 also sup) norm.  K is the least degree keeping this below the tolerance,
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,14 +58,51 @@ from scipy import special
 from .poisson import poisson_tail
 
 
+@lru_cache(maxsize=32)
+def _colour_classes(d, L):
+    """The even and odd colour classes (coordinate sum even or odd), each a
+    sorted array of vertex indices.  As L is even, vertices 2m and 2m + 1 lie
+    in opposite classes, so vertex v sits at position v // 2 of its class."""
+    line = np.arange(L) & 1
+    parity = line
+    for _ in range(d - 1):
+        parity = parity[..., None] ^ line
+    parity = parity.reshape(-1)
+    classes = np.flatnonzero(parity == 0), np.flatnonzero(parity)
+    for rows in classes:
+        rows.flags.writeable = False  # the cache hands them to every caller
+    return classes
+
+
 @dataclass
 class JumpKernel:
-    """The symmetric S = D^-1/2 A D^-1/2 that every sweep multiplies by, with
-    mu alongside; the row-stochastic jump matrix P is built on first use."""
+    """The two off-diagonal blocks of S = D^-1/2 A D^-1/2 that every sweep
+    multiplies by, with mu alongside.
+
+    :class:`~rcmlab.lattice.TorusGeometry` admits only even sides, so the
+    nearest-neighbour graph is bipartite and S maps each colour class onto
+    the other.  ``even_block`` holds the rows of S at the even vertices over
+    the odd ones, ``odd_block`` the reverse; a column is a vertex's position
+    v // 2 in its class, and each block row lists the same neighbors in the
+    same (table) order as the row of S.  S and the row-stochastic jump
+    matrix P are built on first use."""
 
     geometry: object
     mu: np.ndarray
-    symmetric: sp.csr_matrix
+    even_block: sp.csr_matrix
+    odd_block: sp.csr_matrix
+
+    @cached_property
+    def symmetric(self):
+        """S itself, each row listing its 2d neighbors in table order: the
+        reference for P, the dense oracle and the tests; no sweep uses it."""
+        geo = self.geometry
+        n, width = geo.n_vertices, 2 * geo.d
+        data = np.empty((n, width))
+        for rows, block in zip(_colour_classes(geo.d, geo.L), (self.even_block, self.odd_block)):
+            data[rows] = block.data.reshape(-1, width)
+        return sp.csr_matrix((data.reshape(-1), geo.neighbor_table().reshape(-1),
+                              np.arange(0, width * n + 1, width)), shape=(n, n))
 
     @cached_property
     def matrix(self):
@@ -69,31 +116,43 @@ class JumpKernel:
                              shape=s.shape).sorted_indices()
 
 
+def _block(values, table, root, rows):
+    """The rows of S at the vertices ``rows`` (one colour class), built in
+    class order; the columns index the other class by v // 2."""
+    d = values.shape[1]
+    nbrs = table[rows]
+    weights = np.empty(nbrs.shape)
+    for a in range(d):
+        weights[:, a] = values[rows, a]
+        weights[:, d + a] = values[nbrs[:, d + a], a]
+    # one product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
+    data = root[nbrs]
+    data *= root[rows, None]
+    np.divide(weights, data, out=data)
+    del weights
+    n_rows, width = nbrs.shape
+    nbrs >>= 1
+    return sp.csr_matrix((data.reshape(-1), nbrs.reshape(-1).astype(np.int32),
+                          np.arange(0, width * n_rows + 1, width, dtype=np.int32)),
+                         shape=(n_rows, n_rows))
+
+
 def jump_kernel(field):
-    """Build S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) on neighbors; validates that
-    the jump probabilities w(x, y) / mu(x) sum to one."""
+    """Build the blocks of S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) on neighbors;
+    validates that the jump probabilities w(x, y) / mu(x) sum to one."""
     geo = field.geometry
-    n, d = geo.n_vertices, geo.d
     mu_vec = field.mu_vector()
     if np.any(mu_vec <= 0):
         raise ValueError("mu must be positive at every vertex")
     table = geo.neighbor_table()
-    weights = np.empty((n, 2 * d))
-    for a in range(d):
-        weights[:, a] = field.values[:, a]
-        weights[:, d + a] = field.values[table[:, d + a], a]
-    # row x holds its 2d neighbors in table order: CSR straight from the table.
-    # One product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
     root = np.sqrt(mu_vec)
-    s_data = root[table]
-    s_data *= root[:, None]
-    np.divide(weights, s_data, out=s_data)
-    symmetric = sp.csr_matrix((s_data.reshape(-1), table.reshape(-1),
-                               np.arange(0, 2 * d * n + 1, 2 * d)), shape=(n, n))
+    classes = _colour_classes(geo.d, geo.L)
+    blocks = [_block(field.values, table, root, rows) for rows in classes]
     # row sums of P, since (S sqrt(mu))(x) / sqrt(mu(x)) = sum_y P(x, y)
-    if np.max(np.abs(symmetric @ root / root - 1.0)) > 1e-12:
-        raise ValueError("jump matrix rows must sum to one")
-    return JumpKernel(geo, mu_vec, symmetric)
+    for block, rows, cols in zip(blocks, classes, classes[::-1]):
+        if np.max(np.abs(block @ root[cols] / root[rows] - 1.0)) > 1e-12:
+            raise ValueError("jump matrix rows must sum to one")
+    return JumpKernel(geo, mu_vec, *blocks)
 
 
 @dataclass
@@ -149,16 +208,27 @@ def _series(t, tol, scale):
         n_terms *= 2
 
 
-def _chebyshev_terms(s_matrix, u):
-    """Yields T_1(S) u, T_2(S) u, ...: one SpMV each, by u_{k+1} = 2 S u_k - u_{k-1}.
-    Holds only the matrix and the last two vectors, so a finished profile keeps
-    no kernel alive."""
-    prev, cur = u, s_matrix @ u
+def _chebyshev_terms(even_block, odd_block, u):
+    """Yields T_1(S) u, T_2(S) u, ... by u_{k+1} = 2 S u_k - u_{k-1}, each as
+    its (even half, odd half) pair; None stands for a half that is identically
+    zero and costs no product, so a start on one class pays one half-size
+    product per term.  Holds only the blocks and the last two pairs, so a
+    finished profile keeps no kernel alive."""
+
+    def times_s(v):
+        even, odd = v
+        return (None if odd is None else even_block @ odd,
+                None if even is None else odd_block @ even)
+
+    prev, cur = u, times_s(u)
     while True:
         yield cur
-        nxt = s_matrix @ cur
-        nxt *= 2.0
-        nxt -= prev
+        nxt = times_s(cur)
+        # S swaps the classes, so u_{k+1} is live on the halves u_{k-1} is
+        for half, old in zip(nxt, prev):
+            if half is not None:
+                half *= 2.0
+                half -= old
         prev, cur = cur, nxt
 
 
@@ -176,38 +246,63 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
     root = np.sqrt(kernel.mu)
     if start.ndim == 2:
         root = root[:, None]
-    terms = _chebyshev_terms(kernel.symmetric, start / root)
+    classes = _colour_classes(kernel.geometry.d, kernel.geometry.L)
+    u0 = start / root
+    terms = _chebyshev_terms(kernel.even_block, kernel.odd_block,
+                             tuple(u0[rows] if np.any(u0[rows]) else None for rows in classes))
     scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     if targets is not None:
+        targets = np.asarray(targets)
         root_t = root[targets]
-        coeff = (root_t * u[targets] for u in terms)
+        on_odd = classes[0][targets // 2] != targets
+        picks = [(sel, targets[sel] // 2) for sel in (np.flatnonzero(~on_odd),
+                                                      np.flatnonzero(on_odd))]
+        shape = targets.shape + start.shape[1:]
+
+        def at_targets(halves):
+            out = np.zeros(shape)
+            for half, (sel, pos) in zip(halves, picks):
+                if half is not None:
+                    out[sel] = half[pos]
+            return root_t * out
+
         profile = TransitionProfile(start[targets][None], kernel.mu[targets], 0.0, tol,
-                                    scale, 0.0, coeff)
+                                    scale, 0.0, map(at_targets, terms))
         return profile.extend(max(times))
     series = [_series(t, tol, scale) for t in times]
-    sums = [None] * len(series)
+    sums = [[None, None] for _ in series]
     for k, u in zip(range(1, max(len(c) for c, _ in series)), terms):
-        for i, (c, _) in enumerate(series):
+        for (c, _), acc in zip(series, sums):
             if k < len(c):
-                if k == 1:
-                    sums[i] = c[k] * u
-                else:
-                    sums[i] += c[k] * u
-    # the k = 0 term in the start's own coordinates, so t = 0 returns the start
-    laws = [c[0] * start if acc is None else np.maximum(c[0] * start + root * acc, 0.0)
-            for (c, _), acc in zip(series, sums)]
+                for h, half in enumerate(u):
+                    if half is None:
+                        continue
+                    if acc[h] is None:
+                        acc[h] = c[k] * half
+                    else:
+                        acc[h] += c[k] * half
+    laws = []
+    for (c, _), acc in zip(series, sums):
+        total = np.zeros_like(start)
+        for rows, half in zip(classes, acc):
+            if half is not None:
+                total[rows] = half
+        # the k = 0 term in the start's own coordinates, so t = 0 returns the start
+        laws.append(np.maximum(c[0] * start + root * total, 0.0))
     return laws, [bound for _, bound in series]
 
 
 def heat_slices(kernel, requests, tol=1e-10):
     """Slices for (t, x) requests, keyed by (t, wrapped x) in request order;
-    sources that request the same set of times share one sweep."""
+    sources that request the same set of times and lie in the same colour
+    class share one sweep, so each term costs one half-size product per source."""
     geo = kernel.geometry
     table = {(float(t), geo.wrap(x)): None for t, x in requests}
     blocks = {}
     for x in dict.fromkeys(x for _, x in table):
-        blocks.setdefault(tuple(sorted(t for t, y in table if y == x)), []).append(x)
-    for times, sources in blocks.items():
+        times = tuple(sorted(t for t, y in table if y == x))
+        blocks.setdefault((times, sum(x) % 2), []).append(x)
+    for (times, _), sources in blocks.items():
         start = np.column_stack([point_mass(geo, x) for x in sources])
         laws, tails = propagate(kernel, start, times, tol)
         for t, law, tail in zip(times, laws, tails):

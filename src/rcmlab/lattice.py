@@ -32,7 +32,9 @@ class TorusGeometry:
     d : int
         Dimension, at least 2.
     L : int
-        Side length, an even integer of at least 4.
+        Side length, an even integer of at least 4.  An even side makes the
+        torus bipartite (coordinate sum even or odd), which the heat kernel
+        sweep in :mod:`rcmlab.kernel` relies on.
     """
 
     d: int

@@ -138,13 +138,17 @@ def test_green_split_doubling_computes_each_jump_power_once():
     geo, field, kern, env = constant_setup()
     products = []
 
-    class CountingS:
+    class CountingBlock:
+        def __init__(self, block):
+            self.block = block
+
         def __matmul__(self, v):
             products.append(1 if v.ndim == 1 else v.shape[1])
-            return kern.symmetric @ v
+            return self.block @ v
 
-    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env,
-                       kernel=dataclasses.replace(kern, symmetric=CountingS()))
+    counted = dataclasses.replace(kern, even_block=CountingBlock(kern.even_block),
+                                  odd_block=CountingBlock(kern.odd_block))
+    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=counted)
     assert est.split_time >= 64.0  # the split time doubled at least once
     # the degree K of the final split time: the least K whose dropped
     # coefficients, times sqrt(sum mu / min mu), stay below the series tol

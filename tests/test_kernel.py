@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -11,8 +12,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment, shift
 from rcmlab.green import _head_integral
-from rcmlab.kernel import (_DENSE_LIMIT, heat_kernel, jump_kernel, point_mass, propagate,
-                           simulate_walk, spectral_oracle)
+from rcmlab.kernel import (_DENSE_LIMIT, _series, heat_kernel, heat_slices, jump_kernel,
+                           point_mass, propagate, simulate_walk, spectral_oracle)
 from rcmlab.lattice import TorusGeometry
 from rcmlab.poisson import poisson_weights
 
@@ -260,6 +261,96 @@ def test_propagate_block_matches_lone_slices(d, times, data):
                 lhs = kern.mu[x] * law[y, jx]
                 rhs = kern.mu[y] * law[x, jy]
                 assert abs(lhs - rhs) <= 1e-9
+
+
+def full_s_terms(kern, start, degree):
+    """u_0 = D^-1/2 start, ..., u_degree by u_{k+1} = 2 S u_k - u_{k-1} on
+    full-length vectors through all of S: the reference for the two-block sweep."""
+    root = np.sqrt(kern.mu) if start.ndim == 1 else np.sqrt(kern.mu)[:, None]
+    u0 = start / root
+    terms = [u0, kern.symmetric @ u0]
+    while len(terms) <= degree:
+        nxt = kern.symmetric @ terms[-1]
+        nxt *= 2.0
+        nxt -= terms[-2]
+        terms.append(nxt)
+    return terms
+
+
+def full_s_laws(kern, start, times, tol):
+    """Laws at ``times`` summed from :func:`full_s_terms`."""
+    root = np.sqrt(kern.mu) if start.ndim == 1 else np.sqrt(kern.mu)[:, None]
+    scale = math.sqrt(kern.mu.sum() / kern.mu.min())
+    series = [_series(t, tol, scale)[0] for t in times]
+    terms = full_s_terms(kern, start, max(len(c) for c in series) - 1)
+    laws = []
+    for c in series:
+        acc = np.zeros_like(start)
+        for k in range(1, len(c)):
+            acc += c[k] * terms[k]
+        laws.append(np.maximum(c[0] * start + root * acc, 0.0))
+    return laws
+
+
+def parity(geo, i):
+    return sum(geo.coords(i)) % 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), L=st.sampled_from([4, 6, 8]), seed=st.integers(0, 2**31 - 1),
+       times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3), data=st.data())
+def test_two_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
+    geo = TorusGeometry(d, L)
+    kern = jump_kernel(sample_environment(ELLIPTIC, geo, seed))
+    vertex = st.integers(0, geo.n_vertices - 1)
+    even = data.draw(vertex.filter(lambda i: parity(geo, i) == 0))
+    odd = data.draw(vertex.filter(lambda i: parity(geo, i) == 1))
+    general = np.random.default_rng(seed).random(geo.n_vertices)
+    general /= general.sum()
+    # an even source, an odd source, and a start on both classes
+    for start in (point_mass(geo, geo.coords(even)), point_mass(geo, geo.coords(odd)), general):
+        laws, _ = propagate(kern, start, times, 1e-12)
+        for law, ref in zip(laws, full_s_laws(kern, start, times, 1e-12)):
+            assert np.array_equal(law, ref)
+    # a mixed-parity heat_slices request: each slice's bits equal the full
+    # sweep of the whole block, whatever block the source was swept in
+    sources = [geo.coords(i) for i in (even, odd)]
+    table = heat_slices(kern, [(t, x) for x in sources for t in times], 1e-12)
+    block = np.column_stack([point_mass(geo, x) for x in sources])
+    for t, ref in zip(times, full_s_laws(kern, block, times, 1e-12)):
+        for j, x in enumerate(sources):
+            assert np.array_equal(table[float(t), x].prob, ref[:, j])
+    # targets mode: the terms T_k(P^T) start at the targets
+    targets = np.array(data.draw(st.lists(vertex, min_size=1, max_size=6)))
+    for start in (point_mass(geo, geo.coords(odd)), general):
+        profile = propagate(kern, start, [max(times)], 1e-12, targets=targets)
+        root_t = np.sqrt(kern.mu[targets])
+        terms = full_s_terms(kern, start, len(profile.coeff) - 1)
+        ref = np.array([start[targets]] + [root_t * u[targets] for u in terms[1:len(profile.coeff)]])
+        assert np.array_equal(profile.coeff, ref)
+
+
+def test_mixed_parity_heat_slices_do_one_half_product_per_column_per_term():
+    geo = TorusGeometry(2, 8)
+    kern = jump_kernel(sample_environment(ELLIPTIC, geo, 4))
+    columns = []
+
+    class CountingBlock:
+        def __init__(self, block):
+            self.block = block
+
+        def __matmul__(self, v):
+            assert v.shape[0] == geo.n_vertices // 2
+            columns.append(v.shape[1])
+            return self.block @ v
+
+    counted = dataclasses.replace(kern, even_block=CountingBlock(kern.even_block),
+                                  odd_block=CountingBlock(kern.odd_block))
+    sources = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 5)]  # two even, three odd
+    heat_slices(counted, [(t, x) for x in sources for t in (2.0, 6.0)], 1e-12)
+    scale = math.sqrt(kern.mu.sum() / kern.mu.min())
+    degree = len(_series(6.0, 1e-12, scale)[0]) - 1
+    assert sum(columns) == len(sources) * degree
 
 
 def poisson_sweep(kern, start, t, tol):
