@@ -159,47 +159,50 @@ def cmd_heat(config, out_dir):
     return EXIT_OK
 
 
+def _fit_envelope(config, section, field, kern, sources, times, moment_samples, window, tol):
+    """Envelope fitted on one field's slices (t outer, source inner), gated by
+    its stability-radius table; also returns the table builder, so another
+    field's table uses the same annealed means of mu^p and nu^q."""
+    geo = config.geometry
+    p = float(section.get("p", 2.0))
+    q = float(section.get("q", 2.0))
+    means = annealed_power_mean(config.environment, geo, {"mu": p, "nu": q},
+                                n_fields=moment_samples, seed=config.seed)
+
+    def radius_table(f):
+        return {geo.wrap(x): stability_radius(f, x, p, q, means["mu"], means["nu"],
+                                              geo.L // 2)
+                for x in sources}
+
+    fit_slices = heat_slices(kern, [(t, x) for t in times for x in sources], tol)
+    slices = [fit_slices[t, geo.wrap(x)] for t in times for x in sources]
+    env = fit_envelopes(slices, lower_threshold=radius_table(field), window=window)
+    return env, radius_table
+
+
 def _verify_pipeline(config):
     section = config.section("verify")
     geo = config.geometry
     spec = config.environment
-    p = float(section.get("p", 2.0))
-    q = float(section.get("q", 2.0))
     window = float(section.get("window", 2.0))
     tol = float(section.get("tol", 1e-10))
     times = [float(t) for t in section["times"]]
     sources = [_point(s) for s in section.get("sources", [[0] * geo.d])]
 
-    means = annealed_power_mean(spec, geo, {"mu": p, "nu": q},
-                                n_fields=int(section.get("moment_samples", 512)),
-                                seed=config.seed)
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
+    fit_kern = jump_kernel(fit_field)
+    env, radius_table = _fit_envelope(config, section, fit_field, fit_kern, sources, times,
+                                      int(section.get("moment_samples", 512)), window, tol)
     mode = section.get("mode", "cross")
     if mode == "self":
-        ver_field = fit_field
+        ver_field, ver_kern, env_verify = fit_field, fit_kern, env
     elif mode == "cross":
+        # same constants; validity thresholds from the field under verification
         ver_field = sample_environment(spec, geo, child_seed(config.seed, 11))
+        ver_kern = None
+        env_verify = dataclasses.replace(env, threshold=radius_table(ver_field))
     else:
         raise ValueError("verify mode must be 'self' or 'cross'")
-
-    max_window = geo.L // 2
-    def n_table(field):
-        table = {}
-        for src in sources:
-            table[geo.wrap(src)] = stability_radius(
-                field, src, p, q, means["mu"], means["nu"], max_window)
-        return table
-
-    fit_slices = heat_slices(jump_kernel(fit_field), [(t, s) for t in times for s in sources], tol)
-    slices = [fit_slices[t, geo.wrap(src)] for t in times for src in sources]
-    env = fit_envelopes(slices, lower_threshold=n_table(fit_field), window=window)
-    if mode == "cross":
-        # same constants; validity thresholds from the field under verification
-        ver_table = n_table(ver_field)
-        env_verify = dataclasses.replace(env, lower_threshold=ver_table,
-                                         upper_threshold=ver_table)
-    else:
-        env_verify = env
     # optional deliberate weakening, for exercising the failure path
     upper_scale = float(section.get("inject_upper_scale", 1.0))
     lower_scale = float(section.get("inject_lower_scale", 1.0))
@@ -214,7 +217,7 @@ def _verify_pipeline(config):
         for src in sources:
             for idx in geo.ball_indices(src, reach):
                 grid.append((t, src, geo.coords(idx)))
-    report = verify_bounds(ver_field, env_verify, grid, tol=tol)
+    report = verify_bounds(ver_field, env_verify, grid, tol=tol, kernel=ver_kern)
     return env, report
 
 
@@ -225,16 +228,9 @@ def cmd_verify(config, out_dir):
     env, report = _verify_pipeline(config)
 
     meta = config.meta()
-
-    def threshold_table(table):
-        if not isinstance(table, dict):
-            return table
-        return {_label(k): v for k, v in sorted(table.items())}
-
     payload = {
         "envelope": env.to_dict(),
-        "lower_threshold": threshold_table(env.lower_threshold),
-        "upper_threshold": threshold_table(env.upper_threshold),
+        "threshold": {_label(x): n for x, n in sorted(env.threshold.items())},
         "n_checked": report.n_checked,
         "n_lower_active": report.n_lower_active,
         "n_upper_active": report.n_upper_active,
@@ -392,19 +388,9 @@ def cmd_green(config, out_dir):
 
     field = sample_environment(spec, geo, config.seed)
     kern = jump_kernel(field)
-    p = float(section.get("p", 2.0))
-    q = float(section.get("q", 2.0))
     env_times = [float(t) for t in section.get("envelope_times", [16.0, 32.0, 64.0])]
-    moment_samples = int(section.get("moment_samples", 128))
-    means = annealed_power_mean(spec, geo, {"mu": p, "nu": q}, n_fields=moment_samples,
-                                seed=config.seed)
-    sources = sorted({x for x, _ in pairs})
-    n_table = {geo.wrap(x): stability_radius(field, x, p, q, means["mu"], means["nu"],
-                                             geo.L // 2)
-               for x in sources}
-    env_slices = heat_slices(kern, [(t, x) for t in env_times for x in sources], 1e-12)
-    slices = [env_slices[t, geo.wrap(x)] for t in env_times for x in sources]
-    env = fit_envelopes(slices, lower_threshold=n_table, window=2.0)
+    env, _ = _fit_envelope(config, section, field, kern, sorted({x for x, _ in pairs}),
+                           env_times, int(section.get("moment_samples", 128)), 2.0, 1e-12)
 
     ests = [green_kernel(field, x, y, env, tol=tol, kernel=kern) for x, y in pairs]
     dists = [geo.torus_distance(x, y) for x, y in pairs]

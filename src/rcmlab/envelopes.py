@@ -2,17 +2,17 @@
 
 An envelope is a pair of explicit bounds around the heat kernel p(t, x, y):
 
-    upper, near regime  (|x-y| <= split * t):
+    upper, near regime  (|x-y| <= t):
         amp_u * t^(-d/2) * exp(-rate_g * |x-y|^2 / t)
-    upper, far regime   (|x-y| >= split * t):
+    upper, far regime   (|x-y| >= t):
         amp_u * t^(-d/2) * exp(-rate_l * |x-y| * max(1, log(|x-y|/t)))
-    lower (valid once t >= N(x) * max(1, |x-y|)):
+    lower:
         amp_l * t^(-d/2) * exp(-rate_v * |x-y|^2 / t)
 
-On the regime boundary the upper envelope takes the larger branch.  The
-validity thresholds are per-source random constants: the upper bound needs
-sqrt(t) to exceed the source's stability radius, the lower bound needs
-t >= N(x) * max(1, |x-y|).
+The regimes split at the constant REGIME_SPLIT = 1, and on the boundary the
+upper envelope takes the larger branch.  Both bounds hold only past one
+random constant N(x) per source, the source's stability radius: the upper
+bound once sqrt(t) >= N(x), the lower bound once t >= N(x) * max(1, |x-y|).
 
 The stability radius of a field at x is the smallest window size beyond
 which the ball-averaged p-th power of mu (and q-th power of nu) stays below
@@ -67,9 +67,8 @@ def composite_threshold(n1, chain_scale, chain_scale_powered):
 
 
 def resolve_threshold(table, x):
-    """Threshold lookup supporting a constant or a dict keyed by point."""
-    if table is None:
-        return math.inf
+    """N(x) from a constant or a dict keyed by point; a missing point or a
+    None entry (never stabilized) is infinite."""
     if isinstance(table, dict):
         value = table.get(tuple(x), math.inf)
     else:
@@ -77,34 +76,45 @@ def resolve_threshold(table, x):
     return math.inf if value is None else float(value)
 
 
+REGIME_SPLIT = 1.0  # |x-y| / t where the upper envelope changes regime
+
+
+# The two validity gates, each stated once; N(x) = inf fails both.
+def _lower_gate(t, n, dist):
+    return t >= n * max(1.0, dist)
+
+
+def _upper_gate(t, n):
+    return math.sqrt(t) >= n
+
+
 @dataclass
 class GaussianEnvelope:
-    """Fitted envelope constants plus per-source validity thresholds."""
+    """Fitted envelope constants plus the one validity threshold N(x) gating
+    both bounds, a constant or a dict keyed by source."""
 
     d: int
-    regime_split: float
     upper_amp: float
     upper_gauss_rate: float
     upper_linear_rate: float
     lower_amp: float
     lower_gauss_rate: float
-    lower_threshold: object = None
-    upper_threshold: object = None
+    threshold: object
 
     def __post_init__(self):
-        for name in ("regime_split", "upper_amp", "upper_gauss_rate",
-                     "upper_linear_rate", "lower_amp", "lower_gauss_rate"):
+        for name in ("upper_amp", "upper_gauss_rate", "upper_linear_rate",
+                     "lower_amp", "lower_gauss_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
     def upper_profile(self, t, dist):
-        """Upper formula value; regime chosen by dist vs split * t."""
+        """Upper formula value; regime chosen by dist vs REGIME_SPLIT * t."""
         if t <= 0:
             raise ValueError("time must be positive")
         pref = self.upper_amp * t ** (-self.d / 2.0)
         near = pref * math.exp(-self.upper_gauss_rate * dist * dist / t)
         far = pref * math.exp(-self.upper_linear_rate * dist * max(1.0, _safe_log(dist / t)))
-        boundary = self.regime_split * t
+        boundary = REGIME_SPLIT * t
         if dist < boundary:
             return near
         if dist > boundary:
@@ -120,15 +130,15 @@ class GaussianEnvelope:
         )
 
     def lower_active(self, t, x, dist):
-        return t >= resolve_threshold(self.lower_threshold, x) * max(1.0, dist)
+        return _lower_gate(t, resolve_threshold(self.threshold, x), dist)
 
     def upper_active(self, t, x):
-        return math.sqrt(t) >= resolve_threshold(self.upper_threshold, x)
+        return _upper_gate(t, resolve_threshold(self.threshold, x))
 
     def to_dict(self):
         return {
             "d": self.d,
-            "regime_split": self.regime_split,
+            "regime_split": REGIME_SPLIT,
             "upper_amp": self.upper_amp,
             "upper_gauss_rate": self.upper_gauss_rate,
             "upper_linear_rate": self.upper_linear_rate,
@@ -145,7 +155,6 @@ def _safe_log(v):
 # fitting
 
 
-_REGIME_SPLIT = 1.0
 _RATE_FLOOR = 1e-12
 
 
@@ -154,25 +163,25 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
 
     Only points with |x-y| <= window * sqrt(t) enter the fit, and only where
     the slice resolves them (heat kernel above ten times the truncation
-    bound).  ``lower_threshold`` (a constant or a dict keyed by source)
-    gates both bounds: the lower one at t >= N(x) * max(1, |x-y|), the upper
-    one at sqrt(t) >= N(x).  The lower amplitude takes half the smallest
-    on-diagonal value of p * t^(d/2); the lower rate takes the largest rate
-    any off-diagonal point demands.  The upper amplitude doubles the largest
-    on-diagonal value and the upper rates take the smallest rates the data
-    allows, with the near and far regimes split at |x-y| = t and every rate
-    floored at 1e-12.  The result is re-verified against every point used.
+    bound).  ``lower_threshold`` is the envelope's one ``threshold`` N(x), a
+    constant or a dict keyed by source; it gates both bounds, the lower one
+    at t >= N(x) * max(1, |x-y|), the upper one at sqrt(t) >= N(x).  The
+    lower amplitude takes half the smallest on-diagonal value of p * t^(d/2);
+    the lower rate takes the largest rate any off-diagonal point demands.
+    The upper amplitude doubles the largest on-diagonal value and the upper
+    rates take the smallest rates the data allows, with the regimes split at
+    |x-y| = t and every rate floored at 1e-12.  The result is re-verified
+    against every point used.
     """
     points = _collect_points(slices, lower_threshold, window)
-    if not points["diag_lower"] and not points["diag_upper"]:
-        raise ValueError("no valid on-diagonal points to fit")
+    if not points["diag_lower"]:
+        raise ValueError("no valid on-diagonal points for the lower fit")
+    if not points["diag_upper"]:
+        raise ValueError("no valid on-diagonal points for the upper fit")
 
     d = slices[0].geometry.d
 
-    if points["diag_lower"]:
-        lower_amp = 0.5 * min(p * t ** (d / 2.0) for t, p in points["diag_lower"])
-    else:
-        raise ValueError("no valid on-diagonal points for the lower fit")
+    lower_amp = 0.5 * min(p * t ** (d / 2.0) for t, p in points["diag_lower"])
     lower_rate = _RATE_FLOOR
     for t, dist, p in points["off_lower"]:
         if p <= 0:
@@ -184,7 +193,7 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
 
     gauss_rate = math.inf
     for t, dist, p in points["off_upper"]:
-        if dist > _REGIME_SPLIT * t or p <= 0:
+        if dist > REGIME_SPLIT * t or p <= 0:
             continue
         candidate = (t / (dist * dist)) * math.log(upper_amp * t ** (-d / 2.0) / p)
         if candidate <= 0:
@@ -195,20 +204,18 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
 
     far_rate = _upper_far_rate(points["off_upper"], upper_amp, d)
     if far_rate is None:
-        far_rate = max(_RATE_FLOOR, gauss_rate * _REGIME_SPLIT)
+        far_rate = max(_RATE_FLOOR, gauss_rate * REGIME_SPLIT)
     elif far_rate <= 0:
         raise ValueError("upper fit failed: off-diagonal exceeds the diagonal cap")
 
     env = GaussianEnvelope(
         d=d,
-        regime_split=_REGIME_SPLIT,
         upper_amp=upper_amp,
         upper_gauss_rate=max(gauss_rate, _RATE_FLOOR),
         upper_linear_rate=max(far_rate, _RATE_FLOOR),
         lower_amp=lower_amp,
         lower_gauss_rate=max(lower_rate, _RATE_FLOOR),
-        lower_threshold=lower_threshold,
-        upper_threshold=lower_threshold,
+        threshold=lower_threshold,
     )
     _recheck_fit(env, points)
     return env
@@ -217,7 +224,7 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
 def _upper_far_rate(off_points, upper_amp, d):
     rate = None
     for t, dist, p in off_points:
-        if dist < _REGIME_SPLIT * t or p <= 0:
+        if dist < REGIME_SPLIT * t or p <= 0:
             continue
         denom = dist * max(1.0, _safe_log(dist / t))
         candidate = math.log(upper_amp * t ** (-d / 2.0) / p) / denom
@@ -233,12 +240,11 @@ def _collect_points(slices, threshold, window):
         n = resolve_threshold(threshold, s.source)
         dist = geo.distance_field(s.source)
         within = dist <= window * math.sqrt(s.t)
-        lower_ok = math.isfinite(n)
-        upper_ok = math.sqrt(s.t) >= n
+        upper_ok = _upper_gate(s.t, n)
         for idx in np.flatnonzero(within):
             u = float(dist[idx])
             p = float(s.hk[idx])
-            if lower_ok and s.t >= n * max(1.0, u):
+            if _lower_gate(s.t, n, u):
                 if u == 0:
                     if p > floor:
                         diag_lower.append((s.t, p))

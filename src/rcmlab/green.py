@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import integrate, special
 
-from .envelopes import resolve_threshold
+from .envelopes import REGIME_SPLIT, resolve_threshold
 from .environment import sample_environment
 from .fitting import loglog_slope
 from .kernel import jump_kernel, point_mass, propagate
@@ -176,7 +176,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kern
         raise ValueError("fitted upper envelope required")
 
     dist = geo.torus_distance(x, y)
-    thresh = resolve_threshold(envelope.upper_threshold, x)
+    thresh = resolve_threshold(envelope.threshold, x)
     start = max(16.0, 2.0 * dist * dist, thresh * thresh if math.isfinite(thresh) else 0.0)
     if t0_min is not None:
         start = max(start, t0_min)
@@ -219,12 +219,13 @@ class GreenDecomposition:
     total: float
 
 
-def green_decomposition(field, x, y, regime_split, n1, envelope, tol=1.0, kernel=None):
-    """Three-piece split of the Green integral at n1^2 and max(n1^2, dist/split)."""
+def green_decomposition(field, x, y, n1, envelope, tol=1.0, kernel=None):
+    """Three-piece split of the Green integral at n1^2 and
+    max(n1^2, dist / REGIME_SPLIT)."""
     if n1 is None:
         raise ValueError("stability radius not available")
     lam = float(n1 * n1)
-    n_xy = max(lam, field.geometry.torus_distance(x, y) / regime_split)
+    n_xy = max(lam, field.geometry.torus_distance(x, y) / REGIME_SPLIT)
     estimate = green_kernel(field, x, y, envelope, tol=tol, t0_min=max(4.0, n_xy),
                             kernel=kernel)
     at_lam, at_nxy, at_t0 = _head_integral(estimate.profile,
@@ -274,30 +275,29 @@ class QuenchedReport:
     verdict: object  # bool when a window was supplied, else None
 
 
-def quenched_bound_check(field, pairs, envelope, n1_table, window=None, **kwargs):
-    """g * |x-y|^(d-2) across pairs, with threshold-based inclusion flags.
+def quenched_bound_check(field, pairs, envelope, window=None, kernel=None):
+    """g * |x-y|^(d-2) across pairs, with inclusion flags from the envelope's
+    threshold N(x).
 
     Pairs below their thresholds stay in the table but are excluded from the
     min/max summary and the verdict.  ``window`` is an optional
     (low, high) band the included scaled values must fall into.
     """
     geo = field.geometry
-    kern = kwargs.pop("kernel", None)
-    if kern is None:
-        kern = jump_kernel(field)
+    kern = kernel if kernel is not None else jump_kernel(field)
     rows = []
     included_scaled = []
     for x, y in pairs:
         dist = geo.torus_distance(x, y)
         if dist == 0:
             raise ValueError("pairs must be distinct")
-        n1 = resolve_threshold(n1_table, x)
-        est = green_kernel(field, x, y, envelope, kernel=kern, **kwargs)
+        n1 = resolve_threshold(envelope.threshold, x)
+        est = green_kernel(field, x, y, envelope, kernel=kern)
         scaled = est.value * dist ** (geo.d - 2.0)
         if math.isfinite(n1):
             mu_x = float(kern.mu[geo.index(x)])
             upper_inc = dist >= green_cutoff_radius(n1, mu_x, geo.d)
-            lower_inc = dist > resolve_threshold(envelope.lower_threshold, x)
+            lower_inc = dist > n1
         else:
             upper_inc = lower_inc = False
         rows.append(QuenchedRow(geo.wrap(x), geo.wrap(y), dist, est.value,

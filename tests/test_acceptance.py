@@ -111,8 +111,7 @@ def test_criterion_04_lower_bound_cross_verification():
     slices = [heat_kernel(fit_field, t, s, tol=1e-10, kernel=kern)
               for t in times for s in sources]
     env = fit_envelopes(slices, lower_threshold=thresholds(fit_field), window=2.0)
-    env_ver = dataclasses.replace(env, lower_threshold=thresholds(ver_field),
-                                  upper_threshold=thresholds(ver_field))
+    env_ver = dataclasses.replace(env, threshold=thresholds(ver_field))
     grid = [(t, s, geo.coords(i)) for t in times for s in sources
             for i in geo.ball_indices(s, 2 * math.sqrt(t) + 1e-9)]
     result = verify_bounds(ver_field, env_ver, grid, tol=1e-10)

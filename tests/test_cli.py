@@ -6,6 +6,7 @@ import pytest
 
 import rcmlab.chaining
 import rcmlab.cli
+import rcmlab.envelopes
 import rcmlab.environment
 import rcmlab.moments
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
@@ -150,6 +151,9 @@ def test_verify_cross_mode_and_violation_csv(tmp_path):
     report = json.loads((tmp_path / "v" / "envelope.json").read_text())
     lines = (tmp_path / "v" / "violations.csv").read_text().splitlines()
     assert len(lines) == 2 + report["n_violations"]
+    # one N(x) table gates both bounds, written once
+    assert set(report["threshold"]) == {"0 0"}
+    assert "lower_threshold" not in report and "upper_threshold" not in report
 
 
 def test_verify_moment_replicas_avoid_fit_and_verification_fields(tmp_path, monkeypatch):
@@ -251,6 +255,24 @@ def test_chain_builds_one_jump_kernel(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["chain", "--config", cfg_path, "--out", str(tmp_path / "c")]) == EXIT_OK
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("mode, expected", [("self", 1), ("cross", 2)])
+def test_verify_builds_one_jump_kernel_per_field(tmp_path, monkeypatch, mode, expected):
+    builds = []
+    real = rcmlab.cli.jump_kernel
+
+    def counting(field):
+        builds.append(field)
+        return real(field)
+
+    for module in (rcmlab.cli, rcmlab.envelopes):
+        monkeypatch.setattr(module, "jump_kernel", counting)
+    cfg = base_config(verify={"times": [4.0, 8.0], "sources": [[0, 0]],
+                              "moment_samples": 16, "mode": mode})
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)
+    assert len(builds) == expected
 
 
 def test_moments_command_row_count(tmp_path):

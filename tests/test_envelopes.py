@@ -17,9 +17,8 @@ ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
 
 
 def make_env(**overrides):
-    base = dict(d=2, regime_split=1.0, upper_amp=1.0, upper_gauss_rate=1.0,
-                upper_linear_rate=1.0, lower_amp=0.1, lower_gauss_rate=2.0,
-                lower_threshold=1.0, upper_threshold=1.0)
+    base = dict(d=2, upper_amp=1.0, upper_gauss_rate=1.0, upper_linear_rate=1.0,
+                lower_amp=0.1, lower_gauss_rate=2.0, threshold=1.0)
     base.update(overrides)
     return GaussianEnvelope(**base)
 
@@ -84,13 +83,23 @@ def test_upper_envelope_boundary_max_of_branches():
 
 
 def test_lower_envelope_formula_and_threshold():
-    env = make_env(lower_amp=0.1, lower_gauss_rate=2.0, lower_threshold=2.0)
-    assert env.lower_active(8.0, (0, 0), 2)
-    assert env.lower_profile(8.0, 2) == pytest.approx(0.1 / 8.0 * math.exp(-2.0 * 4.0 / 8.0))
-    assert env.lower_active(8.0, (0, 0), 0)
-    assert env.lower_profile(8.0, 0) == pytest.approx(0.1 / 8.0)
-    # below threshold the bound is vacuous
-    assert not env.lower_active(3.0, (0, 0), 2)
+    # N(x) = 2 at the origin, as a constant and as a dict with a None entry
+    for threshold in (2.0, {(0, 0): 2, (1, 1): None}):
+        env = make_env(lower_amp=0.1, lower_gauss_rate=2.0, threshold=threshold)
+        assert env.lower_active(8.0, (0, 0), 2)
+        assert env.lower_profile(8.0, 2) == pytest.approx(0.1 / 8.0 * math.exp(-2.0 * 4.0 / 8.0))
+        assert env.lower_active(8.0, (0, 0), 0)
+        assert env.lower_profile(8.0, 0) == pytest.approx(0.1 / 8.0)
+        # below threshold the bound is vacuous
+        assert not env.lower_active(3.0, (0, 0), 2)
+        # the same N(x) gates the upper bound at sqrt(t) >= N(x), boundary included
+        assert env.upper_active(4.0, (0, 0))
+        assert not env.upper_active(3.99, (0, 0))
+    # a None entry (never stabilized) and a source missing from the table are
+    # infinite: neither bound is ever active there
+    for x in [(1, 1), (5, 5)]:
+        assert not env.upper_active(1e12, x)
+        assert not env.lower_active(1e12, x, 0)
 
 
 def test_lower_scaling_depends_on_ratio_only():
@@ -116,6 +125,15 @@ def test_fit_single_diag_point_amplitude():
     env = fit_envelopes([s], lower_threshold=1.0, window=0.1)
     assert env.lower_amp == pytest.approx(0.05 * 4.0 * 0.5)
     assert env.upper_amp == pytest.approx(0.05 * 4.0 * 2.0)
+
+
+def test_fit_without_upper_diagonal_points_names_the_side():
+    geo = TorusGeometry(2, 16)
+    field = sample_environment(CONSTANT, geo, 0)
+    s = heat_kernel(field, 4.0, (0, 0), tol=1e-10)
+    # t = 4 passes the lower gate (4 >= 3) but not the upper one (sqrt 4 < 3)
+    with pytest.raises(ValueError, match="no valid on-diagonal points for the upper fit"):
+        fit_envelopes([s], lower_threshold=3.0, window=2.0)
 
 
 def test_fit_zero_offdiagonal_point_rejected():
@@ -195,8 +213,7 @@ def test_cross_field_verification_elliptic():
     kern = jump_kernel(fit_field)
     slices = [heat_kernel(fit_field, t, (0, 0), tol=1e-10, kernel=kern) for t in times]
     env = fit_envelopes(slices, lower_threshold=table(fit_field), window=2.0)
-    env_v = dataclasses.replace(env, lower_threshold=table(ver_field),
-                                upper_threshold=table(ver_field))
+    env_v = dataclasses.replace(env, threshold=table(ver_field))
     grid = [(t, (0, 0), geo.coords(i)) for t in times
             for i in geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)]
     report = verify_bounds(ver_field, env_v, grid)

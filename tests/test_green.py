@@ -196,7 +196,7 @@ def test_green_decomposition_consistency():
         y = tuple(int(v) for v in rng.integers(0, 5, size=3))
         if y == (0, 0, 0):
             y = (1, 2, 0)
-        est = green_decomposition(field, (0, 0, 0), y, 1.0, 1, env, kernel=kern)
+        est = green_decomposition(field, (0, 0, 0), y, 1, env, kernel=kern)
         dec = est.decomposition
         assert dec.total == pytest.approx(est.value, abs=1e-8)
         assert dec.term_local >= 0 and dec.term_mid >= 0 and dec.term_far >= 0
@@ -205,13 +205,13 @@ def test_green_decomposition_consistency():
 def test_green_decomposition_poisson_bound_and_no_jump():
     geo, field, kern, env = constant_setup()
     # early-time term for a distant target is dominated by the jump-count tail
-    est = green_decomposition(field, (0, 0, 0), (4, 0, 0), 1.0, 1, env, kernel=kern)
+    est = green_decomposition(field, (0, 0, 0), (4, 0, 0), 1, env, kernel=kern)
     assert est.decomposition.term_local <= (1.0 / 6.0) * poisson_tail(1.0, 4)
     # on-diagonal the stay-put event keeps the early-time term above 1/(e mu)
-    est0 = green_decomposition(field, (0, 0, 0), (0, 0, 0), 1.0, 1, env, kernel=kern)
+    est0 = green_decomposition(field, (0, 0, 0), (0, 0, 0), 1, env, kernel=kern)
     assert est0.decomposition.term_local >= math.exp(-1.0) / 6.0
     with pytest.raises(ValueError, match="stability radius"):
-        green_decomposition(field, (0, 0, 0), (4, 0, 0), 1.0, None, env, kernel=kern)
+        green_decomposition(field, (0, 0, 0), (4, 0, 0), None, env, kernel=kern)
 
 
 SMALL_T_MAX = 64.0
@@ -264,8 +264,8 @@ def test_green_head_closed_form_properties(times, target):
     # truncated series stays within its 1e-13 certificate of it
     assert np.all(np.diff(heads) >= -1e-15 * heads[1:])
 
-    est = green_decomposition(field, (0, 0, 0), SMALL_TARGETS[target], 1.0,
-                              math.sqrt(times[0]), env, kernel=kern)
+    est = green_decomposition(field, (0, 0, 0), SMALL_TARGETS[target], math.sqrt(times[0]),
+                              env, kernel=kern)
     dec = est.decomposition
     assert dec.total == pytest.approx(est.head + est.tail_estimate, rel=1e-12)
     assert dec.term_local >= 0 and dec.term_mid >= 0 and dec.term_far >= 0
@@ -284,11 +284,10 @@ def test_green_cutoff_radius():
 def test_quenched_bound_check_constant():
     geo, field, kern, env = constant_setup()
     pairs = [((0, 0, 0), (r, 0, 0)) for r in (4, 6, 8, 10, 12)]
-    report = quenched_bound_check(field, pairs, env, n1_table=1.0, kernel=kern)
+    report = quenched_bound_check(field, pairs, env, kernel=kern)
     assert all(r.upper_included and r.lower_included for r in report.rows)
     assert report.scaled_max / report.scaled_min < 2.0
-    banded = quenched_bound_check(field, pairs[:2], env, n1_table=1.0,
-                                  window=(0.05, 0.3), kernel=kern)
+    banded = quenched_bound_check(field, pairs[:2], env, window=(0.05, 0.3), kernel=kern)
     assert banded.verdict is True
 
 
@@ -298,8 +297,8 @@ def test_quenched_excludes_below_threshold():
     assert 2 < cutoff <= 16
     pairs = [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (cutoff, 0, 0))]
     # a stability radius of three pushes both cutoffs beyond the close pair
-    env2 = dataclasses.replace(env, lower_threshold=3.0)
-    report = quenched_bound_check(field, pairs, env2, n1_table=3.0, kernel=kern)
+    env2 = dataclasses.replace(env, threshold=3.0)
+    report = quenched_bound_check(field, pairs, env2, kernel=kern)
     assert not report.rows[0].upper_included
     assert not report.rows[0].lower_included
     assert report.rows[1].upper_included
