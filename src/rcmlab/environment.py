@@ -31,6 +31,13 @@ na-permutation       edges partitioned into spatial blocks; each block gets a
 
 Sampling is a deterministic function of (spec, geometry, seed), and the
 one-edge marginal law is the same at every edge.
+
+There is one sampler, which draws a stack of fields, one per seed, as an
+(n, n_vertices, d) array: each field draws from its own ``rng_for(seed)``, so
+its stream is that of a lone draw, and the deterministic rest (FFT, moving
+average, rolls, exponentials, scatter) runs once on the stack.
+:func:`sample_environment` is its one-field case.  Monte Carlo ensembles read
+the stack in chunks of at most ``_CHUNK_BYTES`` of weights.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lattice import TorusGeometry
-from .seeding import rng_for
+from .seeding import child_seed, rng_for
 
 MAGIC = b"RCM1"
 FORMAT_VERSION = "0.1.0"
@@ -176,27 +183,29 @@ class ConductanceField:
     def mu_vector(self):
         """mu at every vertex (flat indexing)."""
         if self._mu is None:
-            self._mu = self._incident_sum(self.values)
+            self._mu = _incident_sum(self.geometry, self.values)
         return self._mu
 
     def nu_vector(self):
         """nu at every vertex (flat indexing)."""
         if self._nu is None:
-            self._nu = self._incident_sum(1.0 / self.values)
+            self._nu = _incident_sum(self.geometry, 1.0 / self.values)
         return self._nu
 
-    def _incident_sum(self, weights):
-        """Per-vertex sum of ``weights`` over the 2d incident edges: the d
-        forward edges column by column, then the d backward ones."""
-        table = self.geometry.neighbor_table()
-        d = self.geometry.d
-        total = weights[:, 0]
-        for a in range(1, d):
-            total = total + weights[:, a]
-        for a in range(d):
-            total = total + weights[table[:, d + a], a]
-        total.setflags(write=False)
-        return total
+
+def _incident_sum(geometry, weights):
+    """Per-vertex sum of one field's (n_vertices, d) ``weights`` over the 2d
+    incident edges: the d forward edges column by column, then the d backward
+    ones."""
+    table = geometry.neighbor_table()
+    d = geometry.d
+    total = weights[:, 0]
+    for a in range(1, d):
+        total = total + weights[:, a]
+    for a in range(d):
+        total = total + weights[table[:, d + a], a]
+    total.setflags(write=False)
+    return total
 
 
 def mu(field, x):
@@ -253,36 +262,95 @@ def _region_indices(geometry, region):
 
 def sample_environment(spec, geometry, seed):
     """Draw one conductance field; deterministic in (spec, geometry, seed)."""
-    rng = rng_for(seed)
-    kind = spec.kind
-    if kind == "constant":
-        values = np.full((geometry.n_vertices, geometry.d), float(spec.params.get("level", 1.0)))
-    elif kind == "uniform-elliptic-iid":
-        low, high = spec.params.get("low", 0.5), spec.params.get("high", 2.0)
-        values = rng.uniform(low, high, size=(geometry.n_vertices, geometry.d))
-    elif kind == "iid":
-        values = _sample_iid(spec.params, geometry, rng)
-    elif kind == "finite-range":
-        values = _sample_finite_range(spec.params, geometry, rng)
-    elif kind == "gaussian-fkg":
-        values = _sample_gaussian(spec.params, geometry, rng)
-    elif kind == "na-permutation":
-        values = _sample_permutation(spec.params, geometry, rng)
-    else:  # pragma: no cover - guarded by spec validation
-        raise ValueError(kind)
+    (values,) = _sample_values(spec, geometry, [seed])
     return ConductanceField(geometry, values, spec, seed)
 
 
-def _sample_iid(params, geometry, rng):
+# Replica chunks hold at most this many bytes of edge weights (at least one
+# field).  Larger chunks save little more time, and their FFT and gather
+# temporaries raise the peak memory.
+_CHUNK_BYTES = 1 << 20
+
+
+def _replica_chunks(spec, geometry, seed, stream, n):
+    """Yield ``(start, values)`` over replicas i < n, field i drawn with seed
+    ``child_seed(seed, stream, i)``; ``values`` stacks fields start, start + 1,
+    ... as an (m, n_vertices, d) array.
+
+    Every yielded field has finite positive weights.  The first field that
+    does not ends the stream with :class:`ConductanceField`'s error, after the
+    fields before it are yielded, so a consumer that checks each chunk before
+    asking for the next raises in replica order, as a per-field loop would.
+    """
+    step = max(1, _CHUNK_BYTES // (geometry.n_vertices * geometry.d * 8))
+    for start in range(0, n, step):
+        seeds = [child_seed(seed, stream, i) for i in range(start, min(n, start + step))]
+        values = _sample_values(spec, geometry, seeds)
+        flat = values.reshape(len(seeds), -1)
+        valid = (flat.min(axis=1) > 0) & (flat.max(axis=1) < np.inf)  # NaN fails both
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            if bad:
+                yield start, values[:bad]
+            raise ValueError("edge weights must be positive and finite")
+        yield start, values
+
+
+def _sample_values(spec, geometry, seeds):
+    """Edge weights of one field per seed, as a (len(seeds), n_vertices, d) array.
+
+    Row i draws from its own ``rng_for(seeds[i])``, exactly as a lone field
+    with that seed does.  The deterministic rest (FFT, moving average, rolls,
+    exponentials, scatter) runs once on the stack, row for row the same bits.
+    """
     shape = (geometry.n_vertices, geometry.d)
+    kind = spec.kind
+    if kind == "constant":
+        for seed in seeds:
+            rng_for(seed)  # rejects a bad seed, as every other kind does
+        return np.full((len(seeds),) + shape, float(spec.params.get("level", 1.0)))
+    if kind == "uniform-elliptic-iid":
+        low, high = spec.params.get("low", 0.5), spec.params.get("high", 2.0)
+        return _stacked_draws(seeds, lambda rng: rng.uniform(low, high, size=shape))
+    if kind == "iid":
+        return _sample_iid(spec.params, shape, seeds)
+    if kind == "finite-range":
+        return _sample_finite_range(spec.params, geometry, seeds)
+    if kind == "gaussian-fkg":
+        return _sample_gaussian(spec.params, geometry, seeds)
+    if kind == "na-permutation":
+        return _sample_permutation(spec.params, geometry, seeds)
+    raise ValueError(kind)  # pragma: no cover - guarded by spec validation
+
+
+def _stacked_draws(seeds, draw):
+    """``draw(rng_for(seed))`` for each seed, stacked along a new first axis.
+
+    Each generator and its draw live only until the draw is copied into the
+    stack, so a chunk of a thousand small fields holds one generator, not a
+    thousand; a lone draw is not copied at all (a 48^3 field is 2.6 MB).
+    """
+    first = draw(rng_for(seeds[0]))
+    if len(seeds) == 1:
+        return first[np.newaxis]
+    out = np.empty((len(seeds),) + first.shape)
+    out[0] = first
+    for i, seed in enumerate(seeds[1:], 1):
+        out[i] = draw(rng_for(seed))
+    return out
+
+
+def _sample_iid(params, shape, seeds):
     marginal = params.get("marginal", "uniform")
     if marginal == "uniform":
-        return rng.uniform(params.get("low", 0.5), params.get("high", 2.0), size=shape)
+        low, high = params.get("low", 0.5), params.get("high", 2.0)
+        return _stacked_draws(seeds, lambda rng: rng.uniform(low, high, size=shape))
     if marginal == "lognormal":
-        return np.exp(params.get("sigma", 1.0) * rng.standard_normal(shape))
+        normal = _stacked_draws(seeds, lambda rng: rng.standard_normal(shape))
+        return np.exp(params.get("sigma", 1.0) * normal)
     # heavy-tail-zero: P(w <= eps) = eps**delta, fat tail at zero
     delta = params.get("delta", 0.5)
-    return rng.random(shape) ** (1.0 / delta)
+    return _stacked_draws(seeds, lambda rng: rng.random(shape)) ** (1.0 / delta)
 
 
 def _l1_offsets(d, radius):
@@ -293,21 +361,21 @@ def _l1_offsets(d, radius):
     return out
 
 
-def _sample_finite_range(params, geometry, rng):
+def _sample_finite_range(params, geometry, seeds):
     rng_range = int(params.get("range", 3))
     if geometry.L < 2 * rng_range:
         raise ValueError("geometry too small for finite-range construction")
     d, L = geometry.d, geometry.L
-    shape = (L,) * d
+    axes = tuple(range(1, d + 1))
     # window radius (range-1)//2 keeps edges at l1 distance >= range on
     # disjoint input blocks
     w = (rng_range - 1) // 2
-    z = rng.random(shape)
+    z = _stacked_draws(seeds, lambda rng: rng.random((L,) * d))
     if w > 0:
-        acc = np.zeros(shape)
+        acc = np.zeros(z.shape)
         offsets = _l1_offsets(d, w)
         for off in offsets:
-            acc += np.roll(z, off, axis=tuple(range(d)))
+            acc += np.roll(z, off, axis=axes)
         smooth = acc / len(offsets)
     else:
         smooth = z
@@ -317,17 +385,19 @@ def _sample_finite_range(params, geometry, rng):
         per_vertex = low + (high - low) * smooth
     else:
         per_vertex = np.exp(params.get("scale", 1.0) * (smooth - 0.5))
-    values = np.empty((geometry.n_vertices, d))
+    values = np.empty((len(seeds), geometry.n_vertices, d))
     for a in range(d):
-        values[:, a] = ((per_vertex + np.roll(per_vertex, -1, axis=a)) / 2.0).reshape(-1)
+        pair = per_vertex + np.roll(per_vertex, -1, axis=a + 1)
+        values[:, :, a] = (pair / 2.0).reshape(len(seeds), -1)
     return values
 
 
-def _sample_gaussian(params, geometry, rng):
+def _sample_gaussian(params, geometry, seeds):
     mass = params.get("mass", 1.0)
     scale = params.get("scale", 1.0)
     d, L = geometry.d, geometry.L
     shape = (L,) * d
+    axes = tuple(range(1, d + 1))
     k = np.arange(L)
     eig_1d = 4.0 * np.sin(np.pi * k / L) ** 2
     lam = np.zeros(shape)
@@ -336,15 +406,16 @@ def _sample_gaussian(params, geometry, rng):
         view[a] = slice(None)
         lam = lam + eig_1d[tuple(view)]
     spectrum = 1.0 / (lam + mass * mass)
-    noise = rng.standard_normal(shape)
-    phi = np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(noise)).real
-    values = np.empty((geometry.n_vertices, d))
+    noise = _stacked_draws(seeds, lambda rng: rng.standard_normal(shape))
+    phi = np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(noise, axes=axes), axes=axes).real
+    values = np.empty((len(seeds), geometry.n_vertices, d))
     for a in range(d):
-        values[:, a] = np.exp(scale * (phi + np.roll(phi, -1, axis=a))).reshape(-1)
+        pair = phi + np.roll(phi, -1, axis=a + 1)
+        values[:, :, a] = np.exp(scale * pair).reshape(len(seeds), -1)
     return values
 
 
-def _sample_permutation(params, geometry, rng):
+def _sample_permutation(params, geometry, seeds):
     block = int(params.get("block", 2))
     d, L = geometry.d, geometry.L
     if L % block != 0:
@@ -355,15 +426,16 @@ def _sample_permutation(params, geometry, rng):
 
     blocks_per_axis = L // block
     n_blocks = blocks_per_axis**d
-    shuffled = rng.permuted(np.tile(levels, (n_blocks, 1)), axis=1)
+    tiled = np.tile(levels, (n_blocks, 1))
+    shuffled = _stacked_draws(seeds, lambda rng: rng.permuted(tiled, axis=1))
 
     # block b's slots run over its vertices in lexicographic order, d axes
     # each; blocks are numbered lexicographically by their origin
     origins = block * np.indices((blocks_per_axis,) * d).reshape(d, n_blocks, 1)
     offsets = np.indices((block,) * d).reshape(d, 1, block**d)
     vertex = np.ravel_multi_index(tuple(origins + offsets), (L,) * d)
-    values = np.empty((geometry.n_vertices, d))
-    values[vertex] = shuffled.reshape(n_blocks, block**d, d)
+    values = np.empty((len(seeds), geometry.n_vertices, d))
+    values[:, vertex] = shuffled.reshape(len(seeds), n_blocks, block**d, d)
     return values
 
 

@@ -9,6 +9,12 @@ spatial-averaging bias.  There is one estimator of the annealed means,
 pass over the pilot replicas, and one pass over the main replicas serves a
 whole rectangle ladder.  Heavy powers are accumulated in log magnitude to
 dodge overflow.
+
+Replicas come as stacked chunks from the environment's one sampler, each
+replica on its own unchanged stream, at most a fixed number of bytes per
+chunk; rectangle sums and edge functions are evaluated on a whole chunk at
+once.  Every estimate is the same, bit for bit, at any chunk size, and errors
+name the first failing replica, as a field-by-field loop would.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import stability_radius
-from .environment import sample_environment
+from .environment import _incident_sum, _replica_chunks, sample_environment
 from .fitting import SlopeFit, fit_theta, loglog_slope
 from .lattice import HyperRectangle
 from .seeding import child_seed
@@ -40,16 +46,26 @@ def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
     if not set(powers) <= {"mu", "nu"}:
         raise ValueError("quantities must be 'mu' or 'nu'")
     totals = dict.fromkeys(powers, 0.0)
-    for i in range(n_fields):
-        fld = sample_environment(spec, geometry, child_seed(seed, _PILOT, i))
-        for quantity, p in powers.items():
-            vec = fld.mu_vector() if quantity == "mu" else fld.nu_vector()
-            with np.errstate(over="ignore"):
-                mean = float(np.mean(vec**p))
-            if not math.isfinite(mean):
-                raise ValueError(f"non-finite {quantity} power mean at replica {i}")
-            totals[quantity] += mean
+    for start, values in _replica_chunks(spec, geometry, seed, _PILOT, n_fields):
+        # field by field: a field's temporaries stay in cache, a chunk's do not
+        for i, weights in enumerate(values, start):
+            for quantity, p in powers.items():
+                vec = _incident_sum(geometry, weights if quantity == "mu" else 1.0 / weights)
+                with np.errstate(over="ignore"):
+                    mean = float(np.mean(vec**p))
+                if not math.isfinite(mean):
+                    raise ValueError(f"non-finite {quantity} power mean at replica {i}")
+                totals[quantity] += mean
     return {quantity: total / n_fields for quantity, total in totals.items()}
+
+
+def _row_sums(matrix):
+    """Each row's ``row.sum()``.  numpy's axis-1 reduction adds rows of fewer
+    than 8 entries in the same order as the 1-D pairwise sum, but longer rows
+    in another, so those are summed one row at a time."""
+    if matrix.shape[1] < 8:
+        return matrix.sum(axis=1)
+    return np.array([row.sum() for row in matrix])
 
 
 @dataclass(frozen=True)
@@ -79,22 +95,26 @@ def rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, see
     for rect in rects:
         if rect.length + 1 > geometry.L or 2 * rect.half_width + 1 > geometry.L:
             raise ValueError("geometry too small to contain the rectangle")
-    indices = [np.asarray([geometry.index(tuple(v)) for v in rect.vertex_array()])
+    dims = (geometry.L,) * geometry.d
+    indices = [np.ravel_multi_index(tuple((rect.vertex_array() % geometry.L).T), dims)
                for rect in rects]
     if mean_value is None:
         mean_value = annealed_power_mean(spec, geometry, {quantity: p},
                                          n_fields=mean_samples, seed=seed)[quantity]
     logs = np.empty((len(rects), n_samples))
-    for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed(seed, _MAIN, i))
-        vec = fld.mu_vector() if quantity == "mu" else fld.nu_vector()
-        for j, idx in enumerate(indices):
-            with np.errstate(over="ignore"):
-                powered = vec[idx] ** p
-            if not np.all(np.isfinite(powered)):
-                raise ValueError(f"overflow at sample {i}; use a smaller exponent")
-            total = float(powered.sum()) - idx.size * mean_value
-            logs[j, i] = eta * math.log(abs(total)) if total != 0.0 else -math.inf
+    for start, values in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
+        weights = values if quantity == "mu" else 1.0 / values
+        vecs = np.stack([_incident_sum(geometry, row) for row in weights])
+        with np.errstate(over="ignore"):
+            powered = [vecs[:, idx] ** p for idx in indices]
+        finite = np.logical_and.reduce([np.isfinite(block).all(axis=1) for block in powered])
+        if not finite.all():
+            raise ValueError(f"overflow at sample {start + int(np.argmin(finite))}; "
+                             "use a smaller exponent")
+        for j, (idx, block) in enumerate(zip(indices, powered)):
+            for k, row_sum in enumerate(_row_sums(block).tolist(), start):
+                total = row_sum - idx.size * mean_value
+                logs[j, k] = eta * math.log(abs(total)) if total != 0.0 else -math.inf
     estimates = []
     for row in logs:
         value = _log_mean(row)
@@ -196,15 +216,17 @@ class EdgeFunction:
     kind: str  # sum | min | max | threshold-count
 
     def __call__(self, flat_values, threshold):
-        vals = flat_values[list(self.edge_ids)]
+        """The function on every row of an (m, n_edges) matrix of fields'
+        flat edge weights, as a float array of length m."""
+        vals = flat_values[:, list(self.edge_ids)]
         if self.kind == "sum":
-            return float(vals.sum())
+            return _row_sums(vals)
         if self.kind == "min":
-            return float(vals.min())
+            return vals.min(axis=1)
         if self.kind == "max":
-            return float(vals.max())
+            return vals.max(axis=1)
         if self.kind == "threshold-count":
-            return float((vals > threshold).sum())
+            return (vals > threshold).sum(axis=1).astype(np.float64)
         raise ValueError(self.kind)
 
 
@@ -281,12 +303,12 @@ def association_check(spec, geometry, n_samples=10_000, seed=0):
     threshold = _pilot_median(spec, geometry, seed)
     f_vals = np.empty((len(jobs), n_samples))
     g_vals = np.empty((len(jobs), n_samples))
-    for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed(seed, _MAIN, i))
-        flat = fld.values.reshape(-1)
+    for start, values in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
+        flat = values.reshape(len(values), -1)
+        rows = slice(start, start + len(values))
         for j, (_, _, f, g) in enumerate(jobs):
-            f_vals[j, i] = f(flat, threshold)
-            g_vals[j, i] = g(flat, threshold)
+            f_vals[j, rows] = f(flat, threshold)
+            g_vals[j, rows] = g(flat, threshold)
 
     results = []
     for j, (side, name, _, _) in enumerate(jobs):
@@ -309,11 +331,9 @@ def _cov_stderr(f_vals, g_vals):
 
 
 def _pilot_median(spec, geometry, seed, n_pilot=200):
-    origin_edge = 0
-    vals = np.empty(n_pilot)
-    for i in range(n_pilot):
-        fld = sample_environment(spec, geometry, child_seed(seed, _THRESH, i))
-        vals[i] = fld.values.reshape(-1)[origin_edge]
+    # the weight of the origin's +e_1 edge, flat edge 0, in every pilot field
+    vals = np.concatenate([values[:, 0, 0] for _, values in
+                           _replica_chunks(spec, geometry, seed, _THRESH, n_pilot)])
     return float(np.median(vals))
 
 
@@ -339,12 +359,12 @@ def mixing_decay(spec, geometry, distance_grid, n_samples, seed):
 
     base_vals = np.empty(n_samples)
     shift_vals = np.empty((len(shifted), n_samples))
-    for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed(seed, _MAIN, i))
-        flat = fld.values.reshape(-1)
-        base_vals[i] = base(flat, None)  # "sum" functions read no threshold
+    for start, values in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
+        flat = values.reshape(len(values), -1)
+        rows = slice(start, start + len(values))
+        base_vals[rows] = base(flat, None)  # "sum" functions read no threshold
         for j, fn in enumerate(shifted):
-            shift_vals[j, i] = fn(flat, None)
+            shift_vals[j, rows] = fn(flat, None)
 
     stats = [_cov_stderr(base_vals, vals) for vals in shift_vals]
     covs = [cov for cov, _ in stats]

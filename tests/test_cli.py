@@ -8,7 +8,6 @@ import rcmlab.chaining
 import rcmlab.cli
 import rcmlab.envelopes
 import rcmlab.environment
-import rcmlab.moments
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
                         load_config, main)
 from rcmlab.seeding import child_seed
@@ -158,14 +157,13 @@ def test_verify_cross_mode_and_violation_csv(tmp_path):
 
 def test_verify_moment_replicas_avoid_fit_and_verification_fields(tmp_path, monkeypatch):
     seeds = []
-    real = rcmlab.environment.sample_environment
+    real = rcmlab.environment._sample_values
 
-    def recording(spec, geometry, seed):
-        seeds.append(seed)
-        return real(spec, geometry, seed)
+    def recording(spec, geometry, chunk_seeds):
+        seeds.extend(chunk_seeds)
+        return real(spec, geometry, chunk_seeds)
 
-    for module in (rcmlab.environment, rcmlab.moments, rcmlab.cli):
-        monkeypatch.setattr(module, "sample_environment", recording)
+    monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
     cfg = base_config(verify={"times": [4.0], "sources": [[0, 0]], "moment_samples": 16})
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)

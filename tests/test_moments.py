@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmlab.environment import EnvironmentSpec, mu, sample_environment
 from rcmlab.fitting import fit_theta, loglog_slope
 from rcmlab.lattice import HyperRectangle, TorusGeometry
-import rcmlab.moments
+import rcmlab.environment
 from rcmlab.moments import (annealed_power_mean, association_check,
                             builtin_test_pairs, default_rectangles, mixing_decay,
                             n1_tail, rectangle_ladder, rectangle_sum_moment)
@@ -72,17 +74,39 @@ def test_heavy_tail_overflow_reports_sample():
                              mean_value=1.0)
 
 
+def test_overflow_at_replica_zero_precedes_a_later_zero_weight(monkeypatch):
+    geo = TorusGeometry(2, 8)
+    heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.01})
+    rect = HyperRectangle((0, 0), 1, 3, 1)
+    # replica 39 of seed 0's main stream has a zero weight, in replica 0's chunk
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_environment(heavy, geo, child_seed(0, 0, 39))
+    assert 50 * geo.n_edges * 8 <= rcmlab.environment._CHUNK_BYTES
+    with pytest.raises(ValueError, match="overflow at sample 0;"):
+        rectangle_sum_moment(heavy, geo, "nu", 40.0, 8.0, [rect], 50, 0, mean_value=1.0)
+    # with no overflow before it, the zero weight itself is reported
+    with pytest.raises(ValueError, match="positive and finite"):
+        rectangle_sum_moment(heavy, geo, "mu", 1.0, 2.0, [rect], 50, 0, mean_value=1.0)
+
+    # an overflow past the first chunk names its global replica index
+    milder = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.1})
+    for chunk_bytes in (1, rcmlab.environment._CHUNK_BYTES):
+        monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
+        with pytest.raises(ValueError, match="overflow at sample 2;"):
+            rectangle_sum_moment(milder, geo, "nu", 20.0, 2.0, [rect], 50, 1, mean_value=1.0)
+
+
 def test_ladder_samples_each_field_once(monkeypatch):
     geo = TorusGeometry(2, 16)
     rects = default_rectangles([(1, 0), (3, 1), (5, 2), (7, 3)])
     seeds = []
-    real = rcmlab.moments.sample_environment
+    real = rcmlab.environment._sample_values
 
-    def recording(spec, geometry, seed):
-        seeds.append(seed)
-        return real(spec, geometry, seed)
+    def recording(spec, geometry, chunk_seeds):
+        seeds.extend(chunk_seeds)
+        return real(spec, geometry, chunk_seeds)
 
-    monkeypatch.setattr(rcmlab.moments, "sample_environment", recording)
+    monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
     rectangle_ladder(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5, mean_samples=8)
     assert len(seeds) == len(set(seeds)) == 30 + 8
 
@@ -211,3 +235,42 @@ def test_mixing_gaussian_decays():
 def test_loglog_slope_positive_inputs_required():
     with pytest.raises(ValueError):
         loglog_slope([1.0, 2.0], [1.0, -1.0])
+
+
+STACKED_SPECS = [
+    CONSTANT,
+    ELLIPTIC,
+    IID_UNIFORM,
+    EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}),
+    EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.5}),
+    EnvironmentSpec("finite-range", {"range": 3}),
+    EnvironmentSpec("finite-range", {"range": 3, "link": "exp", "scale": 2.0}),
+    EnvironmentSpec("gaussian-fkg", {"mass": 0.5, "scale": 0.7}),
+    EnvironmentSpec("na-permutation", {"block": 2}),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(STACKED_SPECS), d=st.sampled_from([2, 3]),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32))
+def test_stacked_draws_match_single_fields_at_any_chunk_size(spec, d, seeds, seed):
+    geo = TorusGeometry(d, 8 if d == 2 else 6)
+    stacked = rcmlab.environment._sample_values(spec, geo, seeds)
+    assert stacked.shape == (len(seeds), geo.n_vertices, d)
+    for row, field_seed in zip(stacked, seeds):
+        assert row.tobytes() == sample_environment(spec, geo, field_seed).values.tobytes()
+
+    rects = [HyperRectangle((0,) * d, 1, 2, 1), HyperRectangle((1,) * d, d, 4, 2)]
+    results = []
+    # one replica per chunk, then every replica in one chunk
+    for chunk_bytes in (1, 1 << 40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
+            results.append(repr((
+                annealed_power_mean(spec, geo, {"mu": 2.0, "nu": 1.5}, n_fields=5, seed=seed),
+                rectangle_sum_moment(spec, geo, "nu", 1.0, 2.0, rects, 5, seed, mean_samples=4),
+                association_check(spec, geo, n_samples=6, seed=seed),
+                mixing_decay(spec, geo, [1, 2], 6, seed),
+            )))
+    assert results[0] == results[1]
