@@ -32,6 +32,8 @@ an independent oracle for the constant environment.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -328,6 +330,16 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None):
 
     Tail integrals use the Richardson extrapolation (estimates, not
     certificates); the fit is a log-log slope over the pair distances.
+
+    The replicas are independent, and their sparse products release the GIL,
+    so they run on min(2, usable cores) workers: the calling thread and at
+    most one helper thread.  Replica i always goes to worker i % workers and
+    writes column i of the sample table, so the bits do not depend on the
+    schedule.  If replicas raise, the error of the first failing one in index
+    order is raised, as the serial loop would.  To keep two replicas in
+    flight cheap, each field is dropped as soon as its kernel is built, and
+    every kernel shares the geometry's cached neighbor table and block
+    pattern (see :mod:`rcmlab.kernel`).
     """
     if geometry.d < 3:
         raise ValueError("transient dimension required")
@@ -343,11 +355,12 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None):
     t_max = max(t0_for_dist(u) for u in dists)
 
     samples = np.empty((len(pairs), n_samples))
-    for i in range(n_samples):
-        samples[:, i] = _annealed_replica(
-            sample_environment(spec, geometry, child_seed(seed, 0, i)),
-            by_source, t0_for_dist, t_max)
 
+    def replica(i):
+        kern = jump_kernel(sample_environment(spec, geometry, child_seed(seed, 0, i)))
+        samples[:, i] = _annealed_replica(kern, by_source, t0_for_dist, t_max)
+
+    _run_split(n_samples, replica)
     means = samples.mean(axis=1)
     stderrs = samples.std(axis=1, ddof=1) / math.sqrt(n_samples)
     slope = loglog_slope(dists, means, stderrs, seed=seed)
@@ -355,12 +368,58 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None):
                           means.tolist(), stderrs.tolist(), slope)
 
 
-def _annealed_replica(field, by_source, t0_for_dist, t_max):
-    """One replica's Green values, at the pair rows ``by_source`` lists per
-    source.  Its field and kernel are freed on return, before the next
-    replica's are built."""
-    geo = field.geometry
-    kern = jump_kernel(field)
+def _worker_count():
+    """Workers for independent replicas: the calling thread and at most one
+    helper, never more than the cores this process may run on."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(2, cores)
+
+
+def _run_split(n_tasks, task):
+    """Calls task(i) for i < n_tasks, task i on worker i % workers, where
+    worker 0 is the calling thread and the others are helper threads joined
+    before return.  A worker stops at its first failure, and the others skip
+    the tasks after it; the error of the first failing task is raised."""
+    workers = min(_worker_count(), n_tasks)
+    failures = {}
+    stop = [n_tasks]  # no task past this index needs to run
+    lock = threading.Lock()
+
+    def work(first):
+        for i in range(first, n_tasks, workers):
+            if i > stop[0]:  # a stale read only runs one task more
+                return
+            try:
+                task(i)
+            except Exception as exc:
+                with lock:
+                    failures[i] = exc
+                    stop[0] = min(stop[0], i)
+                return
+
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    except BaseException:
+        stop[0] = -1  # interrupted: let the helpers finish their current task only
+        raise
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
+def _annealed_replica(kern, by_source, t0_for_dist, t_max):
+    """One replica's Green values from its kernel, at the pair rows
+    ``by_source`` lists per source.  The caller builds the kernel straight
+    from a fresh field, so the field is already freed."""
+    geo = kern.geometry
     values = np.empty(sum(len(rows) for rows in by_source.values()))
     for x, rows in by_source.items():
         profile = propagate(kern, point_mass(geo, x), [t_max], 1e-12,

@@ -18,7 +18,10 @@ red-black ordering, Saad, Iterative Methods for Sparse Linear Systems,
 sec. 2.3), skipping a half that is identically zero.  From a point source x,
 T_k(S) delta_x lives on x's class for even k and on the other class for odd
 k, so each term is one half-size product.  The full product's entries off
-the occupied class are exact zeros, so the split changes no bit.
+the occupied class are exact zeros, so the split changes no bit.  The
+blocks' sparsity pattern (column indices and row pointers) depends on the
+geometry alone: one read-only int32 copy per geometry is cached and shared
+by every kernel built on it, and a kernel stores only its own values.
 
 As |T_k| <= 1 on [-1, 1], dropping the terms k > K moves the law of any start
 distribution by at most sqrt(sum mu / min mu) * sum_{k > K} c_k(t) in l1 (so
@@ -116,25 +119,37 @@ class JumpKernel:
                              shape=s.shape).sorted_indices()
 
 
-def _block(values, table, root, rows):
-    """The rows of S at the vertices ``rows`` (one colour class), built in
-    class order; the columns index the other class by v // 2."""
+@lru_cache(maxsize=32)
+def _block_patterns(geometry):
+    """The CSR pattern (column indices, row pointers) of the even and of the
+    odd block, int32 and read-only: block row r lists the 2d neighbors of its
+    class's r-th vertex in table order, each by its position v // 2 in the
+    other class.  It depends on the geometry alone, so every kernel on it
+    shares this one copy and builds only its own data."""
+    table = geometry.neighbor_table()
+    width = table.shape[1]
+    patterns = []
+    for rows in _colour_classes(geometry.d, geometry.L):
+        cols = table[rows] >> 1
+        indptr = np.arange(0, width * rows.size + 1, width, dtype=np.int32)
+        cols.flags.writeable = indptr.flags.writeable = False
+        patterns.append((cols, indptr))
+    return patterns
+
+
+def _block(values, root, rows, other, cols, indptr):
+    """The rows of S at the vertices ``rows`` (one colour class) over the
+    class ``other``, built in class order on the shared pattern (cols, indptr);
+    a column c stands for the vertex other[c]."""
     d = values.shape[1]
-    nbrs = table[rows]
-    weights = np.empty(nbrs.shape)
-    for a in range(d):
-        weights[:, a] = values[rows, a]
-        weights[:, d + a] = values[nbrs[:, d + a], a]
     # one product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
-    data = root[nbrs]
+    data = root[other][cols]
     data *= root[rows, None]
-    np.divide(weights, data, out=data)
-    del weights
-    n_rows, width = nbrs.shape
-    nbrs >>= 1
-    return sp.csr_matrix((data.reshape(-1), nbrs.reshape(-1).astype(np.int32),
-                          np.arange(0, width * n_rows + 1, width, dtype=np.int32)),
-                         shape=(n_rows, n_rows))
+    for a in range(d):  # w(x, y) over it, in place, one column at a time
+        np.divide(values[rows, a], data[:, a], out=data[:, a])
+        np.divide(values[other[cols[:, d + a]], a], data[:, d + a], out=data[:, d + a])
+    return sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr),
+                         shape=(rows.size, rows.size))
 
 
 def jump_kernel(field):
@@ -144,10 +159,10 @@ def jump_kernel(field):
     mu_vec = field.mu_vector()
     if np.any(mu_vec <= 0):
         raise ValueError("mu must be positive at every vertex")
-    table = geo.neighbor_table()
     root = np.sqrt(mu_vec)
     classes = _colour_classes(geo.d, geo.L)
-    blocks = [_block(field.values, table, root, rows) for rows in classes]
+    blocks = [_block(field.values, root, rows, other, *pattern)
+              for rows, other, pattern in zip(classes, classes[::-1], _block_patterns(geo))]
     # row sums of P, since (S sqrt(mu))(x) / sqrt(mu(x)) = sum_y P(x, y)
     for block, rows, cols in zip(blocks, classes, classes[::-1]):
         if np.max(np.abs(block @ root[cols] / root[rows] - 1.0)) > 1e-12:
@@ -268,6 +283,7 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
 
         profile = TransitionProfile(start[targets][None], kernel.mu[targets], 0.0, tol,
                                     scale, 0.0, map(at_targets, terms))
+        del start, root, u0  # the sweep needs only the blocks and its last terms
         return profile.extend(max(times))
     series = [_series(t, tol, scale) for t in times]
     sums = [[None, None] for _ in series]

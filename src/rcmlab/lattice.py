@@ -83,8 +83,9 @@ class TorusGeometry:
         return total
 
     def neighbor_table(self):
-        """Array of shape (n_vertices, 2d): columns a and d+a hold the
-        +e_a and -e_a neighbor indices respectively."""
+        """Read-only int32 array of shape (n_vertices, 2d): columns a and d+a
+        hold the +e_a and -e_a neighbor indices respectively.  One cached
+        table per (d, L) is shared by every caller and thread."""
         return _neighbor_table(self.d, self.L)
 
     def distance_field(self, center):
@@ -115,10 +116,11 @@ class TorusGeometry:
 def _neighbor_table(d, L):
     n = L**d
     idx = np.arange(n).reshape((L,) * d)
-    table = np.empty((n, 2 * d), dtype=np.int64)
+    table = np.empty((n, 2 * d), dtype=np.int32)
     for a in range(d):
         table[:, a] = np.roll(idx, -1, axis=a).reshape(-1)
         table[:, d + a] = np.roll(idx, 1, axis=a).reshape(-1)
+    table.flags.writeable = False  # the cache hands it to every caller
     return table
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcmlab.green
 from rcmlab.envelopes import fit_envelopes
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
 from rcmlab.green import (_head_integral, _head_weights, annealed_green, green_cutoff_radius,
@@ -18,6 +21,7 @@ from rcmlab.green import (_head_integral, _head_weights, annealed_green, green_c
 from rcmlab.kernel import heat_kernel, jump_kernel, point_mass, propagate
 from rcmlab.lattice import TorusGeometry
 from rcmlab.poisson import chernoff_check, poisson_tail
+from rcmlab.seeding import child_seed
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
@@ -332,6 +336,97 @@ def test_annealed_green_keeps_pair_order():
     by_source = annealed_green(ELLIPTIC, geo, grouped, 2, 5, t0_for_dist=rule).means
     assert interleaved == [by_source[0], by_source[2], by_source[1]]
     assert len(set(interleaved)) == 3
+
+
+def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, rule):
+    """The replica loop annealed_green ran before it split over workers."""
+    by_source = {}
+    for row, (x, y) in enumerate(pairs):
+        by_source.setdefault(x, []).append((row, y))
+    t_max = max(rule(geo.torus_distance(x, y)) for x, y in pairs)
+    return np.column_stack([
+        rcmlab.green._annealed_replica(
+            jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
+            by_source, rule, t_max)
+        for i in range(n_samples)])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_annealed_green_same_bits_on_one_and_two_workers(monkeypatch, seed):
+    geo = TorusGeometry(3, 8)
+    pairs = [((0, 0, 0), (2, 0, 0)), ((1, 1, 1), (1, 1, 2)), ((0, 0, 0), (3, 1, 0))]
+    rule = lambda dist: 16.0
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: workers)
+        reports.append(annealed_green(ELLIPTIC, geo, pairs, 5, seed, t0_for_dist=rule))
+    one, two = reports
+    assert one.means == two.means
+    assert one.stderrs == two.stderrs
+    assert one.slope == two.slope
+    samples = _serial_annealed_samples(ELLIPTIC, geo, pairs, 5, seed, rule)
+    assert two.means == samples.mean(axis=1).tolist()
+    assert two.stderrs == (samples.std(axis=1, ddof=1) / math.sqrt(5)).tolist()
+
+
+@pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3}])
+def test_annealed_green_raises_first_failing_replica(monkeypatch, failing):
+    geo = TorusGeometry(3, 8)
+    pairs = [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (3, 0, 0))]
+    rule = lambda dist: 8.0
+    replica_of = {child_seed(4, 0, i): i for i in range(6)}
+    original = rcmlab.green.sample_environment
+
+    def sample(spec, geometry, seed):
+        if replica_of[seed] in failing:
+            raise RuntimeError(f"replica {replica_of[seed]}")
+        return original(spec, geometry, seed)
+
+    monkeypatch.setattr(rcmlab.green, "sample_environment", sample)
+    threads = threading.active_count()
+    for workers in (1, 2):
+        monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: workers)
+        with pytest.raises(RuntimeError, match=f"^replica {min(failing)}$"):
+            annealed_green(ELLIPTIC, geo, pairs, 6, 4, t0_for_dist=rule)
+        assert threading.active_count() == threads
+    monkeypatch.setattr(rcmlab.green, "sample_environment", original)
+    annealed_green(ELLIPTIC, geo, pairs, 6, 4, t0_for_dist=rule)
+    assert threading.active_count() == threads
+
+
+def test_run_split_under_fast_thread_switches(monkeypatch):
+    # more workers than cores and a short switch interval: every slot below
+    # the first failure is written once, and the first failure in index order
+    # wins even when a later one fails first
+    monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for failing in (set(), {57, 90, 133}):
+            written = np.zeros(200, dtype=int)
+            later_failed = threading.Event()
+
+            def task(i):
+                if i == 57 and failing:  # worker 1 waits while worker 2 reaches 90
+                    assert later_failed.wait(timeout=10)
+                if i in failing:
+                    later_failed.set()
+                    raise KeyError(i)
+                written[i] += 1
+                np.linalg.norm(np.ones(2000) * i)  # give the other threads a turn
+
+            threads = threading.active_count()
+            if failing:
+                with pytest.raises(KeyError, match="57"):
+                    rcmlab.green._run_split(200, task)
+            else:
+                rcmlab.green._run_split(200, task)
+            assert threading.active_count() == threads
+            first = min(failing, default=200)
+            assert np.all(written[:first] == 1)
+            assert np.all(written <= 1)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_annealed_green_validation():

@@ -40,6 +40,17 @@ def test_jump_kernel_rows_and_detailed_balance():
     assert np.max(np.abs(flux - flux.T)) <= 1e-12
 
 
+def test_kernels_share_one_read_only_block_pattern():
+    # the column indices and row pointers depend on the geometry alone
+    kernels = [jump_kernel(sample_environment(ELLIPTIC, GEO, seed)) for seed in (1, 2)]
+    for name in ("even_block", "odd_block"):
+        first, second = (getattr(kern, name) for kern in kernels)
+        assert not np.array_equal(first.data, second.data)
+        for arrays in ((first.indices, second.indices), (first.indptr, second.indptr)):
+            assert np.shares_memory(*arrays)
+            assert not arrays[0].flags.writeable
+
+
 FAMILIES = [
     EnvironmentSpec("constant", {"level": 1.5}),
     EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0}),

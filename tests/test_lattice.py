@@ -95,6 +95,15 @@ def test_neighbor_table_degree():
         assert table[table[i, 0], geo.d + 0] == i
 
 
+def test_neighbor_table_is_shared_and_read_only():
+    # one cached table serves every kernel and thread, so no caller may write it
+    table = TorusGeometry(3, 6).neighbor_table()
+    assert table is TorusGeometry(3, 6).neighbor_table()
+    assert table.dtype == np.int32
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
 def vertex_set(rect):
     return {tuple(int(c) for c in row) for row in rect.vertex_array()}
 

@@ -12,7 +12,7 @@ import rcmlab.environment
 from rcmlab.moments import (annealed_power_mean, association_check,
                             builtin_test_pairs, default_rectangles, mixing_decay,
                             n1_tail, rectangle_ladder, rectangle_sum_moment)
-from rcmlab.seeding import child_seed
+from rcmlab.seeding import child_seed, rng_for
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
@@ -235,6 +235,32 @@ def test_mixing_gaussian_decays():
 def test_loglog_slope_positive_inputs_required():
     with pytest.raises(ValueError):
         loglog_slope([1.0, 2.0], [1.0, -1.0])
+
+
+def _loop_bootstrap_interval(xs, ys, stderrs, n_boot, seed):
+    """The per-draw polyfit loop the vectorized bootstrap replaced."""
+    lx = np.log(xs)
+    rng = rng_for(seed, 77)
+    slopes = np.empty(n_boot)
+    for b in range(n_boot):
+        perturbed = np.maximum(ys + stderrs * rng.standard_normal(ys.size), 1e-12 * ys)
+        slopes[b] = np.polyfit(lx, np.log(perturbed), 1)[0]
+    return np.percentile(slopes, [2.5, 97.5])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loglog_slope_bootstrap_matches_per_draw_polyfit(seed):
+    # same draws in the same order; the closed-form slope differs from
+    # polyfit's least squares only by float64 rounding
+    rng = np.random.default_rng(seed)
+    n = 3 + seed
+    xs = np.sort(rng.uniform(1.0, 10.0, n)) * 2.0 ** np.arange(n)
+    ys = xs ** rng.uniform(-2.0, 2.0) * np.exp(rng.normal(0.0, 0.1, n))
+    stderrs = ys * rng.uniform(0.0, 0.5, n)  # large enough to hit the floor
+    fit = loglog_slope(xs, ys, stderrs, n_boot=300, seed=seed)
+    expected = _loop_bootstrap_interval(xs, ys, stderrs, 300, seed)
+    assert np.allclose([fit.ci_low, fit.ci_high], expected, rtol=1e-10, atol=1e-12)
+    assert (fit.slope, fit.intercept) == tuple(np.polyfit(np.log(xs), np.log(ys), 1))
 
 
 STACKED_SPECS = [
