@@ -211,12 +211,8 @@ def _verify_pipeline(config):
             env_verify, upper_amp=env_verify.upper_amp * upper_scale,
             lower_amp=env_verify.lower_amp * lower_scale)
 
-    grid = []
-    for t in times:
-        reach = min(window * math.sqrt(t) + 1e-9, geo.L / 2)
-        for src in sources:
-            for idx in geo.ball_indices(src, reach):
-                grid.append((t, src, geo.coords(idx)))
+    grid = [(t, src, geo.ball_indices(src, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
+            for t in times for src in sources]
     report = verify_bounds(ver_field, env_verify, grid, tol=tol, kernel=ver_kern)
     return env, report
 

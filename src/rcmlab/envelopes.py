@@ -21,6 +21,7 @@ twice its annealed mean at every larger radius.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +82,7 @@ REGIME_SPLIT = 1.0  # |x-y| / t where the upper envelope changes regime
 
 # The two validity gates, each stated once; N(x) = inf fails both.
 def _lower_gate(t, n, dist):
-    return t >= n * max(1.0, dist)
+    return t >= n * np.maximum(1.0, dist)
 
 
 def _upper_gate(t, n):
@@ -108,28 +109,33 @@ class GaussianEnvelope:
                 raise ValueError(f"{name} must be positive")
 
     def upper_profile(self, t, dist):
-        """Upper formula value; regime chosen by dist vs REGIME_SPLIT * t."""
-        if t <= 0:
+        """Upper formula value; regime chosen by dist vs REGIME_SPLIT * t.
+        ``t`` and ``dist`` are numbers, or arrays taken entry by entry."""
+        t, dist, scalar = _points(t, dist)
+        if np.any(t <= 0):
             raise ValueError("time must be positive")
-        pref = self.upper_amp * t ** (-self.d / 2.0)
-        near = pref * math.exp(-self.upper_gauss_rate * dist * dist / t)
-        far = pref * math.exp(-self.upper_linear_rate * dist * max(1.0, _safe_log(dist / t)))
+        pref = self.upper_amp * _powers(t, -self.d / 2.0)
+        near = pref * _each(math.exp, -self.upper_gauss_rate * dist * dist / t)
+        far = pref * _each(math.exp, -self.upper_linear_rate * dist
+                           * np.maximum(1.0, _each(_safe_log, dist / t)))
         boundary = REGIME_SPLIT * t
-        if dist < boundary:
-            return near
-        if dist > boundary:
-            return far
-        return max(near, far)
+        value = np.where(dist < boundary, near,
+                         np.where(dist > boundary, far, np.maximum(near, far)))
+        return float(value[0]) if scalar else value
 
     def lower_profile(self, t, dist):
-        """Lower formula value, ignoring the validity threshold."""
-        if t <= 0:
+        """Lower formula value, ignoring the validity threshold.  ``t`` and
+        ``dist`` are numbers, or arrays taken entry by entry."""
+        t, dist, scalar = _points(t, dist)
+        if np.any(t <= 0):
             raise ValueError("time must be positive")
-        return self.lower_amp * t ** (-self.d / 2.0) * math.exp(
-            -self.lower_gauss_rate * dist * dist / t
-        )
+        value = self.lower_amp * _powers(t, -self.d / 2.0) * _each(
+            math.exp, -self.lower_gauss_rate * dist * dist / t)
+        return float(value[0]) if scalar else value
 
     def lower_active(self, t, x, dist):
+        """Whether the lower bound is active at distance ``dist`` (a number or
+        an array) from source x at time t."""
         return _lower_gate(t, resolve_threshold(self.threshold, x), dist)
 
     def upper_active(self, t, x):
@@ -149,6 +155,36 @@ class GaussianEnvelope:
 
 def _safe_log(v):
     return math.log(v) if v > 0 else -math.inf
+
+
+# Array passes use numpy only where its result is exactly the scalar code's:
+# gathers, masks, comparisons and + - * / in the scalar order.  Powers, exp
+# and log go through Python's float power and the math module, whose
+# rounding numpy's vectorized versions need not share.
+
+
+def _points(t, dist):
+    """``t`` and ``dist`` as equal-length 1-D float arrays, and whether both
+    were numbers."""
+    scalar = np.ndim(t) == 0 and np.ndim(dist) == 0
+    t, dist = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                                  np.atleast_1d(np.asarray(dist, dtype=float)))
+    return t, dist, scalar
+
+
+def _each(fn, values):
+    """``fn`` applied to every entry of a 1-D float array.  The results go
+    straight into the array: a list of them, converted afterwards, left
+    about 5 MB more memory resident over repeated verify runs in one
+    process."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+
+
+def _powers(t, exponent):
+    """``t ** exponent`` for every entry of a 1-D array of times, computed
+    once per distinct time."""
+    times, inverse = np.unique(t, return_inverse=True)
+    return np.array([time ** exponent for time in times.tolist()], dtype=float)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +210,31 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
     against every point used.
     """
     points = _collect_points(slices, lower_threshold, window)
-    if not points["diag_lower"]:
+    if not points["diag_lower"][0].size:
         raise ValueError("no valid on-diagonal points for the lower fit")
-    if not points["diag_upper"]:
+    if not points["diag_upper"][0].size:
         raise ValueError("no valid on-diagonal points for the upper fit")
 
     d = slices[0].geometry.d
 
-    lower_amp = 0.5 * min(p * t ** (d / 2.0) for t, p in points["diag_lower"])
-    lower_rate = _RATE_FLOOR
-    for t, dist, p in points["off_lower"]:
-        if p <= 0:
-            raise ValueError("lower bound violated")
-        candidate = (t / (dist * dist)) * math.log(lower_amp * t ** (-d / 2.0) / p)
-        lower_rate = max(lower_rate, candidate)
+    t, _, p = points["diag_lower"]
+    lower_amp = 0.5 * min((p * _powers(t, d / 2.0)).tolist())
+    t, dist, p = points["off_lower"]
+    if np.any(p <= 0):
+        raise ValueError("lower bound violated")
+    candidates = (t / (dist * dist)) * _each(math.log, lower_amp * _powers(t, -d / 2.0) / p)
+    lower_rate = max([_RATE_FLOOR, *candidates.tolist()])
 
-    upper_amp = 2.0 * max(p * t ** (d / 2.0) for t, p in points["diag_upper"])
+    t, _, p = points["diag_upper"]
+    upper_amp = 2.0 * max((p * _powers(t, d / 2.0)).tolist())
 
-    gauss_rate = math.inf
-    for t, dist, p in points["off_upper"]:
-        if dist > REGIME_SPLIT * t or p <= 0:
-            continue
-        candidate = (t / (dist * dist)) * math.log(upper_amp * t ** (-d / 2.0) / p)
-        if candidate <= 0:
-            raise ValueError("upper fit failed: off-diagonal exceeds the diagonal cap")
-        gauss_rate = min(gauss_rate, candidate)
+    t, dist, p = points["off_upper"]
+    near = (dist <= REGIME_SPLIT * t) & (p > 0)
+    t, dist, p = t[near], dist[near], p[near]
+    candidates = (t / (dist * dist)) * _each(math.log, upper_amp * _powers(t, -d / 2.0) / p)
+    if np.any(candidates <= 0):
+        raise ValueError("upper fit failed: off-diagonal exceeds the diagonal cap")
+    gauss_rate = min([math.inf, *candidates.tolist()])
     if not math.isfinite(gauss_rate):
         gauss_rate = 1.0  # no near-regime off-diagonal data; any rate is consistent
 
@@ -222,60 +258,49 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
 
 
 def _upper_far_rate(off_points, upper_amp, d):
-    rate = None
-    for t, dist, p in off_points:
-        if dist < REGIME_SPLIT * t or p <= 0:
-            continue
-        denom = dist * max(1.0, _safe_log(dist / t))
-        candidate = math.log(upper_amp * t ** (-d / 2.0) / p) / denom
-        rate = candidate if rate is None else min(rate, candidate)
-    return rate
+    t, dist, p = off_points
+    far = (dist >= REGIME_SPLIT * t) & (p > 0)
+    if not far.any():
+        return None
+    t, dist, p = t[far], dist[far], p[far]
+    denom = dist * np.maximum(1.0, _each(_safe_log, dist / t))
+    return min((_each(math.log, upper_amp * _powers(t, -d / 2.0) / p) / denom).tolist())
 
 
 def _collect_points(slices, threshold, window):
-    diag_lower, off_lower, diag_upper, off_upper = [], [], [], []
+    """The fit's four point sets, each a (t, |x-y|, p) triple of float
+    arrays, in slice order and then in vertex order."""
+    parts = {key: [] for key in ("diag_lower", "off_lower", "diag_upper", "off_upper")}
     for s in slices:
-        geo = s.geometry
         floor = 10.0 * s.trunc_error
         n = resolve_threshold(threshold, s.source)
-        dist = geo.distance_field(s.source)
-        within = dist <= window * math.sqrt(s.t)
-        upper_ok = _upper_gate(s.t, n)
-        for idx in np.flatnonzero(within):
-            u = float(dist[idx])
-            p = float(s.hk[idx])
-            if _lower_gate(s.t, n, u):
-                if u == 0:
-                    if p > floor:
-                        diag_lower.append((s.t, p))
-                elif p > floor or p <= 0:
-                    off_lower.append((s.t, u, p))
-            if upper_ok:
-                if u == 0:
-                    diag_upper.append((s.t, p))
-                elif p > floor:
-                    off_upper.append((s.t, u, p))
-    return {
-        "diag_lower": diag_lower,
-        "off_lower": off_lower,
-        "diag_upper": diag_upper,
-        "off_upper": off_upper,
-    }
+        dist = s.geometry.distance_field(s.source)
+        idx = np.flatnonzero(dist <= window * math.sqrt(s.t))
+        u = dist[idx].astype(float)
+        p = s.hk[idx]
+        diag = u == 0
+        resolved = p > floor
+        lower = _lower_gate(s.t, n, u)
+        upper = _upper_gate(s.t, n)
+        for key, mask in (("diag_lower", lower & diag & resolved),
+                          ("off_lower", lower & ~diag & (resolved | (p <= 0))),
+                          ("diag_upper", upper & diag),
+                          ("off_upper", upper & ~diag & resolved)):
+            parts[key].append((np.full(np.count_nonzero(mask), s.t), u[mask], p[mask]))
+    empty = (np.empty(0),) * 3  # so that no slices give empty sets
+    return {key: tuple(map(np.concatenate, zip(empty, *triples)))
+            for key, triples in parts.items()}
 
 
 def _recheck_fit(env, points):
     slack = 1e-9
-    for t, p in points["diag_lower"]:
-        if p < env.lower_profile(t, 0.0) * (1 - slack):
+    for key in ("diag_lower", "off_lower"):
+        t, dist, p = points[key]
+        if np.any(p < env.lower_profile(t, dist) * (1 - slack)):
             raise ValueError("fit violates its own lower data")
-    for t, u, p in points["off_lower"]:
-        if p < env.lower_profile(t, u) * (1 - slack):
-            raise ValueError("fit violates its own lower data")
-    for t, p in points["diag_upper"]:
-        if p > env.upper_profile(t, 0.0) * (1 + slack):
-            raise ValueError("fit violates its own upper data")
-    for t, u, p in points["off_upper"]:
-        if p > env.upper_profile(t, u) * (1 + slack):
+    for key in ("diag_upper", "off_upper"):
+        t, dist, p = points[key]
+        if np.any(p > env.upper_profile(t, dist) * (1 + slack)):
             raise ValueError("fit violates its own upper data")
 
 
@@ -315,17 +340,20 @@ class BoundReport:
 
 
 def verify_bounds(field, env, grid, tol=1e-10, kernel=None):
-    """Check computed heat kernel values against an envelope on a (t, x, y) grid.
+    """Check computed heat kernel values against an envelope on a grid of
+    (t, x, targets) entries, ``targets`` an array of flat vertex indices.
 
-    Returns a report listing every point falling outside the active bounds by
-    more than the slice's certified error.  An empty violation list means the
-    envelope is verified on this grid.
+    Entries with the same t and wrapped x form one group, checked in grid
+    order; groups are checked in (t, x) order.  Returns a report listing
+    every point falling outside the active bounds by more than the slice's
+    certified error.  An empty violation list means the envelope is verified
+    on this grid.
     """
     kern = kernel if kernel is not None else jump_kernel(field)
     geo = field.geometry
     groups = {}
-    for t, x, y in grid:
-        groups.setdefault((float(t), geo.wrap(x)), []).append(geo.wrap(y))
+    for t, x, targets in grid:
+        groups.setdefault((float(t), geo.wrap(x)), []).append(np.asarray(targets, dtype=np.int64))
     mu_min = float(kern.mu.min())
 
     slices = heat_slices(kern, sorted(groups), tol)
@@ -333,23 +361,35 @@ def verify_bounds(field, env, grid, tol=1e-10, kernel=None):
     checked = []
     n_lower = 0
     n_upper = 0
-    for (t, x), ys in sorted(groups.items()):
+    for (t, x), parts in sorted(groups.items()):
         s = slices[t, x]
         slack = s.trunc_error / mu_min + 1e-15
-        for y in ys:
-            u = geo.torus_distance(x, y)
-            p = float(s.hk[geo.index(y)])
-            checked.append((t, u, p))
-            if env.upper_active(t, x):
-                n_upper += 1
-                upper = env.upper_profile(t, u)
-                if p > upper + slack:
-                    violations.append(Violation(t, x, y, u, p, upper, "upper",
-                                                (p - upper) / upper if upper > 0 else math.inf))
-            if env.lower_active(t, x, u):
-                n_lower += 1
-                lower = env.lower_profile(t, u)
-                if p < lower - slack:
-                    violations.append(Violation(t, x, y, u, p, lower, "lower",
-                                                (lower - p) / lower))
+        ys = np.concatenate(parts)
+        dist = geo.distance_field(x)[ys]
+        u = dist.astype(float)
+        p = s.hk[ys]
+        checked.extend(zip(itertools.repeat(t), dist.tolist(), p.tolist()))
+        upper = np.full(ys.size, math.nan)
+        lower = np.full(ys.size, math.nan)
+        upper_bad = np.zeros(ys.size, dtype=bool)
+        lower_bad = np.zeros(ys.size, dtype=bool)
+        if env.upper_active(t, x):
+            n_upper += ys.size
+            upper = env.upper_profile(t, u)
+            upper_bad = p > upper + slack
+        active = np.flatnonzero(env.lower_active(t, x, u))
+        n_lower += active.size
+        lower[active] = env.lower_profile(t, u[active])
+        lower_bad[active] = p[active] < lower[active] - slack
+        # at most an upper then a lower violation per point, in grid order
+        for k in np.flatnonzero(upper_bad | lower_bad).tolist():
+            y, uk, pk = geo.coords(int(ys[k])), int(dist[k]), float(p[k])
+            if upper_bad[k]:
+                bound = float(upper[k])
+                violations.append(Violation(t, x, y, uk, pk, bound, "upper",
+                                            (pk - bound) / bound if bound > 0 else math.inf))
+            if lower_bad[k]:
+                bound = float(lower[k])
+                violations.append(Violation(t, x, y, uk, pk, bound, "lower",
+                                            (bound - pk) / bound))
     return BoundReport(violations, checked, n_lower, n_upper)

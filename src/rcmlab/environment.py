@@ -194,16 +194,24 @@ class ConductanceField:
 
 
 def _incident_sum(geometry, weights):
-    """Per-vertex sum of one field's (n_vertices, d) ``weights`` over the 2d
-    incident edges: the d forward edges column by column, then the d backward
-    ones."""
-    table = geometry.neighbor_table()
-    d = geometry.d
-    total = weights[:, 0]
-    for a in range(1, d):
-        total = total + weights[:, a]
+    """Per-vertex sum over the 2d incident edges, for one field's
+    (n_vertices, d) ``weights`` or a stack of shape (..., n_vertices, d).
+
+    The d forward edges are added column by column, then the d backward ones
+    axis by axis.  Vertex x's -e_a edge is the +e_a edge of x - e_a, so each
+    backward term is column a shifted by one site along lattice axis a,
+    added in place as two slices (the interior and the wrapped face)."""
+    d, L = geometry.d, geometry.L
+    total = weights[..., 0] + weights[..., 1] if d > 1 else weights[..., 0].copy()
+    for a in range(2, d):
+        total += weights[..., a]
+    shape = weights.shape[:-2] + (L,) * d
+    grid = total.reshape(shape)
     for a in range(d):
-        total = total + weights[table[:, d + a], a]
+        back = weights[..., a].reshape(shape)
+        rest = (slice(None),) * (d - 1 - a)  # lattice axes after axis a
+        grid[(..., slice(1, None)) + rest] += back[(..., slice(None, -1)) + rest]
+        grid[(..., 0) + rest] += back[(..., -1) + rest]
     total.setflags(write=False)
     return total
 

@@ -21,10 +21,12 @@ def loglog_slope(xs, ys, stderrs=None, n_boot=1000, seed=0):
     """Least-squares slope of log y against log x.
 
     The confidence interval resamples each y from a normal with its reported
-    standard error (parametric bootstrap); exact inputs give a zero-width
-    interval.  The point fit is ``np.polyfit``; the bootstrap slopes are the
-    closed form sum (x - mean x) log y / sum (x - mean x)^2 over all draws
-    at once, which agrees with a per-draw polyfit to rounding.
+    standard error (parametric bootstrap).  The point fit is ``np.polyfit``;
+    the bootstrap slopes are the closed form sum (x - mean x) log y /
+    sum (x - mean x)^2 over all draws at once, which agrees with a per-draw
+    polyfit to rounding.  The interval is widened, where that rounding
+    puts it beside the point slope, to contain it; exact inputs give an
+    interval of zero width up to that rounding.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -46,7 +48,8 @@ def loglog_slope(xs, ys, stderrs=None, n_boot=1000, seed=0):
     xc = lx - lx.mean()
     slopes = np.log(perturbed) @ xc / (xc @ xc)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
-    return SlopeFit(float(slope), float(lo), float(hi), float(intercept))
+    # the two slope formulas round differently, by up to a few ulps
+    return SlopeFit(float(slope), float(min(lo, slope)), float(max(hi, slope)), float(intercept))
 
 
 def fit_theta(sizes, estimates, stderrs=None, seed=0):

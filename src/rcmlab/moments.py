@@ -12,9 +12,12 @@ dodge overflow.
 
 Replicas come as stacked chunks from the environment's one sampler, each
 replica on its own unchanged stream, at most a fixed number of bytes per
-chunk; rectangle sums and edge functions are evaluated on a whole chunk at
-once.  Every estimate is the same, bit for bit, at any chunk size, and errors
-name the first failing replica, as a field-by-field loop would.
+chunk.  The mu or nu of a whole chunk comes from one stencil call, and power
+means, rectangle sums and edge functions are evaluated on a whole chunk at
+once; each replica's means and sums are still reduced one row at a time, in
+a lone field's order.  Every estimate is the same, bit for bit, at any chunk
+size, and errors name the first failing replica, as a field-by-field loop
+would.
 """
 
 from __future__ import annotations
@@ -47,14 +50,18 @@ def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
         raise ValueError("quantities must be 'mu' or 'nu'")
     totals = dict.fromkeys(powers, 0.0)
     for start, values in _replica_chunks(spec, geometry, seed, _PILOT, n_fields):
-        # field by field: a field's temporaries stay in cache, a chunk's do not
-        for i, weights in enumerate(values, start):
-            for quantity, p in powers.items():
-                vec = _incident_sum(geometry, weights if quantity == "mu" else 1.0 / weights)
-                with np.errstate(over="ignore"):
-                    mean = float(np.mean(vec**p))
+        means = {}
+        for quantity, p in powers.items():
+            vecs = _incident_sum(geometry, values if quantity == "mu" else 1.0 / values)
+            with np.errstate(over="ignore"):
+                # row by row: a 2-D axis mean adds in another order
+                means[quantity] = [float(np.mean(row)) for row in vecs**p]
+        # checked and summed replica by replica, quantity by quantity
+        for k in range(len(values)):
+            for quantity in powers:
+                mean = means[quantity][k]
                 if not math.isfinite(mean):
-                    raise ValueError(f"non-finite {quantity} power mean at replica {i}")
+                    raise ValueError(f"non-finite {quantity} power mean at replica {start + k}")
                 totals[quantity] += mean
     return {quantity: total / n_fields for quantity, total in totals.items()}
 
@@ -103,8 +110,7 @@ def rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, see
                                          n_fields=mean_samples, seed=seed)[quantity]
     logs = np.empty((len(rects), n_samples))
     for start, values in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
-        weights = values if quantity == "mu" else 1.0 / values
-        vecs = np.stack([_incident_sum(geometry, row) for row in weights])
+        vecs = _incident_sum(geometry, values if quantity == "mu" else 1.0 / values)
         with np.errstate(over="ignore"):
             powered = [vecs[:, idx] ** p for idx in indices]
         finite = np.logical_and.reduce([np.isfinite(block).all(axis=1) for block in powered])

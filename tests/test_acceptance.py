@@ -112,8 +112,7 @@ def test_criterion_04_lower_bound_cross_verification():
               for t in times for s in sources]
     env = fit_envelopes(slices, lower_threshold=thresholds(fit_field), window=2.0)
     env_ver = dataclasses.replace(env, threshold=thresholds(ver_field))
-    grid = [(t, s, geo.coords(i)) for t in times for s in sources
-            for i in geo.ball_indices(s, 2 * math.sqrt(t) + 1e-9)]
+    grid = [(t, s, geo.ball_indices(s, 2 * math.sqrt(t) + 1e-9)) for t in times for s in sources]
     result = verify_bounds(ver_field, env_ver, grid, tol=1e-10)
     beyond = result.count_beyond(0.05, side="lower")
     assert beyond <= 0.01 * max(1, result.n_lower_active), (

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcmlab.envelopes import (GaussianEnvelope, fit_envelopes, stability_radius,
-                              verify_bounds)
+from rcmlab.envelopes import (GaussianEnvelope, Violation, fit_envelopes, resolve_threshold,
+                              stability_radius, verify_bounds)
 from rcmlab.environment import (ConductanceField, EnvironmentSpec,
                                 sample_environment)
-from rcmlab.kernel import HeatKernelSlice, heat_kernel, jump_kernel
+from rcmlab.kernel import HeatKernelSlice, heat_kernel, heat_slices, jump_kernel
 from rcmlab.lattice import TorusGeometry
 from rcmlab.seeding import child_seed
 
@@ -155,11 +157,10 @@ def test_fit_constant_field_and_verify():
     assert env.lower_amp > 0
     assert math.isfinite(env.lower_gauss_rate) and env.lower_gauss_rate > 0
 
-    grid = [(t, (0, 0), geo.coords(i)) for t in times
-            for i in geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)]
+    grid = [(t, (0, 0), geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)) for t in times]
     report = verify_bounds(field, env, grid, kernel=kern)
     assert not report.violations
-    assert report.n_checked == len(grid)
+    assert report.n_checked == sum(len(targets) for _, _, targets in grid)
 
     # upper envelope dominates the lower wherever both are active
     for t in times:
@@ -177,7 +178,8 @@ def test_halved_upper_amp_reports_diagonal_violations():
     # the fitted amplitude has a factor-two headroom, so cutting it to a
     # quarter must push the bound strictly below the on-diagonal data
     broken = dataclasses.replace(env, upper_amp=env.upper_amp / 4)
-    grid = [(8.0, (0, 0), (0, 0)), (16.0, (0, 0), (0, 0)), (8.0, (0, 0), (1, 0))]
+    grid = [(8.0, (0, 0), [geo.index((0, 0))]), (16.0, (0, 0), [geo.index((0, 0))]),
+            (8.0, (0, 0), [geo.index((1, 0))])]
     report = verify_bounds(field, broken, grid, kernel=kern)
     diag = [v for v in report.violations if v.dist == 0]
     assert diag and all(v.side == "upper" for v in diag)
@@ -214,9 +216,169 @@ def test_cross_field_verification_elliptic():
     slices = [heat_kernel(fit_field, t, (0, 0), tol=1e-10, kernel=kern) for t in times]
     env = fit_envelopes(slices, lower_threshold=table(fit_field), window=2.0)
     env_v = dataclasses.replace(env, threshold=table(ver_field))
-    grid = [(t, (0, 0), geo.coords(i)) for t in times
-            for i in geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)]
+    grid = [(t, (0, 0), geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)) for t in times]
     report = verify_bounds(ver_field, env_v, grid)
     # cross-field generalization: almost no violations, none beyond 5 percent
     assert len(report.violations) <= 0.01 * report.n_checked + 3
     assert report.count_beyond(0.10) == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-point loops that the fit and the verification ran before their
+# array passes, kept as the reference the array passes must match exactly.
+
+
+def _reference_upper(env, t, dist):
+    pref = env.upper_amp * t ** (-env.d / 2.0)
+    near = pref * math.exp(-env.upper_gauss_rate * dist * dist / t)
+    log = math.log(dist / t) if dist / t > 0 else -math.inf
+    far = pref * math.exp(-env.upper_linear_rate * dist * max(1.0, log))
+    return near if dist < t else far if dist > t else max(near, far)
+
+
+def _reference_lower(env, t, dist):
+    return env.lower_amp * t ** (-env.d / 2.0) * math.exp(-env.lower_gauss_rate * dist * dist / t)
+
+
+def _reference_fit(slices, threshold, window):
+    d = slices[0].geometry.d
+    diag_lower, off_lower, diag_upper, off_upper = [], [], [], []
+    for s in slices:
+        floor = 10.0 * s.trunc_error
+        n = resolve_threshold(threshold, s.source)
+        dist = s.geometry.distance_field(s.source)
+        for idx in np.flatnonzero(dist <= window * math.sqrt(s.t)):
+            u, p = float(dist[idx]), float(s.hk[idx])
+            if s.t >= n * max(1.0, u):
+                if u == 0:
+                    if p > floor:
+                        diag_lower.append((s.t, p))
+                elif p > floor or p <= 0:
+                    off_lower.append((s.t, u, p))
+            if math.sqrt(s.t) >= n:
+                if u == 0:
+                    diag_upper.append((s.t, p))
+                elif p > floor:
+                    off_upper.append((s.t, u, p))
+    if not diag_lower:
+        raise ValueError("no valid on-diagonal points for the lower fit")
+    if not diag_upper:
+        raise ValueError("no valid on-diagonal points for the upper fit")
+    lower_amp = 0.5 * min(p * t ** (d / 2.0) for t, p in diag_lower)
+    lower_rate = 1e-12
+    for t, u, p in off_lower:
+        if p <= 0:
+            raise ValueError("lower bound violated")
+        lower_rate = max(lower_rate, (t / (u * u)) * math.log(lower_amp * t ** (-d / 2.0) / p))
+    upper_amp = 2.0 * max(p * t ** (d / 2.0) for t, p in diag_upper)
+    gauss_rate, far_rate = math.inf, None
+    for t, u, p in off_upper:
+        log_ratio = math.log(upper_amp * t ** (-d / 2.0) / p)
+        if u <= t:
+            candidate = (t / (u * u)) * log_ratio
+            if candidate <= 0:
+                raise ValueError("upper fit failed: off-diagonal exceeds the diagonal cap")
+            gauss_rate = min(gauss_rate, candidate)
+        if u >= t:
+            candidate = log_ratio / (u * max(1.0, math.log(u / t)))
+            far_rate = candidate if far_rate is None else min(far_rate, candidate)
+    if not math.isfinite(gauss_rate):
+        gauss_rate = 1.0
+    if far_rate is None:
+        far_rate = max(1e-12, gauss_rate)
+    elif far_rate <= 0:
+        raise ValueError("upper fit failed: off-diagonal exceeds the diagonal cap")
+    env = GaussianEnvelope(d, upper_amp, max(gauss_rate, 1e-12), max(far_rate, 1e-12),
+                           lower_amp, max(lower_rate, 1e-12), threshold)
+    for t, p in diag_lower:
+        if p < _reference_lower(env, t, 0.0) * (1 - 1e-9):
+            raise ValueError("fit violates its own lower data")
+    for t, u, p in off_lower:
+        if p < _reference_lower(env, t, u) * (1 - 1e-9):
+            raise ValueError("fit violates its own lower data")
+    for t, p in diag_upper:
+        if p > _reference_upper(env, t, 0.0) * (1 + 1e-9):
+            raise ValueError("fit violates its own upper data")
+    for t, u, p in off_upper:
+        if p > _reference_upper(env, t, u) * (1 + 1e-9):
+            raise ValueError("fit violates its own upper data")
+    return env
+
+
+def _reference_verify(field, env, grid, tol, kern):
+    geo = field.geometry
+    groups = {}
+    for t, x, targets in grid:
+        for idx in targets:
+            groups.setdefault((float(t), geo.wrap(x)), []).append(geo.coords(int(idx)))
+    mu_min = float(kern.mu.min())
+    slices = heat_slices(kern, sorted(groups), tol)
+    violations, checked, n_lower, n_upper = [], [], 0, 0
+    for (t, x), ys in sorted(groups.items()):
+        s = slices[t, x]
+        slack = s.trunc_error / mu_min + 1e-15
+        n = resolve_threshold(env.threshold, x)
+        for y in ys:
+            u = geo.torus_distance(x, y)
+            p = float(s.hk[geo.index(y)])
+            checked.append((t, u, p))
+            if math.sqrt(t) >= n:
+                n_upper += 1
+                upper = _reference_upper(env, t, u)
+                if p > upper + slack:
+                    violations.append(Violation(t, x, y, u, p, upper, "upper",
+                                                (p - upper) / upper if upper > 0 else math.inf))
+            if t >= n * max(1.0, u):
+                n_lower += 1
+                lower = _reference_lower(env, t, u)
+                if p < lower - slack:
+                    violations.append(Violation(t, x, y, u, p, lower, "lower",
+                                                (lower - p) / lower))
+    return violations, checked, n_lower, n_upper
+
+
+def _error_or(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from([CONSTANT, ELLIPTIC, EnvironmentSpec("iid", {"marginal": "lognormal",
+                                                                        "sigma": 1.0})]),
+       d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32),
+       times=st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0, 8.0, 12.0]), min_size=1, max_size=3,
+                      unique=True),
+       sources=st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+                        min_size=1, max_size=3),
+       thresholds=st.lists(st.sampled_from([1, 2, 3, None]), min_size=3, max_size=3),
+       constant=st.booleans(), window=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       scales=st.sampled_from([(1.0, 1.0), (0.5, 1.0), (1.0, 2.0), (0.05, 20.0)]))
+def test_fit_and_verify_match_per_point_loops(spec, d, seed, times, sources, thresholds,
+                                              constant, window, scales):
+    geo = TorusGeometry(d, 12 if d == 2 else 8)
+    field = sample_environment(spec, geo, seed)
+    kern = jump_kernel(field)
+    sources = [geo.wrap(x[:d]) for x in sources]
+    if constant:
+        threshold = thresholds[0] or 1.0
+    else:  # the last source may repeat an earlier one; its entry wins, as in a dict
+        threshold = dict(zip(sources, thresholds))
+    table = heat_slices(kern, [(t, x) for t in times for x in sources], 1e-10)
+    slices = [table[t, x] for t in times for x in sources]
+
+    env = _error_or(fit_envelopes, slices, threshold, window)
+    assert repr(env) == repr(_error_or(_reference_fit, slices, threshold, window))
+    if isinstance(env, str):
+        return
+
+    # (0.05, 20) puts the upper bound below the lower one: a point can miss both
+    env = dataclasses.replace(env, upper_amp=env.upper_amp * scales[0],
+                              lower_amp=env.lower_amp * scales[1])
+    grid = [(t, x, geo.ball_indices(x, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
+            for t in times for x in sources]
+    grid.append((times[0], sources[0], grid[0][2][::-1]))  # joins the first group
+    report = verify_bounds(field, env, grid, tol=1e-10, kernel=kern)
+    assert repr((report.violations, report.checked, report.n_lower_active,
+                 report.n_upper_active)) == repr(_reference_verify(field, env, grid, 1e-10, kern))

@@ -1,12 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcmlab.environment import (ConductanceField, EnvironmentSpec, avg_norm,
+from rcmlab.environment import (ConductanceField, EnvironmentSpec, _incident_sum, avg_norm,
                                 field_to_csv, mu, nu, read_field,
                                 sample_environment, shift, write_field)
 from rcmlab.lattice import TorusGeometry
@@ -124,6 +125,56 @@ def test_mu_nu_match_reference_sums(spec, d, L):
             total = total + weights[table[:, d + a], a]
         assert np.array_equal(vec, total)
         assert not vec.flags.writeable
+
+
+def _reference_table(d, L):
+    """Neighbor table built in the test: column a is +e_a, column d + a is -e_a."""
+    idx = np.arange(L**d).reshape((L,) * d)
+    return np.stack([np.roll(idx, shift, axis=a).reshape(-1)
+                     for shift in (-1, 1) for a in range(d)], axis=1)
+
+
+def _gather_sum(weights, table):
+    """The per-field neighbor-table sum mu and nu were built from before the
+    stencil: forward columns in order, then each backward gather."""
+    d = weights.shape[1]
+    total = weights[:, 0]
+    for a in range(1, d):
+        total = total + weights[:, a]
+    for a in range(d):
+        total = total + weights[table[:, d + a], a]
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), half_side=st.integers(1, 6), m=st.integers(1, 5),
+       seed=st.integers(0, 2**32))
+def test_stacked_stencil_matches_per_field_gathers(d, half_side, m, seed):
+    L = 2 * min(half_side, {1: 6, 2: 6, 3: 4, 4: 3}[d])
+    # the stencil reads only d and L, so d = 1 (no TorusGeometry) works too
+    geo = SimpleNamespace(d=d, L=L)
+    table = _reference_table(d, L)
+    weights = np.random.default_rng(seed).lognormal(0.0, 1.5, (m, L**d, d))
+    for stack in (weights, 1.0 / weights):  # mu, then nu
+        expected = np.stack([_gather_sum(w, table) for w in stack])
+        assert np.array_equal(_incident_sum(geo, stack), expected)
+        for w, row in zip(stack, expected):
+            assert np.array_equal(_incident_sum(geo, w), row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(FAMILIES), d=st.sampled_from([2, 3]),
+       z=st.lists(st.integers(-20, 20), min_size=3, max_size=3), seed=st.integers(0, 2**32))
+def test_shift_rolls_mu_and_nu(spec, d, z, seed):
+    geo = TorusGeometry(d, 8 if d == 2 else 6)
+    field = sample_environment(spec, geo, seed)
+    moved = shift(field, z[:d])
+    grid = (geo.L,) * d
+    # the shifted field's mu at x is the old mu at x + z
+    for old, new in ((field.mu_vector(), moved.mu_vector()),
+                     (field.nu_vector(), moved.nu_vector())):
+        rolled = np.roll(old.reshape(grid), [-c for c in z[:d]], axis=tuple(range(d)))
+        assert np.array_equal(new, rolled.reshape(-1))
 
 
 def test_avg_norm():

@@ -9,7 +9,7 @@ from rcmlab.environment import EnvironmentSpec, mu, sample_environment
 from rcmlab.fitting import fit_theta, loglog_slope
 from rcmlab.lattice import HyperRectangle, TorusGeometry
 import rcmlab.environment
-from rcmlab.moments import (annealed_power_mean, association_check,
+from rcmlab.moments import (_log_mean, annealed_power_mean, association_check,
                             builtin_test_pairs, default_rectangles, mixing_decay,
                             n1_tail, rectangle_ladder, rectangle_sum_moment)
 from rcmlab.seeding import child_seed, rng_for
@@ -237,6 +237,21 @@ def test_loglog_slope_positive_inputs_required():
         loglog_slope([1.0, 2.0], [1.0, -1.0])
 
 
+def test_loglog_slope_interval_contains_the_point_with_zero_stderrs():
+    # the mixing fit's three covariances: polyfit gives -2.4608061908153216
+    # and the closed form -2.460806190815322 for every (identical) draw
+    report = mixing_decay(EnvironmentSpec("gaussian-fkg", {"mass": 1.0}), TorusGeometry(2, 16),
+                          [1, 2, 4], 2000, 11)
+    fits = [report.slope]
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 4, 5) * 10:
+        xs = np.sort(rng.uniform(1.0, 100.0, n))
+        fits.append(loglog_slope(xs, rng.uniform(0.1, 10.0, n), [0.0] * n, n_boot=50))
+    for fit in fits:
+        assert fit.ci_low <= fit.slope <= fit.ci_high
+        assert fit.ci_high - fit.ci_low <= 1e-12 * (1.0 + abs(fit.slope))
+
+
 def _loop_bootstrap_interval(xs, ys, stderrs, n_boot, seed):
     """The per-draw polyfit loop the vectorized bootstrap replaced."""
     lx = np.log(xs)
@@ -300,3 +315,88 @@ def test_stacked_draws_match_single_fields_at_any_chunk_size(spec, d, seeds, see
                 mixing_decay(spec, geo, [1, 2], 6, seed),
             )))
     assert results[0] == results[1]
+
+
+def _gather_sum(geo, weights):
+    """Per-field mu or nu through the neighbor table: the forward columns,
+    then one gather per backward neighbor."""
+    table = geo.neighbor_table()
+    total = weights[:, 0]
+    for a in range(1, geo.d):
+        total = total + weights[:, a]
+    for a in range(geo.d):
+        total = total + weights[table[:, geo.d + a], a]
+    return total
+
+
+def _reference_power_mean(spec, geo, powers, n_fields, seed):
+    """The annealed means from a field-by-field loop over the pilot stream."""
+    totals = dict.fromkeys(powers, 0.0)
+    for i in range(n_fields):
+        weights = sample_environment(spec, geo, child_seed(seed, 1, i)).values
+        for quantity, p in powers.items():
+            vec = _gather_sum(geo, weights if quantity == "mu" else 1.0 / weights)
+            totals[quantity] += float(np.mean(vec**p))
+    return {quantity: total / n_fields for quantity, total in totals.items()}
+
+
+def _reference_rectangle_moment(spec, geo, quantity, p, eta, rects, n_samples, seed,
+                                mean_value):
+    """(value, stderr) per rectangle from a field-by-field loop over the main stream."""
+    logs = np.empty((len(rects), n_samples))
+    for i in range(n_samples):
+        weights = sample_environment(spec, geo, child_seed(seed, 0, i)).values
+        vec = _gather_sum(geo, weights if quantity == "mu" else 1.0 / weights)
+        for j, rect in enumerate(rects):
+            idx = [geo.index(v) for v in rect.vertex_array()]
+            total = float((vec[idx] ** p).sum()) - len(idx) * mean_value
+            logs[j, i] = eta * math.log(abs(total)) if total != 0.0 else -math.inf
+    out = []
+    for row in logs:
+        value, second = _log_mean(row), _log_mean(2.0 * row)
+        out.append((value, math.sqrt(max(0.0, second - value * value) / n_samples)))
+    return out
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one-replica", "whole"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("spec", STACKED_SPECS, ids=lambda spec: spec.canonical_json())
+def test_pilot_and_ladder_passes_match_per_field_gather_loop(monkeypatch, spec, d,
+                                                             chunk_bytes):
+    monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
+    geo = TorusGeometry(d, 8 if d == 2 else 6)
+    powers = {"nu": 1.5, "mu": 2.0}
+    assert (annealed_power_mean(spec, geo, powers, n_fields=6, seed=3)
+            == _reference_power_mean(spec, geo, powers, 6, 3))
+    rects = [HyperRectangle((0,) * d, 1, 1, 0), HyperRectangle((1,) * d, d, 4, 2)]
+    for quantity in ("mu", "nu"):
+        mean = _reference_power_mean(spec, geo, {quantity: 1.5}, 4, 5)[quantity]
+        ests = rectangle_sum_moment(spec, geo, quantity, 1.5, 2.0, rects, 5, 5,
+                                    mean_samples=4)
+        assert ([(est.value, est.stderr) for est in ests]
+                == _reference_rectangle_moment(spec, geo, quantity, 1.5, 2.0, rects, 5, 5,
+                                               mean))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one-replica", "whole"])
+def test_pilot_overflow_names_replica_then_quantity(monkeypatch, chunk_bytes):
+    geo = TorusGeometry(2, 8)
+
+    def planted(tiny_at, huge_at):
+        # nu^2 overflows where one weight is 1e-200, mu^2 where one is 1e200
+        def sample(spec, geometry, seeds):
+            values = np.ones((len(seeds), geometry.n_vertices, geometry.d))
+            for k, seed in enumerate(seeds):
+                i = next(i for i in range(8) if child_seed(0, 1, i) == seed)
+                values[k, 5, 1] = {tiny_at: 1e-200, huge_at: 1e200}.get(i, 1.0)
+            return values
+        return sample
+
+    monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
+    powers = {"mu": 2.0, "nu": 2.0}
+    for tiny_at, huge_at, message in ((2, 5, "nu power mean at replica 2"),
+                                      (5, 2, "mu power mean at replica 2")):
+        monkeypatch.setattr(rcmlab.environment, "_sample_values", planted(tiny_at, huge_at))
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(ValueError, match=f"^non-finite {message}$"):
+                annealed_power_mean(CONSTANT, geo, powers, n_fields=8, seed=0)
