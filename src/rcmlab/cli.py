@@ -187,6 +187,8 @@ def _verify_pipeline(config):
     window = float(section.get("window", 2.0))
     tol = float(section.get("tol", 1e-10))
     times = [float(t) for t in section["times"]]
+    if not all(t > 0 for t in times):
+        raise ValueError("verify times must be positive")
     sources = [_point(s) for s in section.get("sources", [[0] * geo.d])]
 
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))

@@ -32,12 +32,14 @@ na-permutation       edges partitioned into spatial blocks; each block gets a
 Sampling is a deterministic function of (spec, geometry, seed), and the
 one-edge marginal law is the same at every edge.
 
-There is one sampler, which draws a stack of fields, one per seed, as an
-(n, n_vertices, d) array: each field draws from its own ``rng_for(seed)``, so
-its stream is that of a lone draw, and the deterministic rest (FFT, moving
-average, rolls, exponentials, scatter) runs once on the stack.
-:func:`sample_environment` is its one-field case.  Monte Carlo ensembles read
-the stack in chunks of at most ``_CHUNK_BYTES`` of weights.
+There is one sampler, which draws a stack of fields, one per generator, as
+an (n, n_vertices, d) array: each field draws from its own generator, and the
+deterministic rest (FFT, moving average, rolls, exponentials, scatter) runs
+once on the stack.  :func:`sample_environment` is its one-field case, on
+``rng_for(seed)``.  Monte Carlo ensembles read the stack in chunks of at most
+``_CHUNK_BYTES`` of weights, replica i on the generator
+``rng_for(child_seed(seed, stream, i))``, seeded for the whole ensemble at
+once by :func:`rcmlab.seeding.replica_rngs`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lattice import TorusGeometry
-from .seeding import child_seed, rng_for
+from .seeding import replica_rngs, rng_for
 
 MAGIC = b"RCM1"
 FORMAT_VERSION = "0.1.0"
@@ -270,7 +272,7 @@ def _region_indices(geometry, region):
 
 def sample_environment(spec, geometry, seed):
     """Draw one conductance field; deterministic in (spec, geometry, seed)."""
-    (values,) = _sample_values(spec, geometry, [seed])
+    (values,) = _sample_values(spec, geometry, [rng_for(seed)])
     return ConductanceField(geometry, values, spec, seed)
 
 
@@ -281,20 +283,21 @@ _CHUNK_BYTES = 1 << 20
 
 
 def _replica_chunks(spec, geometry, seed, stream, n):
-    """Yield ``(start, values)`` over replicas i < n, field i drawn with seed
-    ``child_seed(seed, stream, i)``; ``values`` stacks fields start, start + 1,
-    ... as an (m, n_vertices, d) array.
+    """Yield ``(start, values)`` over replicas i < n, field i the one
+    :func:`sample_environment` draws with seed ``child_seed(seed, stream, i)``;
+    ``values`` stacks fields start, start + 1, ... as an (m, n_vertices, d)
+    array.
 
     Every yielded field has finite positive weights.  The first field that
     does not ends the stream with :class:`ConductanceField`'s error, after the
     fields before it are yielded, so a consumer that checks each chunk before
     asking for the next raises in replica order, as a per-field loop would.
     """
+    rngs = replica_rngs(seed, stream, n)  # seeded once, not once per chunk
     step = max(1, _CHUNK_BYTES // (geometry.n_vertices * geometry.d * 8))
     for start in range(0, n, step):
-        seeds = [child_seed(seed, stream, i) for i in range(start, min(n, start + step))]
-        values = _sample_values(spec, geometry, seeds)
-        flat = values.reshape(len(seeds), -1)
+        values = _sample_values(spec, geometry, rngs[start:start + step])
+        flat = values.reshape(len(values), -1)
         valid = (flat.min(axis=1) > 0) & (flat.max(axis=1) < np.inf)  # NaN fails both
         if not valid.all():
             bad = int(np.argmin(valid))
@@ -304,61 +307,64 @@ def _replica_chunks(spec, geometry, seed, stream, n):
         yield start, values
 
 
-def _sample_values(spec, geometry, seeds):
-    """Edge weights of one field per seed, as a (len(seeds), n_vertices, d) array.
+def _sample_values(spec, geometry, rngs):
+    """Edge weights of one field per generator in the sized iterable
+    ``rngs``, as a (len(rngs), n_vertices, d) array.
 
-    Row i draws from its own ``rng_for(seeds[i])``, exactly as a lone field
-    with that seed does.  The deterministic rest (FFT, moving average, rolls,
+    Row i draws from the i-th generator, exactly as a lone field on that
+    generator does.  The deterministic rest (FFT, moving average, rolls,
     exponentials, scatter) runs once on the stack, row for row the same bits.
+    The constant kind draws nothing and makes no generator.
     """
     shape = (geometry.n_vertices, geometry.d)
     kind = spec.kind
     if kind == "constant":
-        for seed in seeds:
-            rng_for(seed)  # rejects a bad seed, as every other kind does
-        return np.full((len(seeds),) + shape, float(spec.params.get("level", 1.0)))
+        return np.full((len(rngs),) + shape, float(spec.params.get("level", 1.0)))
     if kind == "uniform-elliptic-iid":
         low, high = spec.params.get("low", 0.5), spec.params.get("high", 2.0)
-        return _stacked_draws(seeds, lambda rng: rng.uniform(low, high, size=shape))
+        return _stacked_draws(rngs, lambda rng: rng.uniform(low, high, size=shape))
     if kind == "iid":
-        return _sample_iid(spec.params, shape, seeds)
+        return _sample_iid(spec.params, shape, rngs)
     if kind == "finite-range":
-        return _sample_finite_range(spec.params, geometry, seeds)
+        return _sample_finite_range(spec.params, geometry, rngs)
     if kind == "gaussian-fkg":
-        return _sample_gaussian(spec.params, geometry, seeds)
+        return _sample_gaussian(spec.params, geometry, rngs)
     if kind == "na-permutation":
-        return _sample_permutation(spec.params, geometry, seeds)
+        return _sample_permutation(spec.params, geometry, rngs)
     raise ValueError(kind)  # pragma: no cover - guarded by spec validation
 
 
-def _stacked_draws(seeds, draw):
-    """``draw(rng_for(seed))`` for each seed, stacked along a new first axis.
+def _stacked_draws(rngs, draw):
+    """``draw(rng)`` for each generator, stacked along a new first axis.
 
     Each generator and its draw live only until the draw is copied into the
-    stack, so a chunk of a thousand small fields holds one generator, not a
-    thousand; a lone draw is not copied at all (a 48^3 field is 2.6 MB).
+    stack, so with lazily made generators a chunk of a thousand small fields
+    holds one generator, not a thousand; a lone draw is not copied at all (a
+    48^3 field is 2.6 MB).
     """
-    first = draw(rng_for(seeds[0]))
-    if len(seeds) == 1:
+    n = len(rngs)
+    rngs = iter(rngs)
+    first = draw(next(rngs))
+    if n == 1:
         return first[np.newaxis]
-    out = np.empty((len(seeds),) + first.shape)
+    out = np.empty((n,) + first.shape)
     out[0] = first
-    for i, seed in enumerate(seeds[1:], 1):
-        out[i] = draw(rng_for(seed))
+    for i in range(1, n):
+        out[i] = draw(next(rngs))
     return out
 
 
-def _sample_iid(params, shape, seeds):
+def _sample_iid(params, shape, rngs):
     marginal = params.get("marginal", "uniform")
     if marginal == "uniform":
         low, high = params.get("low", 0.5), params.get("high", 2.0)
-        return _stacked_draws(seeds, lambda rng: rng.uniform(low, high, size=shape))
+        return _stacked_draws(rngs, lambda rng: rng.uniform(low, high, size=shape))
     if marginal == "lognormal":
-        normal = _stacked_draws(seeds, lambda rng: rng.standard_normal(shape))
+        normal = _stacked_draws(rngs, lambda rng: rng.standard_normal(shape))
         return np.exp(params.get("sigma", 1.0) * normal)
     # heavy-tail-zero: P(w <= eps) = eps**delta, fat tail at zero
     delta = params.get("delta", 0.5)
-    return _stacked_draws(seeds, lambda rng: rng.random(shape)) ** (1.0 / delta)
+    return _stacked_draws(rngs, lambda rng: rng.random(shape)) ** (1.0 / delta)
 
 
 def _l1_offsets(d, radius):
@@ -369,7 +375,7 @@ def _l1_offsets(d, radius):
     return out
 
 
-def _sample_finite_range(params, geometry, seeds):
+def _sample_finite_range(params, geometry, rngs):
     rng_range = int(params.get("range", 3))
     if geometry.L < 2 * rng_range:
         raise ValueError("geometry too small for finite-range construction")
@@ -378,7 +384,7 @@ def _sample_finite_range(params, geometry, seeds):
     # window radius (range-1)//2 keeps edges at l1 distance >= range on
     # disjoint input blocks
     w = (rng_range - 1) // 2
-    z = _stacked_draws(seeds, lambda rng: rng.random((L,) * d))
+    z = _stacked_draws(rngs, lambda rng: rng.random((L,) * d))
     if w > 0:
         acc = np.zeros(z.shape)
         offsets = _l1_offsets(d, w)
@@ -393,14 +399,14 @@ def _sample_finite_range(params, geometry, seeds):
         per_vertex = low + (high - low) * smooth
     else:
         per_vertex = np.exp(params.get("scale", 1.0) * (smooth - 0.5))
-    values = np.empty((len(seeds), geometry.n_vertices, d))
+    values = np.empty((len(rngs), geometry.n_vertices, d))
     for a in range(d):
         pair = per_vertex + np.roll(per_vertex, -1, axis=a + 1)
-        values[:, :, a] = (pair / 2.0).reshape(len(seeds), -1)
+        values[:, :, a] = (pair / 2.0).reshape(len(rngs), -1)
     return values
 
 
-def _sample_gaussian(params, geometry, seeds):
+def _sample_gaussian(params, geometry, rngs):
     mass = params.get("mass", 1.0)
     scale = params.get("scale", 1.0)
     d, L = geometry.d, geometry.L
@@ -414,16 +420,16 @@ def _sample_gaussian(params, geometry, seeds):
         view[a] = slice(None)
         lam = lam + eig_1d[tuple(view)]
     spectrum = 1.0 / (lam + mass * mass)
-    noise = _stacked_draws(seeds, lambda rng: rng.standard_normal(shape))
+    noise = _stacked_draws(rngs, lambda rng: rng.standard_normal(shape))
     phi = np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(noise, axes=axes), axes=axes).real
-    values = np.empty((len(seeds), geometry.n_vertices, d))
+    values = np.empty((len(rngs), geometry.n_vertices, d))
     for a in range(d):
         pair = phi + np.roll(phi, -1, axis=a + 1)
-        values[:, :, a] = np.exp(scale * pair).reshape(len(seeds), -1)
+        values[:, :, a] = np.exp(scale * pair).reshape(len(rngs), -1)
     return values
 
 
-def _sample_permutation(params, geometry, seeds):
+def _sample_permutation(params, geometry, rngs):
     block = int(params.get("block", 2))
     d, L = geometry.d, geometry.L
     if L % block != 0:
@@ -435,15 +441,15 @@ def _sample_permutation(params, geometry, seeds):
     blocks_per_axis = L // block
     n_blocks = blocks_per_axis**d
     tiled = np.tile(levels, (n_blocks, 1))
-    shuffled = _stacked_draws(seeds, lambda rng: rng.permuted(tiled, axis=1))
+    shuffled = _stacked_draws(rngs, lambda rng: rng.permuted(tiled, axis=1))
 
     # block b's slots run over its vertices in lexicographic order, d axes
     # each; blocks are numbered lexicographically by their origin
     origins = block * np.indices((blocks_per_axis,) * d).reshape(d, n_blocks, 1)
     offsets = np.indices((block,) * d).reshape(d, 1, block**d)
     vertex = np.ravel_multi_index(tuple(origins + offsets), (L,) * d)
-    values = np.empty((len(seeds), geometry.n_vertices, d))
-    values[:, vertex] = shuffled.reshape(len(seeds), n_blocks, block**d, d)
+    values = np.empty((len(rngs), geometry.n_vertices, d))
+    values[:, vertex] = shuffled.reshape(len(rngs), n_blocks, block**d, d)
     return values
 
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import stability_radius
-from .environment import _incident_sum, _replica_chunks, sample_environment
+from .environment import ConductanceField, _incident_sum, _replica_chunks
 from .fitting import SlopeFit, fit_theta, loglog_slope
 from .lattice import HyperRectangle
-from .seeding import child_seed
+from .seeding import replica_seeds
 
 # spawn-key streams so pilot estimates never share randomness with main runs
 _MAIN, _PILOT, _THRESH = 0, 1, 2
@@ -83,13 +83,17 @@ class MomentEstimate:
 
 
 def _log_mean(logs):
-    """Mean of exp(logs), computed stably; logs may contain -inf."""
+    """Mean of exp(logs), computed stably; logs may contain -inf.  A mean
+    beyond float range is inf."""
     logs = np.asarray(logs)
     finite = logs[np.isfinite(logs)]
     if finite.size == 0:
         return 0.0
     m = finite.max()
-    return math.exp(m + math.log(np.exp(finite - m).sum() / logs.size))
+    try:
+        return math.exp(m + math.log(np.exp(finite - m).sum() / logs.size))
+    except OverflowError:
+        return math.inf
 
 
 def rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, seed,
@@ -194,11 +198,13 @@ def n1_tail(spec, geometry, p, q, n_samples, n_grid, seed,
         mean_mu_p = means.get("mu", mean_mu_p)
         mean_nu_q = means.get("nu", mean_nu_q)
     origin = (0,) * geometry.d
+    labels = replica_seeds(seed, _MAIN, n_samples)
     values = []
-    for i in range(n_samples):
-        fld = sample_environment(spec, geometry, child_seed(seed, _MAIN, i))
-        n1 = stability_radius(fld, origin, p, q, mean_mu_p, mean_nu_q, max_window)
-        values.append(math.inf if n1 is None else n1)
+    for start, chunk in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
+        for i, weights in enumerate(chunk, start):
+            fld = ConductanceField(geometry, weights, spec, int(labels[i]))
+            n1 = stability_radius(fld, origin, p, q, mean_mu_p, mean_nu_q, max_window)
+            values.append(math.inf if n1 is None else n1)
     grid = [int(n) for n in n_grid]
     survival, stderr = [], []
     arr = np.asarray(values)

@@ -10,7 +10,7 @@ import rcmlab.envelopes
 import rcmlab.environment
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
                         load_config, main)
-from rcmlab.seeding import child_seed
+from rcmlab.seeding import child_seed, rng_for
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -155,21 +155,27 @@ def test_verify_cross_mode_and_violation_csv(tmp_path):
     assert "lower_threshold" not in report and "upper_threshold" not in report
 
 
+def _start_state(rng):
+    """A generator's PCG64 state before its first draw: one per stream."""
+    return rng.bit_generator.state["state"]["state"]
+
+
 def test_verify_moment_replicas_avoid_fit_and_verification_fields(tmp_path, monkeypatch):
-    seeds = []
+    states = []
     real = rcmlab.environment._sample_values
 
-    def recording(spec, geometry, chunk_seeds):
-        seeds.extend(chunk_seeds)
-        return real(spec, geometry, chunk_seeds)
+    def recording(spec, geometry, rngs):
+        states.extend(_start_state(rng) for rng in rngs)
+        return real(spec, geometry, rngs)
 
     monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
     cfg = base_config(verify={"times": [4.0], "sources": [[0, 0]], "moment_samples": 16})
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)
     # 16 moment replicas, then the fit and the verification field, each once
-    assert len(seeds) == len(set(seeds)) == 16 + 2
-    assert seeds.count(child_seed(11, 10)) == seeds.count(child_seed(11, 11)) == 1
+    assert len(states) == len(set(states)) == 16 + 2
+    for stream in (10, 11):
+        assert states.count(_start_state(rng_for(child_seed(11, stream)))) == 1
 
 
 def test_verify_injected_weak_constant_exits_two(tmp_path):
@@ -186,6 +192,37 @@ def test_verify_injected_weak_constant_exits_two(tmp_path):
     report = json.loads((tmp_path / "v" / "envelope.json").read_text())
     assert report["n_violations"] > 0
     assert any(v["side"] == "upper" and v["y"] == v["x"] for v in report["violations"])
+
+
+@pytest.mark.parametrize("times", [[0.0, 4.0], [4.0, -1.0]])
+def test_verify_rejects_non_positive_times_before_any_work(tmp_path, monkeypatch, times):
+    def no_sampling(*args):
+        raise AssertionError("verify sampled a field before checking its times")
+
+    monkeypatch.setattr(rcmlab.cli, "sample_environment", no_sampling)
+    cfg = {
+        "geometry": {"d": 2, "L": 16},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 1,
+        "verify": {"times": times, "sources": [[0, 0]], "moment_samples": 16},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == EXIT_PRECONDITION
+    assert os.listdir(out) == []
+
+
+def test_moments_overflowing_log_mean_exits_three(tmp_path):
+    cfg = {
+        "geometry": {"d": 2, "L": 4},
+        "environment": {"kind": "iid", "marginal": "heavy-tail-zero", "delta": 4},
+        "seed": 0,
+        "moments": {"quantity": "nu", "p": 200, "sizes": [[1, 0]], "samples": 40},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "m"
+    assert main(["moments", "--config", cfg_path, "--out", str(out)]) == EXIT_PRECONDITION
+    assert os.listdir(out) == []
 
 
 def test_chain_command_and_near_diagonal_exit(tmp_path):

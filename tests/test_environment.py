@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcmlab.environment import (ConductanceField, EnvironmentSpec, _incident_sum, avg_norm,
-                                field_to_csv, mu, nu, read_field,
+import rcmlab.environment
+import rcmlab.seeding
+from rcmlab.environment import (ConductanceField, EnvironmentSpec, _incident_sum,
+                                _replica_chunks, avg_norm, field_to_csv, mu, nu, read_field,
                                 sample_environment, shift, write_field)
 from rcmlab.lattice import TorusGeometry
 from rcmlab.moments import annealed_power_mean
@@ -175,6 +177,47 @@ def test_shift_rolls_mu_and_nu(spec, d, z, seed):
                      (field.nu_vector(), moved.nu_vector())):
         rolled = np.roll(old.reshape(grid), [-c for c in z[:d]], axis=tuple(range(d)))
         assert np.array_equal(new, rolled.reshape(-1))
+
+
+EVERY_KIND = [
+    EnvironmentSpec("constant", {"level": 1.5}),
+    EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0}),
+    EnvironmentSpec("iid", {"marginal": "uniform", "low": 0.5, "high": 2.0}),
+    EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}),
+    EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.5}),
+    EnvironmentSpec("finite-range", {"range": 3}),
+    EnvironmentSpec("finite-range", {"range": 3, "link": "exp", "scale": 2.0}),
+    EnvironmentSpec("gaussian-fkg", {"mass": 0.5, "scale": 0.7}),
+    EnvironmentSpec("na-permutation", {"block": 2}),
+]
+
+
+@pytest.mark.parametrize("geo", [TorusGeometry(2, 8), TorusGeometry(3, 6)], ids=["8^2", "6^3"])
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.canonical_json())
+def test_replica_chunks_stack_the_single_fields(monkeypatch, spec, geo):
+    # three replicas per chunk, so eight replicas span three chunks
+    monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", 3 * geo.n_vertices * geo.d * 8)
+    for seed, stream in ((0, 0), (7, 1), (2**64 + 3, 2)):
+        chunks = list(_replica_chunks(spec, geo, seed, stream, 8))
+        assert [start for start, _ in chunks] == [0, 3, 6]
+        stacked = np.concatenate([values for _, values in chunks])
+        single = np.stack([sample_environment(spec, geo, child_seed(seed, stream, i)).values
+                           for i in range(8)])
+        assert stacked.tobytes() == single.tobytes()
+
+
+def test_constant_ensemble_makes_no_generators(monkeypatch):
+    def no_generators(self):
+        raise AssertionError("a constant field draws nothing")
+
+    monkeypatch.setattr(rcmlab.seeding.ReplicaRngs, "__iter__", no_generators)
+    constant = EnvironmentSpec("constant", {"level": 1.5})
+    ((start, values),) = _replica_chunks(constant, GEO, 3, 0, 1000)
+    assert start == 0 and values.shape == (1000, GEO.n_vertices, 2) and np.all(values == 1.5)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        next(_replica_chunks(constant, GEO, -1, 0, 1000))
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        sample_environment(constant, GEO, -1)
 
 
 def test_avg_norm():

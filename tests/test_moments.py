@@ -74,6 +74,17 @@ def test_heavy_tail_overflow_reports_sample():
                              mean_value=1.0)
 
 
+def test_log_mean_beyond_float_range_reports_overflow():
+    assert _log_mean([800.0, 0.0]) == math.inf
+    assert _log_mean([math.log(2.0), -math.inf]) == pytest.approx(1.0)
+    geo = TorusGeometry(2, 4)
+    heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 4})
+    rect = HyperRectangle((0, 0), 1, 1, 0)
+    for p in range(150, 251, 10):
+        with pytest.raises(ValueError, match="overflow in moment accumulation"):
+            rectangle_sum_moment(heavy, geo, "nu", float(p), 2.0, [rect], 40, 0)
+
+
 def test_overflow_at_replica_zero_precedes_a_later_zero_weight(monkeypatch):
     geo = TorusGeometry(2, 8)
     heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.01})
@@ -96,19 +107,24 @@ def test_overflow_at_replica_zero_precedes_a_later_zero_weight(monkeypatch):
             rectangle_sum_moment(milder, geo, "nu", 20.0, 2.0, [rect], 50, 1, mean_value=1.0)
 
 
+def _start_state(rng):
+    """A generator's PCG64 state before its first draw: one per stream."""
+    return rng.bit_generator.state["state"]["state"]
+
+
 def test_ladder_samples_each_field_once(monkeypatch):
     geo = TorusGeometry(2, 16)
     rects = default_rectangles([(1, 0), (3, 1), (5, 2), (7, 3)])
-    seeds = []
+    states = []
     real = rcmlab.environment._sample_values
 
-    def recording(spec, geometry, chunk_seeds):
-        seeds.extend(chunk_seeds)
-        return real(spec, geometry, chunk_seeds)
+    def recording(spec, geometry, rngs):
+        states.extend(_start_state(rng) for rng in rngs)
+        return real(spec, geometry, rngs)
 
     monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
     rectangle_ladder(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5, mean_samples=8)
-    assert len(seeds) == len(set(seeds)) == 30 + 8
+    assert len(states) == len(set(states)) == 30 + 8
 
     joint = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5,
                                  mean_samples=8)
@@ -297,7 +313,7 @@ STACKED_SPECS = [
        seed=st.integers(0, 2**32))
 def test_stacked_draws_match_single_fields_at_any_chunk_size(spec, d, seeds, seed):
     geo = TorusGeometry(d, 8 if d == 2 else 6)
-    stacked = rcmlab.environment._sample_values(spec, geo, seeds)
+    stacked = rcmlab.environment._sample_values(spec, geo, [rng_for(s) for s in seeds])
     assert stacked.shape == (len(seeds), geo.n_vertices, d)
     for row, field_seed in zip(stacked, seeds):
         assert row.tobytes() == sample_environment(spec, geo, field_seed).values.tobytes()
@@ -384,10 +400,12 @@ def test_pilot_overflow_names_replica_then_quantity(monkeypatch, chunk_bytes):
 
     def planted(tiny_at, huge_at):
         # nu^2 overflows where one weight is 1e-200, mu^2 where one is 1e200
-        def sample(spec, geometry, seeds):
-            values = np.ones((len(seeds), geometry.n_vertices, geometry.d))
-            for k, seed in enumerate(seeds):
-                i = next(i for i in range(8) if child_seed(0, 1, i) == seed)
+        replica_of = {_start_state(rng_for(child_seed(0, 1, i))): i for i in range(8)}
+
+        def sample(spec, geometry, rngs):
+            values = np.ones((len(rngs), geometry.n_vertices, geometry.d))
+            for k, rng in enumerate(rngs):
+                i = replica_of[_start_state(rng)]
                 values[k, 5, 1] = {tiny_at: 1e-200, huge_at: 1e200}.get(i, 1.0)
             return values
         return sample
