@@ -97,7 +97,9 @@ def _child_words(master, stream, n):
     if stream < 0:
         raise ValueError("stream must be a nonnegative integer")
     # SeedSequence pads a spawned sequence's entropy to the pool size; every
-    # word but the replica index is shared, so it hashes as a length-1 array
+    # word but the replica index is shared, so it hashes as a length-1 array.
+    # Each index is one uint32 word: n rows of 32-byte seed words cannot
+    # reach 2**32 replicas in memory.
     entropy = _int_words(int(master))
     entropy += [0] * (_POOL_SIZE - len(entropy))
     words = [np.array([w], dtype=np.uint32) for w in entropy + _int_words(int(stream))]
