@@ -406,20 +406,28 @@ def _sample_finite_range(params, geometry, rngs):
     return values
 
 
-def _sample_gaussian(params, geometry, rngs):
+def _gaussian_spectrum(params, geometry):
+    """Spectral density 1 / (lattice Laplacian + mass^2) of the gaussian-fkg
+    field phi on the torus's Fourier grid; phi's covariance at offset r is
+    ``ifftn(spectrum).real[r]``."""
     mass = params.get("mass", 1.0)
-    scale = params.get("scale", 1.0)
     d, L = geometry.d, geometry.L
-    shape = (L,) * d
-    axes = tuple(range(1, d + 1))
     k = np.arange(L)
     eig_1d = 4.0 * np.sin(np.pi * k / L) ** 2
-    lam = np.zeros(shape)
+    lam = np.zeros((L,) * d)
     for a in range(d):
         view = [None] * d
         view[a] = slice(None)
         lam = lam + eig_1d[tuple(view)]
-    spectrum = 1.0 / (lam + mass * mass)
+    return 1.0 / (lam + mass * mass)
+
+
+def _sample_gaussian(params, geometry, rngs):
+    scale = params.get("scale", 1.0)
+    d, L = geometry.d, geometry.L
+    shape = (L,) * d
+    axes = tuple(range(1, d + 1))
+    spectrum = _gaussian_spectrum(params, geometry)
     noise = _stacked_draws(rngs, lambda rng: rng.standard_normal(shape))
     phi = np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(noise, axes=axes), axes=axes).real
     values = np.empty((len(rngs), geometry.n_vertices, d))

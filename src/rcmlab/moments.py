@@ -2,13 +2,18 @@
 
 Annealed power means of mu and nu, rectangle-sum moment ladders, the tail of
 the stability radius, and hypothesis checks for the association and mixing
-properties a sampler family claims.  All estimates use replicated-field Monte
-Carlo: a fresh field per sample, so annealed quantities carry no
-spatial-averaging bias.  There is one estimator of the annealed means,
-:func:`annealed_power_mean`, which reads every power it is asked for from one
-pass over the pilot replicas, and one pass over the main replicas serves a
-whole rectangle ladder.  Heavy powers are accumulated in log magnitude to
-dodge overflow.
+properties a sampler family claims.  There is one estimator of the annealed
+means, :func:`annealed_power_mean`.  It is exact where the family admits a
+closed form: the constant field at any exponent, and at nonnegative integer
+exponents the iid families (a multinomial sum over the raw moments of one
+weight) and gaussian-fkg (a sum of lognormal means over tuples of incident
+edges).  Every other mean comes from replicated-field Monte Carlo, one pass
+over the pilot replicas for every power left; that pass is also the closed
+forms' test oracle.  The ladders, the tail and the association and mixing
+checks are Monte Carlo throughout: a fresh field per sample, so annealed
+quantities carry no spatial-averaging bias, and one pass over the main
+replicas serves a whole rectangle ladder.  Heavy powers are accumulated in
+log magnitude to dodge overflow.
 
 Replicas come as stacked chunks from the environment's one sampler, each
 replica on its own unchanged stream, at most a fixed number of bytes per
@@ -22,13 +27,15 @@ would.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelopes import stability_radius
-from .environment import ConductanceField, _incident_sum, _replica_chunks
+from .environment import (ConductanceField, _gaussian_spectrum, _incident_sum,
+                          _replica_chunks)
 from .fitting import SlopeFit, fit_theta, loglog_slope
 from .lattice import HyperRectangle
 from .seeding import replica_seeds
@@ -37,18 +44,146 @@ from .seeding import replica_seeds
 _MAIN, _PILOT, _THRESH = 0, 1, 2
 
 
-def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
-    """Spatial-plus-replica averages E[mu(0)^p] and E[nu(0)^q] (unbiased by
-    stationarity), for the exponents in ``powers``, e.g. {"mu": p, "nu": q}.
+@dataclass(frozen=True)
+class MomentEstimate:
+    value: float
+    stderr: float
+    n_samples: int
 
-    One pass over the pilot replicas serves every requested quantity, and only
-    those are computed.  Returns a dict keyed like ``powers``.
+
+def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
+    """Annealed means E[mu(0)^p] and E[nu(0)^q] for the exponents in
+    ``powers``, e.g. {"mu": p, "nu": q}; returns a dict keyed like ``powers``.
+
+    A mean is exact where the family has a closed form
+    (:func:`_exact_power_mean`); the rest come from one Monte Carlo pass over
+    ``n_fields`` pilot replicas, which serves all of them.  An infinite mean,
+    or one beyond float range, raises ValueError naming it.
     """
     if n_fields < 2:
         raise ValueError("need at least two samples")
     if not set(powers) <= {"mu", "nu"}:
         raise ValueError("quantities must be 'mu' or 'nu'")
-    totals = dict.fromkeys(powers, 0.0)
+    means = {quantity: _exact_power_mean(spec, geometry, quantity, p)
+             for quantity, p in powers.items()}
+    rest = {quantity: powers[quantity] for quantity, mean in means.items() if mean is None}
+    if rest:
+        estimates = _monte_carlo_power_mean(spec, geometry, rest, n_fields, seed)
+        means.update((quantity, est.value) for quantity, est in estimates.items())
+    return means
+
+
+# a closed form that would add more terms than this is left to Monte Carlo
+_MAX_TERMS = 100_000
+
+
+def _exact_power_mean(spec, geometry, quantity, p):
+    """E[mu(0)^p] (quantity "mu") or E[nu(0)^p] in closed form, or None where
+    the family has none: finite-range, na-permutation, exponents that are not
+    nonnegative integers outside the constant family, and exponents so large
+    that the sum would exceed ``_MAX_TERMS`` terms.
+
+    iid heavy-tail-zero weights have E w^-q infinite for q >= delta, and so
+    E nu^q; that raises ValueError, as does a mean beyond float range.
+    """
+    params, kind, n = spec.params, spec.kind, 2 * geometry.d
+    marginal = params.get("marginal", "uniform") if kind == "iid" else None
+    if marginal == "heavy-tail-zero" and quantity == "nu" and p >= params.get("delta", 0.5):
+        raise ValueError(f"E nu(0)^{p:g} is infinite: heavy-tail-zero weights have "
+                         f"E w^-q = inf for q >= delta = {params.get('delta', 0.5):g}")
+    k = int(p) if float(p).is_integer() and p >= 0 else None
+    if kind == "constant":
+        terms = 1
+    elif k is None or kind in ("finite-range", "na-permutation"):
+        return None
+    elif kind == "gaussian-fkg":
+        terms = math.comb(k + n - 1, k)  # multisets of k incident edges
+    else:
+        terms = (n - 1) * (k + 1) * (k + 2) // 2  # products in the convolutions
+    if terms > _MAX_TERMS:
+        return None
+    try:
+        if kind == "constant":
+            level = params.get("level", 1.0)
+            mean = (n * level if quantity == "mu" else n / level) ** p
+        elif kind == "gaussian-fkg":
+            mean = _gaussian_sum_moment(params, geometry, k)
+        else:
+            sign = 1 if quantity == "mu" else -1
+            mean = _iid_sum_moment([_raw_moment(params, marginal, sign * j)
+                                    for j in range(k + 1)], n)
+    except OverflowError:
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise ValueError(f"E {quantity}(0)^{p:g} is beyond float range")
+    return float(mean)
+
+
+def _raw_moment(params, marginal, k):
+    """E w^k of one edge weight of an iid family (``marginal`` None for
+    uniform-elliptic-iid), for an integer k; heavy-tail-zero needs k > -delta."""
+    if marginal == "lognormal":
+        return math.exp(k * k * params.get("sigma", 1.0) ** 2 / 2.0)
+    if marginal == "heavy-tail-zero":
+        delta = params.get("delta", 0.5)
+        return delta / (delta + k)
+    a, b = params.get("low", 0.5), params.get("high", 2.0)
+    if a == b:
+        return a**k
+    if k == -1:
+        return math.log(b / a) / (b - a)
+    return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
+
+
+def _iid_sum_moment(raw, n):
+    """E (w_1 + ... + w_n)^k, k = len(raw) - 1, for n iid weights with raw
+    moments raw[j] = E w^j: n - 1 binomial convolutions."""
+    moments = raw
+    for _ in range(n - 1):
+        moments = [sum(math.comb(j, i) * moments[i] * raw[j - i] for i in range(j + 1))
+                   for j in range(len(raw))]
+    return moments[-1]
+
+
+def _gaussian_sum_moment(params, geometry, k):
+    """E mu(0)^k for gaussian-fkg, which is also E nu(0)^k.
+
+    mu(0) = sum over the 2d edges e at the origin of exp(scale * S_e), with
+    S_e = phi(0) + phi(end of e), so E mu^k sums exp(scale^2 Var(S) / 2) over
+    k-tuples of edges, S the tuple's sum of S_e.  A tuple and its sign flip
+    (nu) share Var(S), and tuples are counted as multisets with their
+    multinomial weight.  phi's covariance at offset r is the inverse FFT of
+    the sampler's own spectrum."""
+    d, L = geometry.d, geometry.L
+    cov = np.fft.ifftn(_gaussian_spectrum(params, geometry)).real
+    # the origin, then its neighbours +e_1, -e_1, ..., +e_d, -e_d
+    sites = np.zeros((2 * d + 1, d), dtype=np.int64)
+    for a in range(d):
+        sites[1 + 2 * a, a], sites[2 + 2 * a, a] = 1, -1
+    offsets = (sites[:, None, :] - sites[None, :, :]) % L
+    site_cov = cov[tuple(np.moveaxis(offsets, -1, 0))]
+    multisets = list(itertools.combinations_with_replacement(range(2 * d), k))
+    edges = np.array(multisets, dtype=np.int64).reshape(len(multisets), k)
+    counts = (edges[:, :, None] == np.arange(2 * d)).sum(axis=1)
+    # every factor's S_e holds phi(0) once
+    coef = np.column_stack([np.full(len(counts), k), counts]).astype(np.float64)
+    var = np.einsum("ij,jl,il->i", coef, site_cov, coef)
+    log_factorial = np.array([math.lgamma(c + 1) for c in range(k + 1)])
+    log_weight = log_factorial[k] - log_factorial[counts].sum(axis=1)
+    scale = params.get("scale", 1.0)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_weight + 0.5 * scale * scale * var).sum())
+
+
+def _monte_carlo_power_mean(spec, geometry, powers, n_fields, seed):
+    """The annealed means by Monte Carlo over ``n_fields`` pilot replicas, one
+    :class:`MomentEstimate` per quantity in ``powers``: each replica's spatial
+    mean of mu^p (or nu^q), unbiased by stationarity, averaged over replicas.
+
+    One pass over the replicas serves every quantity, and a non-finite
+    replica mean raises ValueError naming the first such replica.
+    """
+    replica_means = {quantity: [] for quantity in powers}
     for start, values in _replica_chunks(spec, geometry, seed, _PILOT, n_fields):
         means = {}
         for quantity, p in powers.items():
@@ -56,14 +191,22 @@ def annealed_power_mean(spec, geometry, powers, n_fields=128, seed=0):
             with np.errstate(over="ignore"):
                 # row by row: a 2-D axis mean adds in another order
                 means[quantity] = [float(np.mean(row)) for row in vecs**p]
-        # checked and summed replica by replica, quantity by quantity
+        # checked replica by replica, quantity by quantity
         for k in range(len(values)):
             for quantity in powers:
                 mean = means[quantity][k]
                 if not math.isfinite(mean):
                     raise ValueError(f"non-finite {quantity} power mean at replica {start + k}")
-                totals[quantity] += mean
-    return {quantity: total / n_fields for quantity, total in totals.items()}
+                replica_means[quantity].append(mean)
+    estimates = {}
+    for quantity, means in replica_means.items():
+        total = 0.0
+        for mean in means:  # in replica order
+            total += mean
+        with np.errstate(over="ignore"):
+            stderr = float(np.std(means, ddof=1)) / math.sqrt(n_fields)
+        estimates[quantity] = MomentEstimate(total / n_fields, stderr, n_fields)
+    return estimates
 
 
 def _row_sums(matrix):
@@ -73,13 +216,6 @@ def _row_sums(matrix):
     if matrix.shape[1] < 8:
         return matrix.sum(axis=1)
     return np.array([row.sum() for row in matrix])
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    stderr: float
-    n_samples: int
 
 
 def _log_mean(logs):

@@ -170,6 +170,8 @@ def test_verify_moment_replicas_avoid_fit_and_verification_fields(tmp_path, monk
 
     monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
     cfg = base_config(verify={"times": [4.0], "sources": [[0, 0]], "moment_samples": 16})
+    # a family with no closed-form mean, so the moment replicas are drawn
+    cfg["environment"] = {"kind": "finite-range", "range": 3}
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)
     # 16 moment replicas, then the fit and the verification field, each once
@@ -212,17 +214,46 @@ def test_verify_rejects_non_positive_times_before_any_work(tmp_path, monkeypatch
     assert os.listdir(out) == []
 
 
-def test_moments_overflowing_log_mean_exits_three(tmp_path):
+def test_moments_overflowing_log_mean_exits_three(tmp_path, capsys):
+    # a Monte Carlo family with a finite E nu^200, whose rectangle moment
+    # overflows in the log-mean accumulation
     cfg = {
         "geometry": {"d": 2, "L": 4},
-        "environment": {"kind": "iid", "marginal": "heavy-tail-zero", "delta": 4},
+        "environment": {"kind": "finite-range", "range": 1},
         "seed": 0,
         "moments": {"quantity": "nu", "p": 200, "sizes": [[1, 0]], "samples": 40},
     }
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "m"
     assert main(["moments", "--config", cfg_path, "--out", str(out)]) == EXIT_PRECONDITION
+    assert "overflow in moment accumulation" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("delta, expected", [(0.5, EXIT_PRECONDITION), (4, EXIT_OK)])
+def test_verify_and_green_need_a_finite_nu_moment(tmp_path, capsys, delta, expected):
+    # heavy-tail-zero weights have E nu^2 infinite exactly when 2 >= delta
+    heavy = {"kind": "iid", "marginal": "heavy-tail-zero", "delta": delta}
+    cfg = {
+        "geometry": {"d": 2, "L": 64},
+        "environment": heavy,
+        "seed": 7,
+        "verify": {"times": [16.0, 32.0, 64.0], "sources": [[0, 0], [20, 9]],
+                   "moment_samples": 64},
+    }
+    out = tmp_path / "v"
+    assert main(["verify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == expected
+    if expected == EXIT_PRECONDITION:
+        assert "E nu(0)^2 is infinite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        green = {"geometry": {"d": 3, "L": 8}, "environment": heavy, "seed": 2,
+                 "green": {"pairs": [[[0, 0, 0], [2, 0, 0]]], "envelope_times": [4.0]}}
+        assert main(["green", "--config", write_config(tmp_path, green, "green.json"),
+                     "--out", str(tmp_path / "g")]) == EXIT_PRECONDITION
+        assert "E nu(0)^2 is infinite" in capsys.readouterr().err
+    else:
+        assert json.loads((out / "envelope.json").read_text())["n_checked"] > 0
 
 
 def test_chain_command_and_near_diagonal_exit(tmp_path):

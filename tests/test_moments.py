@@ -9,14 +9,16 @@ from rcmlab.environment import EnvironmentSpec, mu, sample_environment
 from rcmlab.fitting import fit_theta, loglog_slope
 from rcmlab.lattice import HyperRectangle, TorusGeometry
 import rcmlab.environment
-from rcmlab.moments import (_log_mean, annealed_power_mean, association_check,
-                            builtin_test_pairs, default_rectangles, mixing_decay,
-                            n1_tail, rectangle_ladder, rectangle_sum_moment)
+from rcmlab.moments import (_log_mean, _monte_carlo_power_mean, annealed_power_mean,
+                            association_check, builtin_test_pairs, default_rectangles,
+                            mixing_decay, n1_tail, rectangle_ladder, rectangle_sum_moment)
 from rcmlab.seeding import child_seed, rng_for
+from test_acceptance import MEAN_MU2, MEAN_NU2
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
 IID_UNIFORM = EnvironmentSpec("iid", {"marginal": "uniform", "low": 0.5, "high": 2.0})
+FINITE_RANGE = EnvironmentSpec("finite-range", {"range": 3})
 
 
 def test_centering_has_zero_mean():
@@ -81,8 +83,12 @@ def test_log_mean_beyond_float_range_reports_overflow():
     heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 4})
     rect = HyperRectangle((0, 0), 1, 1, 0)
     for p in range(150, 251, 10):
+        # E nu^p is infinite for p >= delta; centre on the Monte Carlo mean
+        # the rectangle moment used before the infinite mean was detected
+        mean = _monte_carlo_power_mean(heavy, geo, {"nu": float(p)}, 128, 0)["nu"].value
         with pytest.raises(ValueError, match="overflow in moment accumulation"):
-            rectangle_sum_moment(heavy, geo, "nu", float(p), 2.0, [rect], 40, 0)
+            rectangle_sum_moment(heavy, geo, "nu", float(p), 2.0, [rect], 40, 0,
+                                 mean_value=mean)
 
 
 def test_overflow_at_replica_zero_precedes_a_later_zero_weight(monkeypatch):
@@ -123,13 +129,14 @@ def test_ladder_samples_each_field_once(monkeypatch):
         return real(spec, geometry, rngs)
 
     monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
-    rectangle_ladder(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5, mean_samples=8)
+    # a Monte Carlo family: its mean takes the 8 pilot replicas
+    rectangle_ladder(FINITE_RANGE, geo, "mu", 1, 2.0, rects, 30, 5, mean_samples=8)
     assert len(states) == len(set(states)) == 30 + 8
 
-    joint = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, rects, 30, 5,
+    joint = rectangle_sum_moment(FINITE_RANGE, geo, "mu", 1, 2.0, rects, 30, 5,
                                  mean_samples=8)
     for rect, est in zip(rects, joint):
-        (alone,) = rectangle_sum_moment(IID_UNIFORM, geo, "mu", 1, 2.0, [rect], 30, 5,
+        (alone,) = rectangle_sum_moment(FINITE_RANGE, geo, "mu", 1, 2.0, [rect], 30, 5,
                                         mean_samples=8)
         assert est == alone
 
@@ -325,8 +332,8 @@ def test_stacked_draws_match_single_fields_at_any_chunk_size(spec, d, seeds, see
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
             results.append(repr((
-                annealed_power_mean(spec, geo, {"mu": 2.0, "nu": 1.5}, n_fields=5, seed=seed),
-                rectangle_sum_moment(spec, geo, "nu", 1.0, 2.0, rects, 5, seed, mean_samples=4),
+                _monte_carlo_power_mean(spec, geo, {"mu": 2.0, "nu": 1.5}, 5, seed),
+                rectangle_sum_moment(spec, geo, "nu", 1.0, 2.0, rects, 5, seed, mean_value=1.0),
                 association_check(spec, geo, n_samples=6, seed=seed),
                 mixing_decay(spec, geo, [1, 2], 6, seed),
             )))
@@ -382,13 +389,14 @@ def test_pilot_and_ladder_passes_match_per_field_gather_loop(monkeypatch, spec, 
     monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
     geo = TorusGeometry(d, 8 if d == 2 else 6)
     powers = {"nu": 1.5, "mu": 2.0}
-    assert (annealed_power_mean(spec, geo, powers, n_fields=6, seed=3)
+    estimates = _monte_carlo_power_mean(spec, geo, powers, 6, 3)
+    assert ({quantity: est.value for quantity, est in estimates.items()}
             == _reference_power_mean(spec, geo, powers, 6, 3))
     rects = [HyperRectangle((0,) * d, 1, 1, 0), HyperRectangle((1,) * d, d, 4, 2)]
     for quantity in ("mu", "nu"):
         mean = _reference_power_mean(spec, geo, {quantity: 1.5}, 4, 5)[quantity]
         ests = rectangle_sum_moment(spec, geo, quantity, 1.5, 2.0, rects, 5, 5,
-                                    mean_samples=4)
+                                    mean_value=mean)
         assert ([(est.value, est.stderr) for est in ests]
                 == _reference_rectangle_moment(spec, geo, quantity, 1.5, 2.0, rects, 5, 5,
                                                mean))
@@ -412,9 +420,83 @@ def test_pilot_overflow_names_replica_then_quantity(monkeypatch, chunk_bytes):
 
     monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
     powers = {"mu": 2.0, "nu": 2.0}
+    # finite-range has no closed form, so its means come from the pilot pass
     for tiny_at, huge_at, message in ((2, 5, "nu power mean at replica 2"),
                                       (5, 2, "mu power mean at replica 2")):
         monkeypatch.setattr(rcmlab.environment, "_sample_values", planted(tiny_at, huge_at))
         with np.errstate(over="ignore", divide="ignore"):
             with pytest.raises(ValueError, match=f"^non-finite {message}$"):
-                annealed_power_mean(CONSTANT, geo, powers, n_fields=8, seed=0)
+                annealed_power_mean(FINITE_RANGE, geo, powers, n_fields=8, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# exact annealed means against the Monte Carlo oracle
+
+_bounds = st.floats(0.2, 3.0)
+CLOSED_FORM_SPECS = st.one_of(
+    st.builds(lambda level: EnvironmentSpec("constant", {"level": level}), _bounds),
+    st.builds(lambda a, b: EnvironmentSpec("uniform-elliptic-iid",
+                                           {"low": min(a, b), "high": max(a, b)}),
+              _bounds, _bounds),
+    st.builds(lambda a, b: EnvironmentSpec("iid", {"marginal": "uniform",
+                                                   "low": min(a, b), "high": max(a, b)}),
+              _bounds, _bounds),
+    st.builds(lambda sigma: EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": sigma}),
+              st.floats(0.1, 0.5)),
+    # delta > 2 q keeps nu^q's variance, and so the oracle's stderr, finite
+    st.builds(lambda delta: EnvironmentSpec("iid", {"marginal": "heavy-tail-zero",
+                                                    "delta": delta}),
+              st.floats(6.5, 12.0)),
+    st.builds(lambda mass, scale: EnvironmentSpec("gaussian-fkg",
+                                                  {"mass": mass, "scale": scale}),
+              st.floats(0.7, 2.0), st.floats(0.2, 0.6)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=CLOSED_FORM_SPECS, d=st.sampled_from([2, 3]), p=st.sampled_from([1, 2, 3]),
+       q=st.sampled_from([1, 2, 3]))
+def test_exact_means_agree_with_the_monte_carlo_oracle(spec, d, p, q):
+    geo = TorusGeometry(d, 8 if d == 2 else 6)
+    powers = {"mu": p, "nu": q}
+    exact = annealed_power_mean(spec, geo, powers, n_fields=2, seed=0)
+    oracle = _monte_carlo_power_mean(spec, geo, powers, 300, 17)
+    for quantity, est in oracle.items():
+        # the constant field's oracle has zero stderr and rounds differently
+        assert abs(exact[quantity] - est.value) <= (4 * est.stderr
+                                                    + 1e-12 * est.value), (quantity, est)
+
+
+def test_exact_means_pin_known_values():
+    elliptic = annealed_power_mean(ELLIPTIC, TorusGeometry(2, 128), {"mu": 2.0, "nu": 2.0})
+    assert elliptic["mu"] == pytest.approx(MEAN_MU2, rel=1e-12, abs=0)
+    assert elliptic["nu"] == pytest.approx(MEAN_NU2, rel=1e-12, abs=0)
+    gaussian = annealed_power_mean(EnvironmentSpec("gaussian-fkg", {"mass": 1.0, "scale": 1.0}),
+                                   TorusGeometry(2, 32), {"mu": 2, "nu": 2})
+    assert round(gaussian["mu"], 3) == round(gaussian["nu"], 3) == 49.128
+
+
+def test_exact_means_draw_no_field_and_keep_the_sample_check(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a closed-form mean sampled a field")
+
+    monkeypatch.setattr(rcmlab.environment, "_sample_values", no_sampling)
+    geo = TorusGeometry(2, 8)
+    for spec in (CONSTANT, ELLIPTIC, EnvironmentSpec("gaussian-fkg", {"mass": 1.0})):
+        annealed_power_mean(spec, geo, {"mu": 2.0, "nu": 3}, n_fields=2)
+        with pytest.raises(ValueError, match="two samples"):
+            annealed_power_mean(spec, geo, {"mu": 2.0}, n_fields=1)
+
+
+def test_infinite_and_unrepresentable_means_raise():
+    geo = TorusGeometry(2, 8)
+    for delta, q in ((0.5, 2.0), (2.0, 2), (0.5, 1.5)):
+        heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": delta})
+        with pytest.raises(ValueError, match=rf"^E nu\(0\)\^{q:g} is infinite"):
+            annealed_power_mean(heavy, geo, {"mu": 1, "nu": q})
+    # every E mu^p of these weights, at most 1, is finite
+    heavy = EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": 0.5})
+    assert annealed_power_mean(heavy, geo, {"mu": 2})["mu"] == pytest.approx(
+        4 * 0.5 / 2.5 + 12 * (0.5 / 1.5) ** 2)
+    with pytest.raises(ValueError, match=r"^E mu\(0\)\^600 is beyond float range$"):
+        annealed_power_mean(CONSTANT, geo, {"mu": 600})
