@@ -88,9 +88,10 @@ def _exact_power_mean(spec, geometry, quantity, p):
     """
     params, kind, n = spec.params, spec.kind, 2 * geometry.d
     marginal = params.get("marginal", "uniform") if kind == "iid" else None
-    if marginal == "heavy-tail-zero" and quantity == "nu" and p >= params.get("delta", 0.5):
+    delta = params.get("delta", 0.5)
+    if marginal == "heavy-tail-zero" and quantity == "nu" and p >= delta:
         raise ValueError(f"E nu(0)^{p:g} is infinite: heavy-tail-zero weights have "
-                         f"E w^-q = inf for q >= delta = {params.get('delta', 0.5):g}")
+                         f"E w^-q = inf for q >= delta = {delta:g}")
     k = int(p) if float(p).is_integer() and p >= 0 else None
     if kind == "constant":
         terms = 1
