@@ -371,14 +371,18 @@ def cmd_green(config, out_dir):
         report = annealed_green(spec, geo, pairs, int(section.get("samples", 50)),
                                 config.seed)
         write_csv(os.path.join(out_dir, "green.csv"),
-                  ["x", "y", "dist", "mean", "stderr"],
+                  ["x", "y", "dist", "mean", "stderr", "split_time"],
                   [[[_label(x) for x, _ in report.pairs], [_label(y) for _, y in report.pairs],
-                    report.distances, report.means, report.stderrs]],
+                    report.distances, report.means, report.stderrs, report.split_times]],
                   meta)
+        expected = 2.0 - geo.d  # g(x, y) ~ |x - y|^(2 - d)
         write_json(os.path.join(out_dir, "green.json"), {
             "mode": "annealed",
             "slope": report.slope.slope,
             "slope_ci": [report.slope.ci_low, report.slope.ci_high],
+            "expected_slope": expected,
+            "slope_ci_contains_expected": bool(report.slope.ci_low <= expected
+                                               <= report.slope.ci_high),
             "distances": report.distances,
             "means": report.means,
         }, meta)

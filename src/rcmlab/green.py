@@ -155,6 +155,13 @@ def _pow2_at_least(v):
     return out
 
 
+def _pow2_at_most(v):
+    out = 1.0
+    while 2.0 * out <= v:
+        out *= 2.0
+    return out
+
+
 def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kernel=None):
     """Green kernel value with an exact head and a certified tail budget.
 
@@ -320,14 +327,20 @@ def quenched_bound_check(field, pairs, envelope, window=None, kernel=None):
 class AnnealedReport:
     pairs: list
     distances: list
+    split_times: list
     means: list
     stderrs: list
     slope: object  # SlopeFit of mean against distance
 
 
-def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None):
+def annealed_green(spec, geometry, pairs, n_samples, seed):
     """Monte Carlo annealed Green means per pair and their distance power law.
 
+    Each pair splits at t0 = min(pow2 >= max(128, 4 dist^2), 512, cap), where
+    cap is the largest power of two <= L^2/8: past that time wrapped mass
+    inflates the head and the tail fit (the values at t0/2 and t0).  A pair
+    whose t0 falls below dist^2 is refused with a ValueError, since the
+    torus is too small for its walk to reach the target before wrapping.
     Tail integrals use the Richardson extrapolation (estimates, not
     certificates); the fit is a log-log slope over the pair distances.
 
@@ -345,26 +358,34 @@ def annealed_green(spec, geometry, pairs, n_samples, seed, t0_for_dist=None):
         raise ValueError("transient dimension required")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if t0_for_dist is None:
-        t0_for_dist = lambda dist: min(_pow2_at_least(max(128.0, 4.0 * dist * dist)), 512.0)
 
+    cap = _pow2_at_most(geometry.L * geometry.L / 8.0)
     by_source = {}
+    dists = []
+    split_times = []
     for row, (x, y) in enumerate(pairs):
+        dist = geometry.torus_distance(x, y)
+        t0 = min(_pow2_at_least(max(128.0, 4.0 * dist * dist)), 512.0, cap)
+        if t0 < dist * dist:
+            raise ValueError(f"pair {tuple(x)} -> {tuple(y)} is too far for L = {geometry.L}: "
+                             f"its split time {t0:g} (capped at L^2/8) is below "
+                             f"dist^2 = {dist * dist}")
         by_source.setdefault(tuple(x), []).append((row, tuple(y)))
-    dists = [geometry.torus_distance(x, y) for x, y in pairs]
-    t_max = max(t0_for_dist(u) for u in dists)
+        dists.append(dist)
+        split_times.append(t0)
+    t_max = max(split_times)
 
     samples = np.empty((len(pairs), n_samples))
 
     def replica(i):
         kern = jump_kernel(sample_environment(spec, geometry, child_seed(seed, 0, i)))
-        samples[:, i] = _annealed_replica(kern, by_source, t0_for_dist, t_max)
+        samples[:, i] = _annealed_replica(kern, by_source, split_times, t_max)
 
     _run_split(n_samples, replica)
     means = samples.mean(axis=1)
     stderrs = samples.std(axis=1, ddof=1) / math.sqrt(n_samples)
     slope = loglog_slope(dists, means, stderrs, seed=seed)
-    return AnnealedReport([(tuple(x), tuple(y)) for x, y in pairs], dists,
+    return AnnealedReport([(tuple(x), tuple(y)) for x, y in pairs], dists, split_times,
                           means.tolist(), stderrs.tolist(), slope)
 
 
@@ -415,16 +436,17 @@ def _run_split(n_tasks, task):
         raise failures[min(failures)]
 
 
-def _annealed_replica(kern, by_source, t0_for_dist, t_max):
+def _annealed_replica(kern, by_source, split_times, t_max):
     """One replica's Green values from its kernel, at the pair rows
-    ``by_source`` lists per source.  The caller builds the kernel straight
-    from a fresh field, so the field is already freed."""
+    ``by_source`` lists per source, each split at its row's entry of
+    ``split_times``.  The caller builds the kernel straight from a fresh
+    field, so the field is already freed."""
     geo = kern.geometry
     values = np.empty(sum(len(rows) for rows in by_source.values()))
     for x, rows in by_source.items():
         profile = propagate(kern, point_mass(geo, x), [t_max], 1e-12,
                             targets=[geo.index(y) for _, y in rows])
-        t0s = [t0_for_dist(geo.torus_distance(x, y)) for _, y in rows]
+        t0s = [split_times[row] for row, _ in rows]
         heads = {t0: _head_integral(profile, t0) for t0 in t0s}
         for j, ((row, _), t0) in enumerate(zip(rows, t0s)):
             values[row] = heads[t0][j] + _extrapolated_tail(profile, t0, geo.d, target=j)

@@ -377,6 +377,33 @@ def test_green_command_and_dimension_guard(tmp_path):
                  "--out", str(tmp_path / "g2")]) == EXIT_PRECONDITION
 
 
+def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path):
+    cfg = {
+        "geometry": {"d": 3, "L": 24},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 5,
+        "green": {"mode": "annealed", "distances": [2, 3, 4], "samples": 2},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    for out in ("a", "b"):
+        assert main(["green", "--config", cfg_path, "--out", str(tmp_path / out)]) == EXIT_OK
+    assert read_dir_bytes(tmp_path / "a") == read_dir_bytes(tmp_path / "b")
+    rows = (tmp_path / "a" / "green.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[-1] == "split_time"
+    # the largest power of two <= 24^2/8 caps the default 128
+    assert [row.split(",")[-1] for row in rows[1:]] == ["64.0"] * 3
+    report = json.loads((tmp_path / "a" / "green.json").read_text())
+    assert report["expected_slope"] == -1.0
+    low, high = report["slope_ci"]
+    assert report["slope_ci_contains_expected"] is (low <= -1.0 <= high)
+
+    # 9^2 > 64: the torus cannot resolve the pair, so nothing is written
+    far = dict(cfg, green=dict(cfg["green"], distances=[2, 9]))
+    far_path = write_config(tmp_path, far, "far.json")
+    assert main(["green", "--config", far_path, "--out", str(tmp_path / "c")]) == EXIT_PRECONDITION
+    assert os.listdir(tmp_path / "c") == []
+
+
 def test_missing_config_is_io_error(tmp_path):
     assert main(["heat", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")]) == EXIT_IO

@@ -326,54 +326,78 @@ def test_annealed_green_constant_matches_oracle_fit():
     assert report.slope.slope == pytest.approx(oracle_fit.slope, abs=0.08)
 
 
+@pytest.mark.parametrize("L, distances, split_times, rel", [
+    (48, (4, 6, 8, 10, 12), [128.0, 256.0, 256.0, 256.0, 256.0], 2e-3),
+    (32, (4, 6, 8, 10), [128.0] * 4, 1.5e-2),
+])
+def test_annealed_green_split_time_keeps_wrapped_mass_out(L, distances, split_times, rel):
+    # the split time is capped at the largest power of two <= L^2/8, so even
+    # the far pairs stay close to the lattice value
+    geo = TorusGeometry(3, L)
+    pairs = [((0, 0, 0), (r, 0, 0)) for r in distances]
+    report = annealed_green(CONSTANT, geo, pairs, 2, 0)
+    assert report.split_times == split_times
+    for r, mean in zip(distances, report.means):
+        assert mean == pytest.approx(srw_green((r, 0, 0)) / 6.0, rel=rel)
+
+
+def test_annealed_green_refuses_pairs_the_torus_cannot_resolve():
+    geo = TorusGeometry(3, 32)
+    # t0 = 128 on L = 32, below 12^2
+    with pytest.raises(ValueError, match=r"\(0, 0, 0\) -> \(12, 0, 0\).*L = 32.*128"):
+        annealed_green(CONSTANT, geo, [((0, 0, 0), (4, 0, 0)), ((0, 0, 0), (12, 0, 0))], 2, 0)
+    # 10^2 <= 128
+    report = annealed_green(CONSTANT, geo, [((0, 0, 0), (10, 0, 0)), ((0, 0, 0), (4, 0, 0))],
+                            2, 0)
+    assert report.split_times == [128.0, 128.0]
+
+
 def test_annealed_green_keeps_pair_order():
     # pairs from two sources, interleaved: each mean belongs to its own pair
-    geo = TorusGeometry(3, 8)
+    geo = TorusGeometry(3, 12)
     pairs = [((0, 0, 0), (2, 0, 0)), ((1, 1, 1), (1, 1, 2)), ((0, 0, 0), (3, 1, 0))]
     grouped = [pairs[0], pairs[2], pairs[1]]
-    rule = lambda dist: 16.0
-    interleaved = annealed_green(ELLIPTIC, geo, pairs, 2, 5, t0_for_dist=rule).means
-    by_source = annealed_green(ELLIPTIC, geo, grouped, 2, 5, t0_for_dist=rule).means
+    interleaved = annealed_green(ELLIPTIC, geo, pairs, 2, 5)
+    by_source = annealed_green(ELLIPTIC, geo, grouped, 2, 5).means
+    assert interleaved.split_times == [16.0, 16.0, 16.0]  # the L = 12 cap
+    interleaved = interleaved.means
     assert interleaved == [by_source[0], by_source[2], by_source[1]]
     assert len(set(interleaved)) == 3
 
 
-def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, rule):
+def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, split_times):
     """The replica loop annealed_green ran before it split over workers."""
     by_source = {}
     for row, (x, y) in enumerate(pairs):
         by_source.setdefault(x, []).append((row, y))
-    t_max = max(rule(geo.torus_distance(x, y)) for x, y in pairs)
     return np.column_stack([
         rcmlab.green._annealed_replica(
             jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
-            by_source, rule, t_max)
+            by_source, split_times, max(split_times))
         for i in range(n_samples)])
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_annealed_green_same_bits_on_one_and_two_workers(monkeypatch, seed):
-    geo = TorusGeometry(3, 8)
+    geo = TorusGeometry(3, 12)
     pairs = [((0, 0, 0), (2, 0, 0)), ((1, 1, 1), (1, 1, 2)), ((0, 0, 0), (3, 1, 0))]
-    rule = lambda dist: 16.0
     reports = []
     for workers in (1, 2):
         monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: workers)
-        reports.append(annealed_green(ELLIPTIC, geo, pairs, 5, seed, t0_for_dist=rule))
+        reports.append(annealed_green(ELLIPTIC, geo, pairs, 5, seed))
     one, two = reports
     assert one.means == two.means
     assert one.stderrs == two.stderrs
     assert one.slope == two.slope
-    samples = _serial_annealed_samples(ELLIPTIC, geo, pairs, 5, seed, rule)
+    samples = _serial_annealed_samples(ELLIPTIC, geo, pairs, 5, seed, two.split_times)
     assert two.means == samples.mean(axis=1).tolist()
     assert two.stderrs == (samples.std(axis=1, ddof=1) / math.sqrt(5)).tolist()
 
 
 @pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3}])
 def test_annealed_green_raises_first_failing_replica(monkeypatch, failing):
-    geo = TorusGeometry(3, 8)
+    geo = TorusGeometry(3, 12)
     pairs = [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (3, 0, 0))]
-    rule = lambda dist: 8.0
     replica_of = {child_seed(4, 0, i): i for i in range(6)}
     original = rcmlab.green.sample_environment
 
@@ -387,10 +411,10 @@ def test_annealed_green_raises_first_failing_replica(monkeypatch, failing):
     for workers in (1, 2):
         monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: workers)
         with pytest.raises(RuntimeError, match=f"^replica {min(failing)}$"):
-            annealed_green(ELLIPTIC, geo, pairs, 6, 4, t0_for_dist=rule)
+            annealed_green(ELLIPTIC, geo, pairs, 6, 4)
         assert threading.active_count() == threads
     monkeypatch.setattr(rcmlab.green, "sample_environment", original)
-    annealed_green(ELLIPTIC, geo, pairs, 6, 4, t0_for_dist=rule)
+    annealed_green(ELLIPTIC, geo, pairs, 6, 4)
     assert threading.active_count() == threads
 
 
