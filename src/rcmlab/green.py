@@ -373,13 +373,12 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
         by_source.setdefault(tuple(x), []).append((row, tuple(y)))
         dists.append(dist)
         split_times.append(t0)
-    t_max = max(split_times)
 
     samples = np.empty((len(pairs), n_samples))
 
     def replica(i):
         kern = jump_kernel(sample_environment(spec, geometry, child_seed(seed, 0, i)))
-        samples[:, i] = _annealed_replica(kern, by_source, split_times, t_max)
+        samples[:, i] = _annealed_replica(kern, by_source, split_times)
 
     _run_split(n_samples, replica)
     means = samples.mean(axis=1)
@@ -436,12 +435,14 @@ def _run_split(n_tasks, task):
         raise failures[min(failures)]
 
 
-def _annealed_replica(kern, by_source, split_times, t_max):
+def _annealed_replica(kern, by_source, split_times):
     """One replica's Green values from its kernel, at the pair rows
     ``by_source`` lists per source, each split at its row's entry of
-    ``split_times``.  The caller builds the kernel straight from a fresh
-    field, so the field is already freed."""
+    ``split_times``; every sweep runs to the largest split time.  The caller
+    builds the kernel straight from a fresh field, so the field is already
+    freed."""
     geo = kern.geometry
+    t_max = max(split_times)
     values = np.empty(sum(len(rows) for rows in by_source.values()))
     for x, rows in by_source.items():
         profile = propagate(kern, point_mass(geo, x), [t_max], 1e-12,

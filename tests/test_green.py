@@ -357,10 +357,10 @@ def test_annealed_green_keeps_pair_order():
     geo = TorusGeometry(3, 12)
     pairs = [((0, 0, 0), (2, 0, 0)), ((1, 1, 1), (1, 1, 2)), ((0, 0, 0), (3, 1, 0))]
     grouped = [pairs[0], pairs[2], pairs[1]]
-    interleaved = annealed_green(ELLIPTIC, geo, pairs, 2, 5)
+    report = annealed_green(ELLIPTIC, geo, pairs, 2, 5)
+    assert report.split_times == [16.0, 16.0, 16.0]  # the L = 12 cap
+    interleaved = report.means
     by_source = annealed_green(ELLIPTIC, geo, grouped, 2, 5).means
-    assert interleaved.split_times == [16.0, 16.0, 16.0]  # the L = 12 cap
-    interleaved = interleaved.means
     assert interleaved == [by_source[0], by_source[2], by_source[1]]
     assert len(set(interleaved)) == 3
 
@@ -373,7 +373,7 @@ def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, split_times):
     return np.column_stack([
         rcmlab.green._annealed_replica(
             jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
-            by_source, split_times, max(split_times))
+            by_source, split_times)
         for i in range(n_samples)])
 
 
