@@ -252,9 +252,17 @@ def cmd_verify(config, out_dir):
     )
 
     d = config.geometry.d
-    points = [(u * u / t, math.log(val * t ** (d / 2.0)) if val > 0 else math.nan)
-              for t, u, val in report.checked]
-    ratios = sorted({r for r, _ in points if math.isfinite(r)})
+    t, u, val = np.array(report.checked, dtype=float).reshape(-1, 3).T
+    # Python's pow and math.log, not numpy's, whose SIMD loops may round
+    # differently in the last bit: envelope.svg is compared byte for byte
+    times, at = np.unique(t, return_inverse=True)
+    scaled = val * np.array([s ** (d / 2.0) for s in times.tolist()])[at]
+    positive = val > 0
+    log_scaled = np.full(t.size, math.nan)
+    log_scaled[positive] = list(map(math.log, scaled[positive].tolist()))
+    ratio = u * u / t
+    points = np.column_stack([ratio, log_scaled])
+    ratios = np.unique(ratio[np.isfinite(ratio)]).tolist()
     if ratios:
         lines = {
             "lower": [(r, math.log(env.lower_amp) - env.lower_gauss_rate * r) for r in ratios],

@@ -32,7 +32,6 @@ an independent oracle for the constant environment.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field as dataclass_field
 
@@ -45,6 +44,7 @@ from .fitting import loglog_slope
 from .kernel import jump_kernel, point_mass, propagate
 from .poisson import poisson_tail
 from .seeding import child_seed
+from .workers import _worker_count
 
 __all__ = [
     "GreenEstimate",
@@ -386,16 +386,6 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
     slope = loglog_slope(dists, means, stderrs, seed=seed)
     return AnnealedReport([(tuple(x), tuple(y)) for x, y in pairs], dists, split_times,
                           means.tolist(), stderrs.tolist(), slope)
-
-
-def _worker_count():
-    """Workers for independent replicas: the calling thread and at most one
-    helper, never more than the cores this process may run on."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(2, cores)
 
 
 def _run_split(n_tasks, task):

@@ -188,8 +188,9 @@ def _monte_carlo_power_mean(spec, geometry, powers, n_fields, seed):
     for start, values in _replica_chunks(spec, geometry, seed, _PILOT, n_fields):
         means = {}
         for quantity, p in powers.items():
-            vecs = _incident_sum(geometry, values if quantity == "mu" else 1.0 / values)
+            # an overflow is reported by the finiteness check below
             with np.errstate(over="ignore"):
+                vecs = _incident_sum(geometry, values if quantity == "mu" else 1.0 / values)
                 # row by row: a 2-D axis mean adds in another order
                 means[quantity] = [float(np.mean(row)) for row in vecs**p]
         # checked replica by replica, quantity by quantity
@@ -251,8 +252,9 @@ def rectangle_sum_moment(spec, geometry, quantity, p, eta, rects, n_samples, see
                                          n_fields=mean_samples, seed=seed)[quantity]
     logs = np.empty((len(rects), n_samples))
     for start, values in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
-        vecs = _incident_sum(geometry, values if quantity == "mu" else 1.0 / values)
+        # an overflow is reported by the finiteness check below
         with np.errstate(over="ignore"):
+            vecs = _incident_sum(geometry, values if quantity == "mu" else 1.0 / values)
             powered = [vecs[:, idx] ** p for idx in indices]
         finite = np.logical_and.reduce([np.isfinite(block).all(axis=1) for block in powered])
         if not finite.all():

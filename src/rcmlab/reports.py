@@ -12,18 +12,33 @@ other cell goes through :func:`format_value`.  Cells are then quoted the way
 ``csv.writer``'s ``QUOTE_MINIMAL`` quotes them: a cell holding ``,``, ``"``,
 ``\r`` or ``\n`` is wrapped in double quotes with inner quotes doubled, and
 a row whose only cell is empty is written as ``""``.
+
+A table of two or more blocks whose first block has at least ``_SPLIT_ROWS``
+rows is formatted on two processes when two cores are usable: a forked child
+formats the odd-indexed blocks and sends each one's bytes back over a pipe,
+and the parent writes them in order between its own even-indexed blocks.
+The bytes are those of the serial loop whatever the core count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
+import os
+import struct
+from itertools import chain, islice, repeat
 
 import numpy as np
 
+from .workers import _worker_count
+
 _NEEDS_QUOTES = (",", '"', "\r", "\n")
 _PER_ROW = (list, tuple, np.ndarray)
+# a fork plus reap costs about as much as formatting this many rows
+_SPLIT_ROWS = 4096
+# one frame from the child: b"B" and a block's bytes, or b"E" and the
+# message of the ValueError that block raised
+_FRAME = struct.Struct(">cQ")
 
 
 def format_value(v):
@@ -72,13 +87,94 @@ def write_csv(path, header, blocks, meta):
     """RFC-4180 style CSV preceded by one '#'-prefixed metadata line.
 
     ``blocks`` is an iterable of column blocks (see the module docstring);
-    their rows follow the header in order.
+    their rows follow the header in order.  The first two blocks are drawn
+    before either is formatted, to choose between one and two processes.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"#config_hash={meta['config_hash']},version={meta['version']}\r\n")
         fh.write(_block_text([[h] for h in header]))
-        for columns in blocks:
-            fh.write(_block_text(columns))
+        blocks = iter(blocks)
+        head = list(islice(blocks, 2))
+        blocks = chain(head, blocks)
+        if (len(head) < 2 or _rows(head[0]) < _SPLIT_ROWS or _worker_count() < 2
+                or not hasattr(os, "fork")):
+            for columns in blocks:
+                fh.write(_block_text(columns))
+        else:
+            _write_split(fh, path, blocks)
+
+
+def _rows(columns):
+    return next((len(c) for c in columns if isinstance(c, _PER_ROW)), 0)
+
+
+def _write_split(fh, path, blocks):
+    """Writes the blocks to ``fh`` with the odd-indexed ones formatted by a
+    forked child.  Both processes walk the same ``blocks``.  A ValueError in
+    any block is raised at that block's position, as the serial loop raises
+    it; any other failure of the child raises an OSError naming ``path``.
+    The child is reaped before return."""
+    encoding, errors = fh.encoding, fh.errors
+    fh.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child touches neither fh nor stdio, and never returns
+        status = 1
+        try:
+            os.close(read_fd)
+            _send_odd_blocks(write_fd, blocks, encoding, errors)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    frames = open(read_fd, "rb")
+    try:
+        for i, columns in enumerate(blocks):
+            fh.buffer.write(_receive(frames, path) if i % 2
+                            else _block_text(columns).encode(encoding, errors))
+    finally:
+        frames.close()  # a child still sending gets BrokenPipeError and exits
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(f"{path}: the CSV formatting process failed "
+                      f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+
+def _send_odd_blocks(fd, blocks, encoding, errors):
+    """The child's loop: one frame per odd-indexed block, ending at the first
+    ValueError, which is sent as an error frame."""
+    for columns in islice(blocks, 1, None, 2):
+        try:
+            data = _block_text(columns).encode(encoding, errors)
+        except ValueError as exc:
+            _send(fd, b"E", str(exc).encode("utf-8", "surrogatepass"))
+            return
+        _send(fd, b"B", data)
+
+
+def _send(fd, kind, data):
+    view = memoryview(_FRAME.pack(kind, len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(frames, path):
+    """The next block's bytes from the child; raises the ValueError it sent."""
+    head = frames.read(_FRAME.size)
+    if len(head) == _FRAME.size:
+        kind, size = _FRAME.unpack(head)
+        data = frames.read(size)
+        if len(data) == size:
+            if kind == b"E":
+                raise ValueError(data.decode("utf-8", "surrogatepass"))
+            return data
+    raise OSError(f"{path}: the CSV formatting process ended before sending every block")
 
 
 def write_json(path, payload, meta):
@@ -111,12 +207,14 @@ def _scale(points_x, points_y):
 def scatter_svg(path, points, lines, meta, xlabel, ylabel, title):
     """Scatter plot with optional polyline overlays; one circle per point.
 
-    ``points`` is a list of (x, y); ``lines`` maps a label to a list of
+    ``points`` is an (n, 2) array or a list of (x, y); a point with a
+    non-finite coordinate is not drawn.  ``lines`` maps a label to a list of
     (x, y) vertices drawn as a polyline.
     """
-    finite = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
-    all_x = [x for x, _ in finite] or [0.0, 1.0]
-    all_y = [y for _, y in finite] or [0.0, 1.0]
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    xs, ys = xy[np.isfinite(xy).all(axis=1)].T
+    all_x = xs.tolist() or [0.0, 1.0]
+    all_y = ys.tolist() or [0.0, 1.0]
     for pts in lines.values():
         all_x += [x for x, y in pts if math.isfinite(y)]
         all_y += [y for x, y in pts if math.isfinite(y)]
@@ -149,11 +247,9 @@ def scatter_svg(path, points, lines, meta, xlabel, ylabel, title):
             f'<text x="{format_value(lx)}" y="{format_value(ly - 6)}" font-size="11" '
             f'fill="{color}">{label}</text>'
         )
-    for x, y in points:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        px, py = to_px(x, y)
-        parts.append(f'<circle cx="{format_value(px)}" cy="{format_value(py)}" r="2" fill="#333333"/>')
+    # to_px maps the arrays elementwise, in the same operations as one point
+    pxs, pys = (a.tolist() for a in to_px(xs, ys))
+    parts += [f'<circle cx="{px!r}" cy="{py!r}" r="2" fill="#333333"/>' for px, py in zip(pxs, pys)]
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -1,11 +1,16 @@
 import csv
 import math
+import os
+import signal
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rcmlab.reports
 from rcmlab.reports import format_value, write_csv
 
 META = {"config_hash": "0123456789abcdef", "version": "test"}
@@ -33,11 +38,11 @@ cells = st.one_of(texts, st.integers(-10**6, 10**6), st.booleans(), floats,
 
 
 @st.composite
-def tables(draw):
+def tables(draw, max_blocks=4):
     n_cols = draw(st.integers(1, 4))
     header = draw(st.lists(texts, min_size=n_cols, max_size=n_cols))
     blocks = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_blocks))):
         n = draw(st.integers(0, 5))
         kinds = draw(st.lists(st.sampled_from(["list", "tuple", "array", "const"]),
                               min_size=n_cols, max_size=n_cols))
@@ -85,3 +90,115 @@ def test_write_csv_rejects_ragged_blocks(tmp_path):
         write_csv(tmp_path / "x.csv", ["a", "b"], [[[1, 2], [3]]], META)
     with pytest.raises(ValueError, match="at least one column"):
         write_csv(tmp_path / "y.csv", ["a"], [[1.0]], META)
+
+
+# ---------------------------------------------------------------------------
+# two-process writer
+
+
+@contextmanager
+def _forks(split_rows=0):
+    """Two workers and a split threshold of ``split_rows``; yields the pids of
+    the children write_csv forks, and checks on exit that each was reaped."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(rcmlab.reports, "_SPLIT_ROWS", split_rows), \
+            mock.patch.object(rcmlab.reports, "_worker_count", lambda: 2), \
+            mock.patch.object(os, "fork", fork):
+        yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _serial():
+    return mock.patch.object(rcmlab.reports, "_worker_count", lambda: 1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(tables(max_blocks=5))
+@example((["a", "b"], [[["", 'x"y'], 1.5], [[","], [""]], [np.array([0.5]), "c\nd"]]))
+@example((["v"], [[[""]], [[1]], [["q,"]], [[2.0]], [np.array([math.nan])]]))
+def test_two_process_csv_matches_serial_and_csv_writer(tmp_path_factory, table):
+    header, blocks = table
+    out = tmp_path_factory.mktemp("split")
+    with _forks() as pids:
+        write_csv(out / "split.csv", header, iter(blocks), META)
+    assert len(pids) == (len(blocks) >= 2)
+    with _serial():
+        write_csv(out / "serial.csv", header, iter(blocks), META)
+    _reference_csv(out / "rows.csv", header, blocks)
+    split = (out / "split.csv").read_bytes()
+    assert split == (out / "serial.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def test_two_process_csv_forks_from_split_rows(tmp_path):
+    rows = rcmlab.reports._SPLIT_ROWS
+    cases = [([np.arange(rows, dtype=float)], [[1.0]]), ([np.arange(rows - 1, dtype=float)], [[1.0]]),
+             ([np.arange(rows, dtype=float)],)]
+    for blocks, forked in zip(cases, [1, 0, 0]):
+        with _forks(split_rows=rows) as pids:
+            write_csv(tmp_path / "split.csv", ["a"], blocks, META)
+        assert len(pids) == forked
+        _reference_csv(tmp_path / "rows.csv", ["a"], blocks)
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("index, bad, message", [
+    (1, [[1.0, 2.0], [3.0]], "equal length"),
+    (2, [1.0], "at least one column"),
+])
+def test_two_process_csv_raises_the_serial_error(tmp_path, index, bad, message):
+    blocks = [[[float(i)] * 3, "x"] for i in range(4)]
+    blocks[index] = bad
+    with _serial(), pytest.raises(ValueError, match=message) as serial:
+        write_csv(tmp_path / "serial.csv", ["a", "b"], iter(blocks), META)
+    with _forks() as pids:
+        with pytest.raises(ValueError) as split:
+            write_csv(tmp_path / "split.csv", ["a", "b"], iter(blocks), META)
+    assert len(pids) == 1
+    assert str(split.value) == str(serial.value)
+    # the blocks before the failing one are written, as the serial loop writes them
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kill_at, message", [
+    (3, "ended before sending every block"),
+    (4, f"failed \\(exit code -{int(signal.SIGKILL)}\\)"),
+], ids=["mid-table", "after-last-frame"])
+def test_two_process_csv_raises_oserror_when_the_child_dies(tmp_path, kill_at, message):
+    parent = os.getpid()
+
+    def blocks():
+        for i in range(5):
+            if i == kill_at and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if i < 4:
+                yield [[float(i)] * 3]
+
+    path = tmp_path / "x.csv"
+    with _forks() as pids:
+        with pytest.raises(OSError, match=message) as err:
+            write_csv(path, ["a"], blocks(), META)
+    assert len(pids) == 1
+    assert str(path) in str(err.value)
+
+
+def test_one_worker_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called with one worker")
+
+    blocks = [[np.arange(5, dtype=float), "x"] for _ in range(3)]
+    monkeypatch.setattr(rcmlab.reports, "_SPLIT_ROWS", 0)
+    monkeypatch.setattr(rcmlab.reports, "_worker_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_csv(tmp_path / "serial.csv", ["a", "b"], blocks, META)
+    _reference_csv(tmp_path / "rows.csv", ["a", "b"], blocks)
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
