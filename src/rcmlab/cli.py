@@ -48,48 +48,104 @@ EXIT_VIOLATIONS = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
-_TOP_KEYS = {"geometry", "environment", "seed", "heat", "verify", "chain", "moments", "green"}
-_SECTION_KEYS = {
-    "geometry": {"d", "L"},
-    "heat": {"times", "sources", "targets", "tol"},
-    "verify": {"times", "sources", "window", "p", "q", "moment_samples", "mode",
-               "margin", "max_fraction", "tol", "inject_upper_scale",
-               "inject_lower_scale"},
-    "chain": {"target", "time", "p", "q", "power", "growth", "amp", "tol"},
-    "moments": {"quantity", "p", "eta", "sizes", "samples", "mean_samples"},
-    "green": {"mode", "pairs", "distances", "tol", "samples", "envelope_times",
-              "p", "q", "moment_samples"},
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _tuple_of(convert):
+    return lambda values: tuple(convert(v) for v in values)
+
+
+def _one_of(*allowed):
+    def check(value):
+        if value not in allowed:
+            raise ValueError(f"must be one of {allowed}, not {value!r}")
+        return value
+    return check
+
+
+def _as_given(value):
+    return value
+
+
+_FLOATS, _INTS, _POINTS = _tuple_of(float), _tuple_of(int), _tuple_of(_tuple_of(int))
+
+# section -> key -> (conversion, default): every configuration key and its
+# default, stated once.  Only a key whose default is None accepts null
+_SECTIONS = {
+    "geometry": {"d": (_as_given, _REQUIRED), "L": (_as_given, _REQUIRED)},
+    "heat": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, _REQUIRED),
+             "targets": (_POINTS, None), "tol": (float, 1e-10)},
+    "verify": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, None), "window": (float, 2.0),
+               "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (int, 512),
+               "mode": (_one_of("cross", "self"), "cross"), "margin": (float, 0.05),
+               "max_fraction": (float, 0.01), "tol": (float, 1e-10),
+               "inject_upper_scale": (float, 1.0), "inject_lower_scale": (float, 1.0)},
+    "chain": {"target": (_INTS, _REQUIRED), "time": (float, _REQUIRED), "p": (float, 2.0),
+              "q": (float, 2.0), "power": (float, 1.0), "growth": (float, 1.0),
+              "amp": (float, None), "tol": (float, 1e-10)},
+    "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (float, 1.0), "eta": (float, 2.0),
+                "sizes": (_POINTS, _REQUIRED), "samples": (int, 200),
+                "mean_samples": (int, 128)},
+    "green": {"mode": (_one_of("quenched", "annealed"), "quenched"), "tol": (float, 1.0),
+              "pairs": (_tuple_of(_POINTS), None), "distances": (_INTS, (4, 6, 8)),
+              "samples": (int, 50), "envelope_times": (_FLOATS, (16.0, 32.0, 64.0)),
+              "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (int, 128)},
 }
 
 
+def _convert(where, convert, value):
+    """``convert(value)``, raising its TypeError or ValueError as a ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {where}: {exc}") from None
+
+
+def _converted(name, raw):
+    """Section ``name``'s keys converted, with the defaults of those not given."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"section {name!r} must be a JSON object")
+    unknown = set(raw) - set(_SECTIONS[name])
+    if unknown:
+        raise ValueError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    values = {}
+    for key, (convert, default) in _SECTIONS[name].items():
+        if raw.get(key) is not None:
+            values[key] = _convert(f"{key!r} in {name!r}", convert, raw[key])
+        elif default is _REQUIRED or (key in raw and default is not None):
+            raise ValueError(f"configuration needs a value for {key!r} in {name!r}")
+        else:
+            values[key] = default
+    return values
+
+
 class ExperimentConfig:
-    """Validated experiment configuration; canonical JSON round-trips losslessly."""
+    """Validated experiment configuration, each section given converted once,
+    here; the raw object's canonical JSON round-trips losslessly."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ValueError("configuration must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
+        unknown = set(raw) - set(_SECTIONS) - {"environment", "seed"}
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         for key in ("geometry", "environment", "seed"):
             if key not in raw:
                 raise ValueError(f"configuration needs {key!r}")
-        for section, allowed in _SECTION_KEYS.items():
-            if section in raw:
-                bad = set(raw[section]) - allowed
-                if bad:
-                    raise ValueError(f"unknown keys in {section!r}: {sorted(bad)}")
         self.raw = raw
-        self.geometry = TorusGeometry(raw["geometry"]["d"], raw["geometry"]["L"])
+        self._sections = {name: _converted(name, raw[name]) for name in _SECTIONS if name in raw}
+        self.geometry = _convert("geometry", lambda g: TorusGeometry(**g),
+                                 self._sections["geometry"])
         self.environment = EnvironmentSpec.from_dict(raw["environment"])
-        self.seed = int(raw["seed"])
+        self.seed = _convert("seed", int, raw["seed"])
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
     def section(self, name):
-        if name not in self.raw:
+        """Section ``name``'s converted values, defaults filled in."""
+        if name not in self._sections:
             raise ValueError(f"configuration needs a {name!r} section")
-        return self.raw[name]
+        return self._sections[name]
 
     def canonical_json(self):
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -105,13 +161,9 @@ class ExperimentConfig:
 def load_config(path, seed_override=None):
     with open(path) as fh:
         raw = json.load(fh)
-    if seed_override is not None:
+    if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = int(seed_override)
     return ExperimentConfig(raw)
-
-
-def _point(values):
-    return tuple(int(v) for v in values)
 
 
 def _label(point):
@@ -135,18 +187,16 @@ def cmd_heat(config, out_dir):
     geo = config.geometry
     field = sample_environment(config.environment, config.geometry, config.seed)
     kern = jump_kernel(field)
-    tol = float(section.get("tol", 1e-10))
-    targets = section.get("targets")
-    if targets:
-        points = [_point(p) for p in targets]
+    points = section["targets"]
+    if points:
         target_idx = np.array([geo.index(y) for y in points], dtype=np.int64)
     else:
         points = np.indices((geo.L,) * geo.d).reshape(geo.d, -1).T.tolist()
         target_idx = np.arange(geo.n_vertices)
     target_labels = [_label(y) for y in points]
     del points
-    requests = [(float(t), _point(src)) for t in section["times"] for src in section["sources"]]
-    slices = heat_slices(kern, requests, tol)
+    requests = [(t, src) for t in section["times"] for src in section["sources"]]
+    slices = heat_slices(kern, requests, section["tol"])
 
     def blocks():
         # one block per (t, x) request, so the table is never held whole
@@ -159,13 +209,12 @@ def cmd_heat(config, out_dir):
     return EXIT_OK
 
 
-def _fit_envelope(config, section, field, kern, sources, times, moment_samples, window, tol):
+def _fit_envelope(config, section, field, kern, sources, times, window, tol):
     """Envelope fitted on one field's slices (t outer, source inner), gated by
     its stability-radius table; also returns the table builder, so another
     field's table uses the same annealed means of mu^p and nu^q."""
     geo = config.geometry
-    p = float(section.get("p", 2.0))
-    q = float(section.get("q", 2.0))
+    p, q, moment_samples = section["p"], section["q"], section["moment_samples"]
     means = annealed_power_mean(config.environment, geo, {"mu": p, "nu": q},
                                 n_fields=moment_samples, seed=config.seed)
 
@@ -184,30 +233,26 @@ def _verify_pipeline(config):
     section = config.section("verify")
     geo = config.geometry
     spec = config.environment
-    window = float(section.get("window", 2.0))
-    tol = float(section.get("tol", 1e-10))
-    times = [float(t) for t in section["times"]]
+    window, tol, times = section["window"], section["tol"], section["times"]
     if not all(t > 0 for t in times):
         raise ValueError("verify times must be positive")
-    sources = [_point(s) for s in section.get("sources", [[0] * geo.d])]
+    sources = section["sources"]
+    if sources is None:
+        sources = [(0,) * geo.d]
 
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
     fit_kern = jump_kernel(fit_field)
     env, radius_table = _fit_envelope(config, section, fit_field, fit_kern, sources, times,
-                                      int(section.get("moment_samples", 512)), window, tol)
-    mode = section.get("mode", "cross")
-    if mode == "self":
+                                      window, tol)
+    if section["mode"] == "self":
         ver_field, ver_kern, env_verify = fit_field, fit_kern, env
-    elif mode == "cross":
+    else:
         # same constants; validity thresholds from the field under verification
         ver_field = sample_environment(spec, geo, child_seed(config.seed, 11))
         ver_kern = None
         env_verify = dataclasses.replace(env, threshold=radius_table(ver_field))
-    else:
-        raise ValueError("verify mode must be 'self' or 'cross'")
     # optional deliberate weakening, for exercising the failure path
-    upper_scale = float(section.get("inject_upper_scale", 1.0))
-    lower_scale = float(section.get("inject_lower_scale", 1.0))
+    upper_scale, lower_scale = section["inject_upper_scale"], section["inject_lower_scale"]
     if upper_scale != 1.0 or lower_scale != 1.0:
         env_verify = dataclasses.replace(
             env_verify, upper_amp=env_verify.upper_amp * upper_scale,
@@ -221,8 +266,7 @@ def _verify_pipeline(config):
 
 def cmd_verify(config, out_dir):
     section = config.section("verify")
-    margin = float(section.get("margin", 0.05))
-    max_fraction = float(section.get("max_fraction", 0.01))
+    margin, max_fraction = section["margin"], section["max_fraction"]
     env, report = _verify_pipeline(config)
 
     meta = config.meta()
@@ -284,15 +328,9 @@ def cmd_chain(config, out_dir):
     section = config.section("chain")
     geo = config.geometry
     field = sample_environment(config.environment, config.geometry, config.seed)
-    target = _point(section["target"])
-    t = float(section["time"])
-    p = float(section.get("p", 2.0))
-    q = float(section.get("q", 2.0))
-    amp = section.get("amp")
-    bound = chained_lower_bound(field, t, target, amp=None if amp is None else float(amp),
-                                growth=float(section.get("growth", 1.0)),
-                                power=float(section.get("power", 1.0)),
-                                p=p, q=q, tol=float(section.get("tol", 1e-10)))
+    target, t, p, q = section["target"], section["time"], section["p"], section["q"]
+    bound = chained_lower_bound(field, t, target, amp=section["amp"], growth=section["growth"],
+                                power=section["power"], p=p, q=q, tol=section["tol"])
 
     meta = config.meta()
     payload = {
@@ -331,14 +369,10 @@ def cmd_chain(config, out_dir):
 def cmd_moments(config, out_dir):
     section = config.section("moments")
     geo = config.geometry
-    quantity = section.get("quantity", "mu")
-    p = float(section.get("p", 1.0))
-    eta = float(section.get("eta", 2.0))
-    rects = default_rectangles([(int(l), int(m)) for l, m in section["sizes"]], d=geo.d)
+    rects = default_rectangles(section["sizes"], d=geo.d)
     report = rectangle_ladder(
-        config.environment, geo, quantity, p, eta, rects,
-        int(section.get("samples", 200)), config.seed,
-        mean_samples=int(section.get("mean_samples", 128)),
+        config.environment, geo, section["quantity"], section["p"], section["eta"], rects,
+        section["samples"], config.seed, mean_samples=section["mean_samples"],
     )
     meta = config.meta()
     write_json(os.path.join(out_dir, "moments.json"), {
@@ -364,20 +398,15 @@ def cmd_green(config, out_dir):
     if geo.d < 3:
         raise ValueError("transient dimension required")
     spec = config.environment
-    mode = section.get("mode", "quenched")
-    tol = float(section.get("tol", 1.0))
     meta = config.meta()
 
-    if section.get("pairs") is not None:
-        pairs = [(_point(a), _point(b)) for a, b in section["pairs"]]
-    else:
-        distances = section.get("distances", [4, 6, 8])
+    pairs = section["pairs"]
+    if pairs is None:
         origin = (0,) * geo.d
-        pairs = [(origin, (int(r),) + (0,) * (geo.d - 1)) for r in distances]
+        pairs = [(origin, (r,) + (0,) * (geo.d - 1)) for r in section["distances"]]
 
-    if mode == "annealed":
-        report = annealed_green(spec, geo, pairs, int(section.get("samples", 50)),
-                                config.seed)
+    if section["mode"] == "annealed":
+        report = annealed_green(spec, geo, pairs, section["samples"], config.seed)
         write_csv(os.path.join(out_dir, "green.csv"),
                   ["x", "y", "dist", "mean", "stderr", "split_time"],
                   [[[_label(x) for x, _ in report.pairs], [_label(y) for _, y in report.pairs],
@@ -398,11 +427,10 @@ def cmd_green(config, out_dir):
 
     field = sample_environment(spec, geo, config.seed)
     kern = jump_kernel(field)
-    env_times = [float(t) for t in section.get("envelope_times", [16.0, 32.0, 64.0])]
     env, _ = _fit_envelope(config, section, field, kern, sorted({x for x, _ in pairs}),
-                           env_times, int(section.get("moment_samples", 128)), 2.0, 1e-12)
+                           section["envelope_times"], 2.0, 1e-12)
 
-    ests = [green_kernel(field, x, y, env, tol=tol, kernel=kern) for x, y in pairs]
+    ests = [green_kernel(field, x, y, env, tol=section["tol"], kernel=kern) for x, y in pairs]
     dists = [geo.torus_distance(x, y) for x, y in pairs]
     write_csv(os.path.join(out_dir, "green.csv"),
               ["x", "y", "dist", "g", "g_scaled", "tail_bound", "split_time"],
@@ -446,13 +474,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](config, args.out)
     except ValueError as exc:

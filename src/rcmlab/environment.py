@@ -59,14 +59,19 @@ from .seeding import replica_rngs, rng_for
 MAGIC = b"RCM1"
 FORMAT_VERSION = "0.1.0"
 
-_KINDS = {
-    "constant",
-    "uniform-elliptic-iid",
-    "iid",
-    "finite-range",
-    "gaussian-fkg",
-    "na-permutation",
+_UNIFORM = {"low": 0.5, "high": 2.0}
+
+# every family's parameters and their defaults, stated once; an int default
+# marks an integer parameter, a str default one of its _CHOICES
+FAMILIES = {
+    "constant": {"level": 1.0},
+    "uniform-elliptic-iid": {**_UNIFORM},
+    "iid": {"marginal": "uniform", **_UNIFORM, "sigma": 1.0, "delta": 0.5},
+    "finite-range": {"range": 3, "link": "affine", **_UNIFORM, "scale": 1.0},
+    "gaussian-fkg": {"mass": 1.0, "scale": 1.0},
+    "na-permutation": {"block": 2, **_UNIFORM},
 }
+_CHOICES = {"marginal": ("uniform", "lognormal", "heavy-tail-zero"), "link": ("affine", "exp")}
 
 # decorrelation properties each sampler family is certified to satisfy
 CERTIFIED_ASSUMPTIONS = {
@@ -83,16 +88,21 @@ CERTIFIED_ASSUMPTIONS = {
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Named sampler family plus its parameters."""
+    """Named sampler family plus its parameters as given (see ``resolved``)."""
 
     kind: str
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAMILIES:
             raise ValueError(f"unknown environment kind {self.kind!r}")
         object.__setattr__(self, "params", dict(self.params))
-        _validate_params(self.kind, self.params)
+        _validate_params(self)
+
+    @property
+    def resolved(self):
+        """Every parameter of the family: the given ones, else the defaults."""
+        return {**FAMILIES[self.kind], **self.params}
 
     @property
     def certified_assumptions(self):
@@ -103,11 +113,10 @@ class EnvironmentSpec:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        kind = data.pop("kind", None)
-        if kind is None:
-            raise ValueError("environment spec needs a 'kind'")
-        return cls(kind, data)
+        if not isinstance(data, dict) or "kind" not in data:
+            raise ValueError("environment spec must be a JSON object with a 'kind'")
+        params = dict(data)
+        return cls(params.pop("kind"), params)
 
     def canonical_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -118,51 +127,24 @@ def _require(cond, message):
         raise ValueError(message)
 
 
-def _validate_params(kind, params):
-    allowed = {
-        "constant": {"level"},
-        "uniform-elliptic-iid": {"low", "high"},
-        "iid": {"marginal", "low", "high", "sigma", "delta"},
-        "finite-range": {"range", "low", "high", "link", "scale"},
-        "gaussian-fkg": {"mass", "scale"},
-        "na-permutation": {"block", "low", "high"},
-    }[kind]
-    unknown = set(params) - allowed
-    _require(not unknown, f"unknown parameters for {kind}: {sorted(unknown)}")
-    if kind == "constant":
-        _require(params.get("level", 1.0) > 0, "level must be positive")
-    elif kind == "uniform-elliptic-iid":
-        low, high = params.get("low", 0.5), params.get("high", 2.0)
-        _require(0 < low <= high, "need 0 < low <= high")
-    elif kind == "iid":
-        marginal = params.get("marginal", "uniform")
-        if marginal == "uniform":
-            low, high = params.get("low", 0.5), params.get("high", 2.0)
-            _require(0 < low <= high, "need 0 < low <= high")
-        elif marginal == "lognormal":
-            _require(params.get("sigma", 1.0) > 0, "sigma must be positive")
-        elif marginal == "heavy-tail-zero":
-            _require(params.get("delta", 0.5) > 0, "delta must be positive")
-        else:
-            raise ValueError(f"unknown marginal {marginal!r}")
-    elif kind == "finite-range":
-        rng_range = params.get("range", 3)
-        _require(int(rng_range) == rng_range and rng_range >= 1, "range must be a positive integer")
-        link = params.get("link", "affine")
-        _require(link in ("affine", "exp"), "link must be 'affine' or 'exp'")
-        if link == "affine":
-            low, high = params.get("low", 0.5), params.get("high", 2.0)
-            _require(0 < low <= high, "need 0 < low <= high")
-        else:
-            _require(params.get("scale", 1.0) > 0, "scale must be positive")
-    elif kind == "gaussian-fkg":
-        _require(params.get("mass", 1.0) > 0, "mass must be positive")
-        _require(params.get("scale", 1.0) > 0, "scale must be positive")
-    elif kind == "na-permutation":
-        block = params.get("block", 2)
-        _require(int(block) == block and block >= 1, "block must be a positive integer")
-        low, high = params.get("low", 0.5), params.get("high", 2.0)
-        _require(0 < low < high, "need 0 < low < high")
+def _validate_params(spec):
+    """Each given parameter is known and one of its choices or a positive number."""
+    defaults = FAMILIES[spec.kind]
+    unknown = set(spec.params) - set(defaults)
+    _require(not unknown, f"unknown parameters for {spec.kind}: {sorted(unknown)}")
+    for name, value in spec.params.items():
+        if isinstance(defaults[name], str):
+            _require(value in _CHOICES[name], f"{name} must be one of {_CHOICES[name]}")
+            continue
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+                 f"{name} must be a positive number, not {value!r}")
+        _require(isinstance(defaults[name], float) or isinstance(value, int)
+                 or value.is_integer(), f"{name} must be a positive integer")
+    p = spec.resolved
+    if spec.kind == "na-permutation":
+        _require(p["low"] < p["high"], "need 0 < low < high")
+    elif "low" in p:
+        _require(p["low"] <= p["high"], "need 0 < low <= high")
 
 
 class ConductanceField:
@@ -317,20 +299,19 @@ def _sample_values(spec, geometry, rngs):
     The constant kind draws nothing and makes no generator.
     """
     shape = (geometry.n_vertices, geometry.d)
-    kind = spec.kind
+    kind, p = spec.kind, spec.resolved
     if kind == "constant":
-        return np.full((len(rngs),) + shape, float(spec.params.get("level", 1.0)))
+        return np.full((len(rngs),) + shape, float(p["level"]))
     if kind == "uniform-elliptic-iid":
-        low, high = spec.params.get("low", 0.5), spec.params.get("high", 2.0)
-        return _stacked_draws(rngs, lambda rng: rng.uniform(low, high, size=shape))
+        return _stacked_draws(rngs, lambda rng: rng.uniform(p["low"], p["high"], size=shape))
     if kind == "iid":
-        return _sample_iid(spec.params, shape, rngs)
+        return _sample_iid(p, shape, rngs)
     if kind == "finite-range":
-        return _sample_finite_range(spec.params, geometry, rngs)
+        return _sample_finite_range(p, geometry, rngs)
     if kind == "gaussian-fkg":
-        return _sample_gaussian(spec.params, geometry, rngs)
+        return _sample_gaussian(p, geometry, rngs)
     if kind == "na-permutation":
-        return _sample_permutation(spec.params, geometry, rngs)
+        return _sample_permutation(p, geometry, rngs)
     raise ValueError(kind)  # pragma: no cover - guarded by spec validation
 
 
@@ -355,16 +336,15 @@ def _stacked_draws(rngs, draw):
 
 
 def _sample_iid(params, shape, rngs):
-    marginal = params.get("marginal", "uniform")
+    marginal = params["marginal"]
     if marginal == "uniform":
-        low, high = params.get("low", 0.5), params.get("high", 2.0)
+        low, high = params["low"], params["high"]
         return _stacked_draws(rngs, lambda rng: rng.uniform(low, high, size=shape))
     if marginal == "lognormal":
         normal = _stacked_draws(rngs, lambda rng: rng.standard_normal(shape))
-        return np.exp(params.get("sigma", 1.0) * normal)
+        return np.exp(params["sigma"] * normal)
     # heavy-tail-zero: P(w <= eps) = eps**delta, fat tail at zero
-    delta = params.get("delta", 0.5)
-    return _stacked_draws(rngs, lambda rng: rng.random(shape)) ** (1.0 / delta)
+    return _stacked_draws(rngs, lambda rng: rng.random(shape)) ** (1.0 / params["delta"])
 
 
 def _l1_offsets(d, radius):
@@ -376,7 +356,7 @@ def _l1_offsets(d, radius):
 
 
 def _sample_finite_range(params, geometry, rngs):
-    rng_range = int(params.get("range", 3))
+    rng_range = int(params["range"])
     if geometry.L < 2 * rng_range:
         raise ValueError("geometry too small for finite-range construction")
     d, L = geometry.d, geometry.L
@@ -393,12 +373,11 @@ def _sample_finite_range(params, geometry, rngs):
         smooth = acc / len(offsets)
     else:
         smooth = z
-    link = params.get("link", "affine")
-    if link == "affine":
-        low, high = params.get("low", 0.5), params.get("high", 2.0)
+    if params["link"] == "affine":
+        low, high = params["low"], params["high"]
         per_vertex = low + (high - low) * smooth
     else:
-        per_vertex = np.exp(params.get("scale", 1.0) * (smooth - 0.5))
+        per_vertex = np.exp(params["scale"] * (smooth - 0.5))
     values = np.empty((len(rngs), geometry.n_vertices, d))
     for a in range(d):
         pair = per_vertex + np.roll(per_vertex, -1, axis=a + 1)
@@ -408,9 +387,9 @@ def _sample_finite_range(params, geometry, rngs):
 
 def _gaussian_spectrum(params, geometry):
     """Spectral density 1 / (lattice Laplacian + mass^2) of the gaussian-fkg
-    field phi on the torus's Fourier grid; phi's covariance at offset r is
-    ``ifftn(spectrum).real[r]``."""
-    mass = params.get("mass", 1.0)
+    field phi on the torus's Fourier grid, for resolved ``params``; phi's
+    covariance at offset r is ``ifftn(spectrum).real[r]``."""
+    mass = params["mass"]
     d, L = geometry.d, geometry.L
     k = np.arange(L)
     eig_1d = 4.0 * np.sin(np.pi * k / L) ** 2
@@ -423,7 +402,7 @@ def _gaussian_spectrum(params, geometry):
 
 
 def _sample_gaussian(params, geometry, rngs):
-    scale = params.get("scale", 1.0)
+    scale = params["scale"]
     d, L = geometry.d, geometry.L
     shape = (L,) * d
     axes = tuple(range(1, d + 1))
@@ -438,11 +417,11 @@ def _sample_gaussian(params, geometry, rngs):
 
 
 def _sample_permutation(params, geometry, rngs):
-    block = int(params.get("block", 2))
+    block = int(params["block"])
     d, L = geometry.d, geometry.L
     if L % block != 0:
         raise ValueError("block side must divide the torus side")
-    low, high = params.get("low", 0.5), params.get("high", 2.0)
+    low, high = params["low"], params["high"]
     per_block = d * block**d
     levels = low + (np.arange(per_block) + 0.5) * (high - low) / per_block
 

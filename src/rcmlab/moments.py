@@ -86,12 +86,11 @@ def _exact_power_mean(spec, geometry, quantity, p):
     iid heavy-tail-zero weights have E w^-q infinite for q >= delta, and so
     E nu^q; that raises ValueError, as does a mean beyond float range.
     """
-    params, kind, n = spec.params, spec.kind, 2 * geometry.d
-    marginal = params.get("marginal", "uniform") if kind == "iid" else None
-    delta = params.get("delta", 0.5)
-    if marginal == "heavy-tail-zero" and quantity == "nu" and p >= delta:
+    params, kind, n = spec.resolved, spec.kind, 2 * geometry.d
+    marginal = params["marginal"] if kind == "iid" else None
+    if marginal == "heavy-tail-zero" and quantity == "nu" and p >= params["delta"]:
         raise ValueError(f"E nu(0)^{p:g} is infinite: heavy-tail-zero weights have "
-                         f"E w^-q = inf for q >= delta = {delta:g}")
+                         f"E w^-q = inf for q >= delta = {params['delta']:g}")
     k = int(p) if float(p).is_integer() and p >= 0 else None
     if kind == "constant":
         terms = 1
@@ -105,7 +104,7 @@ def _exact_power_mean(spec, geometry, quantity, p):
         return None
     try:
         if kind == "constant":
-            level = params.get("level", 1.0)
+            level = params["level"]
             mean = (n * level if quantity == "mu" else n / level) ** p
         elif kind == "gaussian-fkg":
             mean = _gaussian_sum_moment(params, geometry, k)
@@ -124,11 +123,11 @@ def _raw_moment(params, marginal, k):
     """E w^k of one edge weight of an iid family (``marginal`` None for
     uniform-elliptic-iid), for an integer k; heavy-tail-zero needs k > -delta."""
     if marginal == "lognormal":
-        return math.exp(k * k * params.get("sigma", 1.0) ** 2 / 2.0)
+        return math.exp(k * k * params["sigma"] ** 2 / 2.0)
     if marginal == "heavy-tail-zero":
-        delta = params.get("delta", 0.5)
+        delta = params["delta"]
         return delta / (delta + k)
-    a, b = params.get("low", 0.5), params.get("high", 2.0)
+    a, b = params["low"], params["high"]
     if a == b:
         return a**k
     if k == -1:
@@ -171,7 +170,7 @@ def _gaussian_sum_moment(params, geometry, k):
     var = np.einsum("ij,jl,il->i", coef, site_cov, coef)
     log_factorial = np.array([math.lgamma(c + 1) for c in range(k + 1)])
     log_weight = log_factorial[k] - log_factorial[counts].sum(axis=1)
-    scale = params.get("scale", 1.0)
+    scale = params["scale"]
     with np.errstate(over="ignore"):
         return float(np.exp(log_weight + 0.5 * scale * scale * var).sum())
 

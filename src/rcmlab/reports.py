@@ -201,7 +201,7 @@ def _scale(points_x, points_y):
         py = _HEIGHT - _MARGIN - (y - lo_y) / (hi_y - lo_y) * (_HEIGHT - 2 * _MARGIN)
         return px, py
 
-    return to_px, (lo_x, hi_x, lo_y, hi_y)
+    return to_px
 
 
 def scatter_svg(path, points, lines, meta, xlabel, ylabel, title):
@@ -218,7 +218,7 @@ def scatter_svg(path, points, lines, meta, xlabel, ylabel, title):
     for pts in lines.values():
         all_x += [x for x, y in pts if math.isfinite(y)]
         all_y += [y for x, y in pts if math.isfinite(y)]
-    to_px, _ = _scale(all_x, all_y)
+    to_px = _scale(all_x, all_y)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',

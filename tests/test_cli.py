@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -180,20 +182,24 @@ def test_verify_moment_replicas_avoid_fit_and_verification_fields(tmp_path, monk
         assert states.count(_start_state(rng_for(child_seed(11, stream)))) == 1
 
 
-def test_verify_injected_weak_constant_exits_two(tmp_path):
+@pytest.mark.parametrize("inject, side", [({"inject_upper_scale": 0.25}, "upper"),
+                                          ({"inject_lower_scale": 4.0}, "lower")],
+                         ids=["upper", "lower"])
+def test_verify_injected_weak_constant_exits_two(tmp_path, inject, side):
     cfg = {
         "geometry": {"d": 2, "L": 16},
         "environment": {"kind": "constant", "level": 1.0},
         "seed": 1,
         "verify": {"times": [4.0, 8.0, 16.0], "sources": [[0, 0]],
-                   "moment_samples": 16, "mode": "self",
-                   "inject_upper_scale": 0.25},
+                   "moment_samples": 16, "mode": "self", **inject},
     }
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 2
     report = json.loads((tmp_path / "v" / "envelope.json").read_text())
     assert report["n_violations"] > 0
-    assert any(v["side"] == "upper" and v["y"] == v["x"] for v in report["violations"])
+    # the weakened side alone fails, on the diagonal too
+    assert {v["side"] for v in report["violations"]} == {side}
+    assert any(v["y"] == v["x"] for v in report["violations"])
 
 
 @pytest.mark.parametrize("times", [[0.0, 4.0], [4.0, -1.0]])
@@ -402,6 +408,62 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
     far_path = write_config(tmp_path, far, "far.json")
     assert main(["green", "--config", far_path, "--out", str(tmp_path / "c")]) == EXIT_PRECONDITION
     assert os.listdir(tmp_path / "c") == []
+
+
+@pytest.mark.parametrize("command, change", [
+    ("heat", {"heat": {"sources": [[0, 0]]}}),
+    ("chain", {"chain": {"time": 24.0}}),
+    ("heat", {"heat": {"times": [1.0], "sources": [[0, 0]], "tol": None}}),
+    ("heat", {"heat": 5}),
+    ("env", {"environment": {"kind": "iid", "marginal": "lognormal", "sigma": None}}),
+    ("env", {"environment": {"kind": "iid", "marginal": "heavy-tail-zero", "delta": "0.5"}}),
+    ("green", {"geometry": {"d": 3, "L": 8}, "green": {"mode": "anealed", "distances": [2]}}),
+    ("verify", {"verify": {"times": [4.0], "mode": "selff"}}),
+    ("moments", {"moments": {"quantity": "mu2", "sizes": [[1, 0]]}}),
+], ids=["heat-no-times", "chain-no-target", "null-tol", "heat-not-object", "null-sigma",
+        "string-delta", "green-mode", "verify-mode", "moments-quantity"])
+def test_malformed_config_exits_three_before_any_work(tmp_path, monkeypatch, command, change):
+    def no_sampling(*args):
+        raise AssertionError("a command sampled a field from a malformed configuration")
+
+    monkeypatch.setattr(rcmlab.cli, "sample_environment", no_sampling)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, base_config(**change))
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_PRECONDITION
+    assert not out.exists()
+
+
+def test_config_sections_fill_in_defaults():
+    cfg = ExperimentConfig(base_config(heat={"times": [1], "sources": [[0, 0]], "tol": "1e-10"},
+                                       chain={"target": [6, 0], "time": 24, "amp": None}))
+    assert cfg.section("heat") == {"times": (1.0,), "sources": ((0, 0),), "targets": None,
+                                   "tol": 1e-10}
+    chain = cfg.section("chain")
+    assert chain["amp"] is None and chain["time"] == 24.0 and chain["p"] == 2.0
+    with pytest.raises(ValueError, match="needs a 'verify' section"):
+        cfg.section("verify")
+
+
+def test_readme_configuration_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig(json.loads(example))
+    assert cfg.section("verify")["moment_samples"] == 512
+    assert cfg.section("green")["mode"] == "quenched"
+    # the key tables: a `section` line, then rows of `key` | `default` | meaning
+    tables = readme.split("### Configuration keys", 1)[1].split("Environment kinds", 1)[0]
+    documented = {}
+    for line in tables.splitlines():
+        if re.fullmatch(r"`\w+`( \(.*\))?", line):
+            section = documented.setdefault(line.split("`")[1], {})
+        elif line.startswith("| `"):
+            keys, defaults = line.split("|")[1:3]
+            section.update(zip(re.findall(r"`(\w+)`", keys),
+                               re.findall(r"`[^`]*`|required", defaults)))
+    assert documented == {
+        name: {key: "required" if default is rcmlab.cli._REQUIRED else f"`{json.dumps(default)}`"
+               for key, (_, default) in schema.items()}
+        for name, schema in rcmlab.cli._SECTIONS.items()}
 
 
 def test_missing_config_is_io_error(tmp_path):

@@ -367,8 +367,31 @@ def test_spec_validation():
         EnvironmentSpec("uniform-elliptic-iid", {"low": 0.0, "high": 1.0})
     with pytest.raises(ValueError):
         EnvironmentSpec("gaussian-fkg", {"mass": -1.0})
+    # wrong types are a ValueError too, and a bool is not a number
+    for kind, params in [("iid", {"sigma": None}), ("iid", {"delta": "0.5"}),
+                         ("iid", {"marginal": "cauchy"}), ("finite-range", {"range": True}),
+                         ("finite-range", {"link": ["exp"]}), ("na-permutation", {"block": 2.5})]:
+        with pytest.raises(ValueError):
+            EnvironmentSpec(kind, params)
+    with pytest.raises(ValueError, match="unknown environment kind"):
+        EnvironmentSpec.from_dict({"kind": ["constant"]})
     assert EnvironmentSpec("gaussian-fkg").certified_assumptions == (
         "positive-association", "spectral-gap")
+
+
+@pytest.mark.parametrize("kind", sorted(rcmlab.environment.FAMILIES))
+def test_default_spec_is_the_spelled_out_defaults(kind):
+    defaults = rcmlab.environment.FAMILIES[kind]
+    bare, spelled = EnvironmentSpec(kind), EnvironmentSpec(kind, dict(defaults))
+    assert bare.to_dict() == {"kind": kind}
+    assert spelled.to_dict() == {"kind": kind, **defaults}
+    assert bare.resolved == spelled.resolved == defaults
+    assert np.array_equal(sample_environment(bare, GEO, 5).values,
+                          sample_environment(spelled, GEO, 5).values)
+    # exact wherever the family has a closed form, else the same Monte Carlo
+    powers = {"mu": 2, "nu": 2}
+    assert (annealed_power_mean(bare, GEO, powers, n_fields=4, seed=5)
+            == annealed_power_mean(spelled, GEO, powers, n_fields=4, seed=5))
 
 
 def test_field_roundtrip(tmp_path):
