@@ -67,7 +67,14 @@ def _as_given(value):
     return value
 
 
-_FLOATS, _INTS, _POINTS = _tuple_of(float), _tuple_of(int), _tuple_of(_tuple_of(int))
+def _integer(value):
+    """``int(value)``, refusing a float it would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+_FLOATS, _INTS, _POINTS = _tuple_of(float), _tuple_of(_integer), _tuple_of(_tuple_of(_integer))
 
 # section -> key -> (conversion, default): every configuration key and its
 # default, stated once.  Only a key whose default is None accepts null
@@ -76,7 +83,7 @@ _SECTIONS = {
     "heat": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, _REQUIRED),
              "targets": (_POINTS, None), "tol": (float, 1e-10)},
     "verify": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, None), "window": (float, 2.0),
-               "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (int, 512),
+               "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (_integer, 512),
                "mode": (_one_of("cross", "self"), "cross"), "margin": (float, 0.05),
                "max_fraction": (float, 0.01), "tol": (float, 1e-10),
                "inject_upper_scale": (float, 1.0), "inject_lower_scale": (float, 1.0)},
@@ -84,13 +91,22 @@ _SECTIONS = {
               "q": (float, 2.0), "power": (float, 1.0), "growth": (float, 1.0),
               "amp": (float, None), "tol": (float, 1e-10)},
     "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (float, 1.0), "eta": (float, 2.0),
-                "sizes": (_POINTS, _REQUIRED), "samples": (int, 200),
-                "mean_samples": (int, 128)},
+                "sizes": (_POINTS, _REQUIRED), "samples": (_integer, 200),
+                "mean_samples": (_integer, 128)},
     "green": {"mode": (_one_of("quenched", "annealed"), "quenched"), "tol": (float, 1.0),
               "pairs": (_tuple_of(_POINTS), None), "distances": (_INTS, (4, 6, 8)),
-              "samples": (int, 50), "envelope_times": (_FLOATS, (16.0, 32.0, 64.0)),
-              "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (int, 128)},
+              "samples": (_integer, 50), "envelope_times": (_FLOATS, (16.0, 32.0, 64.0)),
+              "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (_integer, 128)},
 }
+
+# (section, key) -> how many list levels sit above each lattice point in the
+# key's value; every point must have d coordinates
+_POINT_KEYS = {("heat", "sources"): 1, ("heat", "targets"): 1, ("verify", "sources"): 1,
+               ("chain", "target"): 0, ("green", "pairs"): 2}
+
+
+def _points_in(value, depth):
+    return [value] if depth == 0 else [x for item in value for x in _points_in(item, depth - 1)]
 
 
 def _convert(where, convert, value):
@@ -136,8 +152,14 @@ class ExperimentConfig:
         self._sections = {name: _converted(name, raw[name]) for name in _SECTIONS if name in raw}
         self.geometry = _convert("geometry", lambda g: TorusGeometry(**g),
                                  self._sections["geometry"])
+        for (name, key), depth in _POINT_KEYS.items():
+            value = self._sections.get(name, {}).get(key)
+            if value is not None and any(len(x) != self.geometry.d
+                                         for x in _points_in(value, depth)):
+                raise ValueError(f"every point in {key!r} in {name!r} needs "
+                                 f"{self.geometry.d} coordinates")
         self.environment = EnvironmentSpec.from_dict(raw["environment"])
-        self.seed = _convert("seed", int, raw["seed"])
+        self.seed = _convert("seed", _integer, raw["seed"])
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

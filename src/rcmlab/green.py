@@ -148,6 +148,10 @@ def _extrapolated_tail(profile, t0, d, target=0):
     return max(0.0, tail)
 
 
+# the largest split time either Green estimator uses
+_T0_CAP = 512.0
+
+
 def _pow2_at_least(v):
     out = 4.0
     while out < v:
@@ -162,7 +166,7 @@ def _pow2_at_most(v):
     return out
 
 
-def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kernel=None):
+def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, kernel=None):
     """Green kernel value with an exact head and a certified tail budget.
 
     The head over [0, T0] is the closed form sum_k B_k(T0) v_k / mu(y) over
@@ -172,7 +176,8 @@ def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kern
 
     ``envelope`` must be a fitted and verified upper envelope for this field;
     its closed-form tail integral is the certificate, required to stay below
-    ``tol`` times the value (the split time doubles until it does).  Because
+    ``tol`` times the value (the split time doubles until it does, and a
+    ValueError is raised if it does not by ``_T0_CAP``).  Because
     that integral decays only like the square root of the split time, ``tol``
     is an order-one budget; the reported value instead relies on the
     extrapolated tail, which is far more accurate than the certificate.
@@ -189,7 +194,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kern
     start = max(16.0, 2.0 * dist * dist, thresh * thresh if math.isfinite(thresh) else 0.0)
     if t0_min is not None:
         start = max(start, t0_min)
-    t0 = min(_pow2_at_least(start), _pow2_at_least(t0_cap))
+    t0 = min(_pow2_at_least(start), _T0_CAP)
 
     kern = kernel if kernel is not None else jump_kernel(field)
     profile = propagate(kern, point_mass(geo, x), [t0], 1e-13, targets=[geo.index(y)])
@@ -200,7 +205,7 @@ def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, t0_cap=512.0, kern
         value = head + tail_est
         if tail_bound <= tol * value:
             break
-        if t0 >= t0_cap:
+        if t0 >= _T0_CAP:
             raise ValueError("cannot certify the tail within the requested budget")
         t0 *= 2.0
         profile.extend(t0)
@@ -365,7 +370,7 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
     split_times = []
     for row, (x, y) in enumerate(pairs):
         dist = geometry.torus_distance(x, y)
-        t0 = min(_pow2_at_least(max(128.0, 4.0 * dist * dist)), 512.0, cap)
+        t0 = min(_pow2_at_least(max(128.0, 4.0 * dist * dist)), _T0_CAP, cap)
         if t0 < dist * dist:
             raise ValueError(f"pair {tuple(x)} -> {tuple(y)} is too far for L = {geometry.L}: "
                              f"its split time {t0:g} (capped at L^2/8) is below "

@@ -42,10 +42,9 @@ T_k(P^T) start at the targets instead.
 A dense spectral route through the same matrix S serves as an independent
 oracle for cross-validation on small tori.
 
-Both computations live on the torus.  A slice additionally reports a wrap
-certificate: a walk can only feel the periodic identification after at least
-L/2 jumps, so the torus law differs from the full-lattice law by at most
-P(Poisson(t) >= L/2) in sup norm.
+Both computations live on the torus, and a slice certifies only what it
+computes: the series truncation.  It states nothing about how far the torus
+law is from the law on the full lattice.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy import special
-
-from .poisson import poisson_tail
 
 
 @lru_cache(maxsize=32)
@@ -175,9 +172,7 @@ class HeatKernelSlice:
     """Time-t law from one source, as probabilities and as a density.
 
     ``prob`` is P_x[X_t = .]; ``hk`` is prob / mu.  ``trunc_error`` bounds the
-    series truncation in l1 (hence sup) norm; ``wrap_error`` bounds the
-    discrepancy to the full-lattice law of the periodically extended
-    environment.
+    series truncation in l1 (hence sup) norm.
     """
 
     t: float
@@ -185,12 +180,7 @@ class HeatKernelSlice:
     prob: np.ndarray
     hk: np.ndarray
     trunc_error: float
-    wrap_error: float
     geometry: object
-
-
-def _wrap_bound(geometry, t):
-    return min(1.0, poisson_tail(t, geometry.L // 2))
 
 
 def point_mass(geometry, x):
@@ -324,21 +314,14 @@ def heat_slices(kernel, requests, tol=1e-10):
         for t, law, tail in zip(times, laws, tails):
             for j, x in enumerate(sources):
                 prob = law[:, j].copy()
-                table[t, x] = HeatKernelSlice(t, x, prob, prob / kernel.mu, tail,
-                                              _wrap_bound(geo, t), geo)
+                table[t, x] = HeatKernelSlice(t, x, prob, prob / kernel.mu, tail, geo)
     return table
 
 
-def heat_kernel(field, t, x, tol=1e-10, wrap_tol=None, kernel=None):
-    """Heat kernel slice at time t from source x, by the Chebyshev sweep.
-
-    ``tol`` bounds the series truncation error.  When ``wrap_tol`` is given,
-    the torus wrap certificate must also meet it, otherwise the geometry is
-    rejected; by default the certificate is only reported.
-    """
+def heat_kernel(field, t, x, tol=1e-10, kernel=None):
+    """Heat kernel slice at time t from source x, by the Chebyshev sweep;
+    ``tol`` bounds the series truncation error."""
     kern = kernel if kernel is not None else jump_kernel(field)
-    if wrap_tol is not None and _wrap_bound(field.geometry, t) > wrap_tol:
-        raise ValueError("torus too small for t")
     return heat_slices(kern, [(t, x)], tol)[float(t), field.geometry.wrap(x)]
 
 
@@ -367,8 +350,7 @@ def spectral_oracle(field, t, x):
     # prob(y) = sum_k U[x,k] e^{t(lam_k - 1)} U[y,k] sqrt(mu(y)/mu(x))
     prob = (eigvecs @ (decay * eigvecs[xi])) * (root / root[xi])
     prob = np.maximum(prob, 0.0)
-    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / kern.mu, 0.0,
-                           _wrap_bound(geo, t), geo)
+    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / kern.mu, 0.0, geo)
 
 
 def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):

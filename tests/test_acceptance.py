@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,8 +310,7 @@ def _run_all_commands(tmp_path, tag):
         out = convert(name)
         rc = main([name, "--config", str(cfg_path), "--out", out])
         assert rc == 0, (name, rc)
-        outputs[name] = {f: open(os.path.join(out, f), "rb").read()
-                         for f in sorted(os.listdir(out))}
+        outputs[name] = {f: Path(out, f).read_bytes() for f in sorted(os.listdir(out))}
     return outputs
 
 

@@ -420,8 +420,18 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
     ("green", {"geometry": {"d": 3, "L": 8}, "green": {"mode": "anealed", "distances": [2]}}),
     ("verify", {"verify": {"times": [4.0], "mode": "selff"}}),
     ("moments", {"moments": {"quantity": "mu2", "sizes": [[1, 0]]}}),
+    ("heat", {"heat": {"times": [1.0], "sources": [[0, 0, 0]]}}),
+    ("heat", {"heat": {"times": [1.0], "sources": [[0, 0]], "targets": [[1]]}}),
+    ("verify", {"verify": {"times": [4.0], "sources": [[0, 0, 0]]}}),
+    ("chain", {"chain": {"target": [6], "time": 24.0}}),
+    ("green", {"geometry": {"d": 3, "L": 8}, "green": {"pairs": [[[0, 0], [2, 0]]]}}),
+    ("env", {"seed": 1.5}),
+    ("moments", {"moments": {"sizes": [[1, 0]], "samples": 2.7}}),
+    ("heat", {"heat": {"times": [1.0], "sources": [[0.7, 2.9]]}}),
 ], ids=["heat-no-times", "chain-no-target", "null-tol", "heat-not-object", "null-sigma",
-        "string-delta", "green-mode", "verify-mode", "moments-quantity"])
+        "string-delta", "green-mode", "verify-mode", "moments-quantity", "heat-source-length",
+        "heat-target-length", "verify-source-length", "chain-target-length",
+        "green-pair-length", "fractional-seed", "fractional-samples", "fractional-source"])
 def test_malformed_config_exits_three_before_any_work(tmp_path, monkeypatch, command, change):
     def no_sampling(*args):
         raise AssertionError("a command sampled a field from a malformed configuration")
@@ -438,6 +448,11 @@ def test_config_sections_fill_in_defaults():
                                        chain={"target": [6, 0], "time": 24, "amp": None}))
     assert cfg.section("heat") == {"times": (1.0,), "sources": ((0, 0),), "targets": None,
                                    "tol": 1e-10}
+    # an integral float still loads as an integer
+    whole = ExperimentConfig(base_config(seed=3.0, heat={"times": [1], "sources": [[3.0, 0]]},
+                                         moments={"sizes": [[1, 0]], "samples": 3.0}))
+    assert whole.seed == 3 and whole.section("heat")["sources"] == ((3, 0),)
+    assert whole.section("moments")["samples"] == 3
     chain = cfg.section("chain")
     assert chain["amp"] is None and chain["time"] == 24.0 and chain["p"] == 2.0
     with pytest.raises(ValueError, match="needs a 'verify' section"):

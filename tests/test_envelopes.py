@@ -116,7 +116,7 @@ def test_lower_scaling_depends_on_ratio_only():
 def _slice(geo, t, source, hk_values):
     hk = np.asarray(hk_values, dtype=float)
     return HeatKernelSlice(t=t, source=source, prob=hk.copy(), hk=hk,
-                           trunc_error=0.0, wrap_error=0.0, geometry=geo)
+                           trunc_error=0.0, geometry=geo)
 
 
 def test_fit_single_diag_point_amplitude():

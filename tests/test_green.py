@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcmlab.green
@@ -55,6 +55,26 @@ def test_poisson_tail_matches_scipy():
             mine = poisson_tail(lam, r)
             ref = float(scipy.stats.poisson.sf(r - 1, lam))
             assert mine == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@example(lam=2.0, r=0.3)
+@example(lam=0.0, r=0.5)
+@example(lam=50.0, r=199.5)
+@given(lam=st.floats(0.0, 50.0), r=st.floats(-2.0, 200.0))
+def test_poisson_tail_matches_direct_summation(lam, r):
+    def pmf(n):
+        if lam == 0.0:
+            return float(n == 0)
+        return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+
+    # atoms past 600 hold below exp(-900) of the mass for lam <= 50
+    direct = math.fsum(pmf(n) for n in range(max(0, math.ceil(r)), 600))
+    tail = poisson_tail(lam, r)
+    if direct > 1e-290:
+        assert tail == pytest.approx(direct, rel=1e-10)
+    else:
+        assert tail <= 1e-289
 
 
 def test_chernoff_bound():
@@ -126,8 +146,7 @@ def test_green_requires_transience_and_envelope():
 def test_green_budget_unattainable_raises():
     geo, field, kern, env = constant_setup()
     with pytest.raises(ValueError, match="budget"):
-        green_kernel(field, (0, 0, 0), (0, 0, 0), env, tol=1e-6,
-                     t0_cap=64.0, kernel=kern)
+        green_kernel(field, (0, 0, 0), (0, 0, 0), env, tol=1e-6, kernel=kern)
 
 
 def test_green_split_doubling_within_certificate():

@@ -189,16 +189,6 @@ def test_on_diagonal_decay():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_wrap_certificate_reported_and_enforced():
-    field = sample_environment(CONSTANT, GEO, 0)
-    s = heat_kernel(field, 2.0, (0, 0))
-    from rcmlab.poisson import poisson_tail
-
-    assert s.wrap_error == pytest.approx(min(1.0, poisson_tail(2.0, 4)))
-    with pytest.raises(ValueError, match="torus too small"):
-        heat_kernel(field, 50.0, (0, 0), wrap_tol=1e-6)
-
-
 def test_spectral_oracle_guards():
     field = sample_environment(CONSTANT, TorusGeometry(2, 128), 0)
     with pytest.raises(ValueError, match="too large"):
