@@ -76,6 +76,13 @@ def _integer(value):
 
 _FLOATS, _INTS, _POINTS = _tuple_of(float), _tuple_of(_integer), _tuple_of(_tuple_of(_integer))
 
+
+def _pair(value):
+    if len(value) != 2:
+        raise ValueError(f"a pair needs two points, not {len(value)}")
+    return _POINTS(value)
+
+
 # section -> key -> (conversion, default): every configuration key and its
 # default, stated once.  Only a key whose default is None accepts null
 _SECTIONS = {
@@ -94,7 +101,7 @@ _SECTIONS = {
                 "sizes": (_POINTS, _REQUIRED), "samples": (_integer, 200),
                 "mean_samples": (_integer, 128)},
     "green": {"mode": (_one_of("quenched", "annealed"), "quenched"), "tol": (float, 1.0),
-              "pairs": (_tuple_of(_POINTS), None), "distances": (_INTS, (4, 6, 8)),
+              "pairs": (_tuple_of(_pair), None), "distances": (_INTS, (4, 6, 8)),
               "samples": (_integer, 50), "envelope_times": (_FLOATS, (16.0, 32.0, 64.0)),
               "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (_integer, 128)},
 }

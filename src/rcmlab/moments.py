@@ -317,15 +317,12 @@ class TailReport:
     values: list
 
 
-def n1_tail(spec, geometry, p, q, n_samples, n_grid, seed,
-            mean_mu_p=None, mean_nu_q=None, max_window=None):
+def n1_tail(spec, geometry, p, q, n_samples, n_grid, seed, mean_mu_p=None, mean_nu_q=None):
     """Empirical survival P(stability radius > n) over replica fields.
 
-    Fields that never stabilize inside the window count as exceeding every
-    grid point (conservative).
+    Fields that never stabilize inside the window, up to L // 2, count as
+    exceeding every grid point (conservative).
     """
-    if max_window is None:
-        max_window = geometry.L // 2
     wanted = {}
     if mean_mu_p is None:
         wanted["mu"] = p
@@ -341,7 +338,7 @@ def n1_tail(spec, geometry, p, q, n_samples, n_grid, seed,
     for start, chunk in _replica_chunks(spec, geometry, seed, _MAIN, n_samples):
         for i, weights in enumerate(chunk, start):
             fld = ConductanceField(geometry, weights, spec, int(labels[i]))
-            n1 = stability_radius(fld, origin, p, q, mean_mu_p, mean_nu_q, max_window)
+            n1 = stability_radius(fld, origin, p, q, mean_mu_p, mean_nu_q, geometry.L // 2)
             values.append(math.inf if n1 is None else n1)
     grid = [int(n) for n in n_grid]
     survival, stderr = [], []
@@ -480,10 +477,10 @@ def _cov_stderr(f_vals, g_vals):
     return float(prods.mean()) * n / (n - 1), float(prods.std(ddof=1) / math.sqrt(n))
 
 
-def _pilot_median(spec, geometry, seed, n_pilot=200):
-    # the weight of the origin's +e_1 edge, flat edge 0, in every pilot field
+def _pilot_median(spec, geometry, seed):
+    # the weight of the origin's +e_1 edge, flat edge 0, in each of 200 pilot fields
     vals = np.concatenate([values[:, 0, 0] for _, values in
-                           _replica_chunks(spec, geometry, seed, _THRESH, n_pilot)])
+                           _replica_chunks(spec, geometry, seed, _THRESH, 200)])
     return float(np.median(vals))
 
 

@@ -15,9 +15,10 @@ a row whose only cell is empty is written as ``""``.
 
 A table of two or more blocks whose first block has at least ``_SPLIT_ROWS``
 rows is formatted on two processes when two cores are usable: a forked child
-formats the odd-indexed blocks and sends each one's bytes back over a pipe,
-and the parent writes them in order between its own even-indexed blocks.
-The bytes are those of the serial loop whatever the core count.
+formats the odd-indexed blocks and pickles each one's bytes, or the
+ValueError it raised, onto a pipe, and the parent writes them in order
+between its own even-indexed blocks.  The bytes are those of the serial
+loop whatever the core count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
+import pickle
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -36,9 +37,6 @@ _NEEDS_QUOTES = (",", '"', "\r", "\n")
 _PER_ROW = (list, tuple, np.ndarray)
 # a fork plus reap costs about as much as formatting this many rows
 _SPLIT_ROWS = 4096
-# one frame from the child: b"B" and a block's bytes, or b"E" and the
-# message of the ValueError that block raised
-_FRAME = struct.Struct(">cQ")
 
 
 def format_value(v):
@@ -124,57 +122,51 @@ def _write_split(fh, path, blocks):
         os.close(write_fd)
         raise
     if pid == 0:
-        # the child touches neither fh nor stdio, and never returns
-        status = 1
+        # the child touches neither fh nor stdio, and exits 1 unless it sent all
         try:
             os.close(read_fd)
-            _send_odd_blocks(write_fd, blocks, encoding, errors)
-            status = 0
+            with open(write_fd, "wb") as pipe:
+                _send_odd_blocks(pipe, blocks, encoding, errors)
+            os._exit(0)
         finally:
-            os._exit(status)
+            os._exit(1)
     os.close(write_fd)
-    frames = open(read_fd, "rb")
+    pipe = open(read_fd, "rb")
     try:
         for i, columns in enumerate(blocks):
-            fh.buffer.write(_receive(frames, path) if i % 2
+            fh.buffer.write(_receive(pipe, path) if i % 2
                             else _block_text(columns).encode(encoding, errors))
     finally:
-        frames.close()  # a child still sending gets BrokenPipeError and exits
+        pipe.close()  # a child still sending gets BrokenPipeError and exits
         _, status = os.waitpid(pid, 0)
     if status:
         raise OSError(f"{path}: the CSV formatting process failed "
                       f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
-def _send_odd_blocks(fd, blocks, encoding, errors):
-    """The child's loop: one frame per odd-indexed block, ending at the first
-    ValueError, which is sent as an error frame."""
+def _send_odd_blocks(pipe, blocks, encoding, errors):
+    """The child's loop: each odd-indexed block's bytes pickled onto ``pipe``
+    and flushed, lest the parent wait on a pickle's last byte, up to the
+    first ValueError, pickled in its block's place and flushed by the close."""
     for columns in islice(blocks, 1, None, 2):
         try:
             data = _block_text(columns).encode(encoding, errors)
         except ValueError as exc:
-            _send(fd, b"E", str(exc).encode("utf-8", "surrogatepass"))
+            pickle.dump(exc, pipe)
             return
-        _send(fd, b"B", data)
+        pickle.dump(data, pipe)
+        pipe.flush()
 
 
-def _send(fd, kind, data):
-    view = memoryview(_FRAME.pack(kind, len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(frames, path):
-    """The next block's bytes from the child; raises the ValueError it sent."""
-    head = frames.read(_FRAME.size)
-    if len(head) == _FRAME.size:
-        kind, size = _FRAME.unpack(head)
-        data = frames.read(size)
-        if len(data) == size:
-            if kind == b"E":
-                raise ValueError(data.decode("utf-8", "surrogatepass"))
-            return data
-    raise OSError(f"{path}: the CSV formatting process ended before sending every block")
+def _receive(pipe, path):
+    """The next block's bytes from the child; raises the exception it sent."""
+    try:
+        data = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        data = OSError(f"{path}: the CSV formatting process ended before sending every block")
+    if isinstance(data, Exception):
+        raise data
+    return data
 
 
 def write_json(path, payload, meta):

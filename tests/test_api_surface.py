@@ -6,9 +6,14 @@ unless it is one of the documented checks and oracles in ``ALLOWED``.  A
 module-level name counts as used where it appears as an attribute anywhere,
 or as a bare name in its own module or in a module that imports it; a
 method counts as used where it appears as an attribute.
+
+Every defaulted parameter of a function in ``src/rcmlab`` must be passed by
+some call in ``src/rcmlab``, ``perfbench/`` or ``tests/``: a default no call
+changes is a constant.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -102,3 +107,47 @@ def test_allowed_names_exist():
     defined = {qualified for path, tree in _parse(PACKAGE.glob("*.py")).items()
                for qualified, _, _ in _definitions(tree, path.stem)}
     assert ALLOWED <= defined, sorted(ALLOWED - defined)
+
+
+def _calls(trees):
+    """Callee name -> (positional count, keyword names, passes *args or
+    **kwargs) for every call in ``trees``, the callee named as a bare name
+    or an attribute."""
+    calls = {}
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        star = (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords))
+        calls.setdefault(name, []).append((len(call.args), {k.arg for k in call.keywords}, star))
+    return calls
+
+
+def _unset_defaults():
+    """module.function(parameter) for every defaulted parameter of a function
+    in the package that no call in the package, perfbench or the tests passes.
+    A method's first parameter is its instance or class, never passed by
+    position."""
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    callers = _parse([*sorted((ROOT / "perfbench").glob("*.py")),
+                      *sorted((ROOT / "tests").glob("*.py"))])
+    calls = _calls([*package.values(), *callers.values()])
+    out = []
+    for path, tree in package.items():
+        methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            params = fn.args.posonlyargs + fn.args.args
+            skip = id(fn) in methods
+            first = len(params) - len(fn.args.defaults)
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(params) if i >= first]
+            defaulted += [(math.inf, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(star or index < n or param in names
+                           for n, names, star in calls.get(fn.name, ())):
+                    out.append(f"{path.stem}.{fn.name}({param})")
+    return out
+
+
+def test_every_default_is_passed_somewhere():
+    unset = _unset_defaults()
+    assert not unset, f"defaulted parameters no call passes: {unset}"

@@ -425,13 +425,22 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
     ("verify", {"verify": {"times": [4.0], "sources": [[0, 0, 0]]}}),
     ("chain", {"chain": {"target": [6], "time": 24.0}}),
     ("green", {"geometry": {"d": 3, "L": 8}, "green": {"pairs": [[[0, 0], [2, 0]]]}}),
+    ("green", {"geometry": {"d": 3, "L": 8},
+               "green": {"pairs": [[[0, 0, 0], [2, 0, 0], [3, 0, 0]]]}}),
+    ("green", {"geometry": {"d": 3, "L": 8}, "green": {"pairs": [[[0, 0, 0]]]}}),
+    ("green", {"geometry": {"d": 3, "L": 8},
+               "green": {"mode": "annealed", "pairs": [[[0, 0, 0], [2, 0, 0], [3, 0, 0]]]}}),
+    ("green", {"geometry": {"d": 3, "L": 8},
+               "green": {"mode": "annealed", "pairs": [[[0, 0, 0]]]}}),
     ("env", {"seed": 1.5}),
     ("moments", {"moments": {"sizes": [[1, 0]], "samples": 2.7}}),
     ("heat", {"heat": {"times": [1.0], "sources": [[0.7, 2.9]]}}),
 ], ids=["heat-no-times", "chain-no-target", "null-tol", "heat-not-object", "null-sigma",
         "string-delta", "green-mode", "verify-mode", "moments-quantity", "heat-source-length",
         "heat-target-length", "verify-source-length", "chain-target-length",
-        "green-pair-length", "fractional-seed", "fractional-samples", "fractional-source"])
+        "green-pair-length", "green-three-points", "green-one-point",
+        "annealed-three-points", "annealed-one-point", "fractional-seed", "fractional-samples",
+        "fractional-source"])
 def test_malformed_config_exits_three_before_any_work(tmp_path, monkeypatch, command, change):
     def no_sampling(*args):
         raise AssertionError("a command sampled a field from a malformed configuration")

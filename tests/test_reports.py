@@ -154,6 +154,7 @@ def test_two_process_csv_forks_from_split_rows(tmp_path):
 @pytest.mark.parametrize("index, bad, message", [
     (1, [[1.0, 2.0], [3.0]], "equal length"),
     (2, [1.0], "at least one column"),
+    (1, [[1.0] * 3, "bad\udc80"], "can't encode"),
 ])
 def test_two_process_csv_raises_the_serial_error(tmp_path, index, bad, message):
     blocks = [[[float(i)] * 3, "x"] for i in range(4)]
@@ -164,6 +165,7 @@ def test_two_process_csv_raises_the_serial_error(tmp_path, index, bad, message):
         with pytest.raises(ValueError) as split:
             write_csv(tmp_path / "split.csv", ["a", "b"], iter(blocks), META)
     assert len(pids) == 1
+    assert type(split.value) is type(serial.value)
     assert str(split.value) == str(serial.value)
     # the blocks before the failing one are written, as the serial loop writes them
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
