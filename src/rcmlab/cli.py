@@ -222,7 +222,7 @@ def cmd_heat(config, out_dir):
     else:
         points = np.indices((geo.L,) * geo.d).reshape(geo.d, -1).T.tolist()
         target_idx = np.arange(geo.n_vertices)
-    target_labels = [_label(y) for y in points]
+    target_labels = tuple(_label(y) for y in points)  # one tuple: write_csv formats it once
     del points
     requests = [(t, src) for t in section["times"] for src in section["sources"]]
     slices = heat_slices(kern, requests, section["tol"])

@@ -52,7 +52,13 @@ def _quote(cell):
     return cell
 
 
+class _Formatted(tuple):
+    """A tuple column's cells, already through :func:`_cells` (see write_csv)."""
+
+
 def _cells(column):
+    if type(column) is _Formatted:
+        return column
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return map(repr, column.tolist())
     # format_value leaves a str as it is, so a column of str skips the call
@@ -87,11 +93,20 @@ def write_csv(path, header, blocks, meta):
     ``blocks`` is an iterable of column blocks (see the module docstring);
     their rows follow the header in order.  The first two blocks are drawn
     before either is formatted, to choose between one and two processes.
+    A tuple passed again at the same column position reuses its cells.
     """
+    last = {}  # position -> (tuple, its cells); held, so `is` never matches a newer tuple
+
+    def reuse(columns):
+        for i, c in enumerate(columns):
+            if type(c) is tuple and last.get(i, (None,))[0] is not c:
+                last[i] = (c, _Formatted(_cells(c)))
+        return [last[i][1] if type(c) is tuple else c for i, c in enumerate(columns)]
+
     with open(path, "w", newline="") as fh:
         fh.write(f"#config_hash={meta['config_hash']},version={meta['version']}\r\n")
         fh.write(_block_text([[h] for h in header]))
-        blocks = iter(blocks)
+        blocks = map(reuse, blocks)
         head = list(islice(blocks, 2))
         blocks = chain(head, blocks)
         if (len(head) < 2 or _rows(head[0]) < _SPLIT_ROWS or _worker_count() < 2

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -107,6 +109,39 @@ def test_srw_green_asymptotics():
 def test_srw_green_rejects_recurrent_dimension():
     with pytest.raises(ValueError, match="transient"):
         srw_green((1, 0))
+
+
+@pytest.mark.parametrize("z, bits", [
+    ((0, 0, 0), "0x1.8431e071cdce3p+0"),
+    ((3, 0, 0), "0x1.52797d488d682p-3"),
+    ((3, 1, 0), "0x1.39a0e45ec4581p-3"),
+    ((2, 2, 2), "0x1.16570d44da3ccp-3"),
+    ((12, 0, 0), "0x1.4762bdffb6266p-5"),
+    ((1, 0, 0, 0), "0x1.ea6dbd062c531p-3"),
+])
+def test_srw_green_bits_are_pinned(z, bits):
+    assert srw_green(z).hex() == bits
+
+
+_IMPORT_PROBE = """
+import sys
+import rcmlab, rcmlab.cli
+print(sorted(m for m in sys.modules if m in {heavy!r}))
+from rcmlab.green import srw_green
+srw_green((1, 1, 1))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_fresh_import_leaves_quadrature_unloaded_until_the_oracle_runs():
+    # only srw_green needs scipy.integrate, and it drags in these subpackages
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg",
+             "scipy.fft", "scipy.spatial"}
+    src = os.path.dirname(os.path.dirname(rcmlab.green.__file__))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(heavy=heavy)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["[]", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -204,3 +204,23 @@ def test_one_worker_never_forks(tmp_path, monkeypatch):
     write_csv(tmp_path / "serial.csv", ["a", "b"], blocks, META)
     _reference_csv(tmp_path / "rows.csv", ["a", "b"], blocks)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_formats_a_repeated_tuple_column_once(tmp_path, monkeypatch):
+    labels = ("0 0", "a,b", 'q"')
+    blocks = ([[float(i), labels, np.arange(3.0) + i] for i in range(4)]
+              + [[9.0, ("x", "y", "z"), labels]])
+    real_cells = rcmlab.reports._cells
+    scans = []
+    monkeypatch.setattr(rcmlab.reports, "_cells",
+                        lambda column: scans.append(column is labels) or real_cells(column))
+    with _serial():
+        write_csv(tmp_path / "serial.csv", ["t", "y", "v"], blocks, META)
+    # once at position 1 for the first four blocks, once more at position 2
+    assert scans.count(True) == 2
+    with _forks() as pids:
+        write_csv(tmp_path / "split.csv", ["t", "y", "v"], blocks, META)
+    assert len(pids) == 1
+    _reference_csv(tmp_path / "rows.csv", ["t", "y", "v"], blocks)
+    assert ((tmp_path / "serial.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
