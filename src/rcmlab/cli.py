@@ -462,17 +462,19 @@ def cmd_green(config, out_dir):
     ests = [green_kernel(field, x, y, env, tol=section["tol"], kernel=kern) for x, y in pairs]
     dists = [geo.torus_distance(x, y) for x, y in pairs]
     write_csv(os.path.join(out_dir, "green.csv"),
-              ["x", "y", "dist", "g", "g_scaled", "tail_bound", "split_time"],
+              ["x", "y", "dist", "g", "g_scaled", "tail_bound", "split_time", "wrap_limited"],
               [[[_label(e.x) for e in ests], [_label(e.y) for e in ests], dists,
                 [e.value for e in ests],
                 [e.value * u ** (geo.d - 2.0) if u else math.nan for e, u in zip(ests, dists)],
-                [e.tail_bound for e in ests], [e.split_time for e in ests]]],
+                [e.tail_bound for e in ests], [e.split_time for e in ests],
+                [e.wrap_limited for e in ests]]],
               meta)
     write_json(os.path.join(out_dir, "green.json"), {
         "mode": "quenched",
         "envelope": env.to_dict(),
         "pairs": [[list(x), list(y)] for x, y in pairs],
         "values": [float(e.value) for e in ests],
+        "wrap_limited": [e.wrap_limited for e in ests],
     }, meta)
     return EXIT_OK
 

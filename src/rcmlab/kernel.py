@@ -42,6 +42,10 @@ T_k(P^T) start at the targets instead.
 A dense spectral route through the same matrix S serves as an independent
 oracle for cross-validation on small tori.
 
+scipy loads on first use: :func:`jump_kernel` imports ``scipy.sparse`` and
+``scipy.special``, so the samplers and moment checks, which build no kernel,
+run without it.
+
 Both computations live on the torus, and a slice certifies only what it
 computes: the series truncation.  It states nothing about how far the torus
 law is from the law on the full lattice.
@@ -54,8 +58,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy import special
 
 
 @lru_cache(maxsize=32)
@@ -89,13 +91,15 @@ class JumpKernel:
 
     geometry: object
     mu: np.ndarray
-    even_block: sp.csr_matrix
-    odd_block: sp.csr_matrix
+    even_block: object  # scipy.sparse.csr_matrix
+    odd_block: object
 
     @cached_property
     def symmetric(self):
         """S itself, each row listing its 2d neighbors in table order: the
         reference for P, the dense oracle and the tests; no sweep uses it."""
+        import scipy.sparse as sp
+
         geo = self.geometry
         n, width = geo.n_vertices, 2 * geo.d
         data = np.empty((n, width))
@@ -109,6 +113,8 @@ class JumpKernel:
         """P(x, y) = w(x, y) / mu(x) = S(x, y) sqrt(mu(y) / mu(x)), the walk
         simulator's jump probabilities; column indices sorted, so each row
         lists its neighbors in vertex order."""
+        import scipy.sparse as sp
+
         s = self.symmetric
         root = np.sqrt(self.mu)
         rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
@@ -138,6 +144,8 @@ def _block(values, root, rows, other, cols, indptr):
     """The rows of S at the vertices ``rows`` (one colour class) over the
     class ``other``, built in class order on the shared pattern (cols, indptr);
     a column c stands for the vertex other[c]."""
+    import scipy.sparse as sp
+
     d = values.shape[1]
     # one product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
     data = root[other][cols]
@@ -152,6 +160,8 @@ def _block(values, root, rows, other, cols, indptr):
 def jump_kernel(field):
     """Build the blocks of S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) on neighbors;
     validates that the jump probabilities w(x, y) / mu(x) sum to one."""
+    import scipy.special  # noqa: F401  the kernel's sweeps need it; load it with scipy.sparse
+
     geo = field.geometry
     mu_vec = field.mu_vector()
     if np.any(mu_vec <= 0):
@@ -192,6 +202,8 @@ def point_mass(geometry, x):
 
 def _coefficients(t, n_terms):
     """c_0(t), ..., c_{n_terms - 1}(t): c_0 = ive(0, t), c_k = 2 ive(k, t)."""
+    from scipy import special
+
     c = special.ive(np.arange(n_terms), t)
     c[1:] *= 2.0
     return c

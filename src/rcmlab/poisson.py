@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import special
-
 
 def poisson_tail(lam, r):
     """P(Poisson(lam) >= r), as the regularized incomplete gamma function
@@ -24,6 +22,8 @@ def poisson_tail(lam, r):
         raise ValueError("rate must be nonnegative")
     if r <= 0:
         return 1.0
+    from scipy import special  # loaded on first use
+
     return float(special.pdtrc(math.ceil(r) - 1, lam))
 
 

@@ -260,51 +260,54 @@ def test_criterion_11_chernoff():
            time.time() - start, 1.0)
 
 
+# criterion 12: one small config per command
+CLI_CONFIGS = {
+    "env": {
+        "geometry": {"d": 2, "L": 8},
+        "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
+        "seed": 7,
+    },
+    "heat": {
+        "geometry": {"d": 2, "L": 8},
+        "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
+        "seed": 7,
+        "heat": {"times": [0.5, 2.0], "sources": [[0, 0]]},
+    },
+    "verify": {
+        "geometry": {"d": 2, "L": 16},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 1,
+        "verify": {"times": [4.0, 8.0], "sources": [[0, 0]],
+                   "moment_samples": 16, "mode": "self"},
+    },
+    "chain": {
+        "geometry": {"d": 2, "L": 32},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 0,
+        "chain": {"target": [6, 0], "time": 24.0},
+    },
+    "moments": {
+        "geometry": {"d": 2, "L": 16},
+        "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
+        "seed": 4,
+        "moments": {"quantity": "mu", "p": 1, "eta": 2.0,
+                    "sizes": [[1, 0], [3, 1], [5, 2], [7, 3]],
+                    "samples": 40, "mean_samples": 16},
+    },
+    "green": {
+        "geometry": {"d": 3, "L": 16},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 2,
+        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]],
+                  "envelope_times": [8.0, 16.0]},
+    },
+}
+
+
 def _run_all_commands(tmp_path, tag):
     convert = lambda name: str(tmp_path / f"{tag}-{name}")
-    configs = {
-        "env": {
-            "geometry": {"d": 2, "L": 8},
-            "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
-            "seed": 7,
-        },
-        "heat": {
-            "geometry": {"d": 2, "L": 8},
-            "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
-            "seed": 7,
-            "heat": {"times": [0.5, 2.0], "sources": [[0, 0]]},
-        },
-        "verify": {
-            "geometry": {"d": 2, "L": 16},
-            "environment": {"kind": "constant", "level": 1.0},
-            "seed": 1,
-            "verify": {"times": [4.0, 8.0], "sources": [[0, 0]],
-                       "moment_samples": 16, "mode": "self"},
-        },
-        "chain": {
-            "geometry": {"d": 2, "L": 32},
-            "environment": {"kind": "constant", "level": 1.0},
-            "seed": 0,
-            "chain": {"target": [6, 0], "time": 24.0},
-        },
-        "moments": {
-            "geometry": {"d": 2, "L": 16},
-            "environment": {"kind": "uniform-elliptic-iid", "low": 0.5, "high": 2.0},
-            "seed": 4,
-            "moments": {"quantity": "mu", "p": 1, "eta": 2.0,
-                        "sizes": [[1, 0], [3, 1], [5, 2], [7, 3]],
-                        "samples": 40, "mean_samples": 16},
-        },
-        "green": {
-            "geometry": {"d": 3, "L": 16},
-            "environment": {"kind": "constant", "level": 1.0},
-            "seed": 2,
-            "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]],
-                      "envelope_times": [8.0, 16.0]},
-        },
-    }
     outputs = {}
-    for name, cfg in configs.items():
+    for name, cfg in CLI_CONFIGS.items():
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         out = convert(name)

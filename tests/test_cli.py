@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import rcmlab.environment
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
                         load_config, main)
 from rcmlab.seeding import child_seed, rng_for
+from test_acceptance import CLI_CONFIGS
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -360,6 +363,29 @@ def test_moments_command_row_count(tmp_path):
     assert len(report["sizes"]) == 4
 
 
+_CLI_PROBE = """
+import sys
+from rcmlab.cli import main
+for command in ("env", "moments", "heat"):
+    code = main([command, "--config", f"{sys.argv[1]}/{command}.json",
+                 "--out", f"{sys.argv[1]}/{command}"])
+    # any scipy submodule loads the scipy package first
+    print(command, code, "scipy" in sys.modules, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_env_and_moments_run_without_scipy_and_heat_loads_it(tmp_path):
+    # criterion 12's configs, in a fresh process: sampling and the moment
+    # ladder build no kernel, so no scipy module may load before heat
+    for name in ("env", "moments", "heat"):
+        write_config(tmp_path, CLI_CONFIGS[name], f"{name}.json")
+    src = os.path.dirname(os.path.dirname(rcmlab.cli.__file__))
+    out = subprocess.run([sys.executable, "-c", _CLI_PROBE, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["env 0 False False", "moments 0 False False", "heat 0 True True"]
+
+
 def test_green_command_and_dimension_guard(tmp_path):
     cfg = {
         "geometry": {"d": 3, "L": 16},
@@ -381,6 +407,26 @@ def test_green_command_and_dimension_guard(tmp_path):
     flat_path = write_config(tmp_path, flat, "flat.json")
     assert main(["green", "--config", flat_path,
                  "--out", str(tmp_path / "g2")]) == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("L, envelope_times, wrapped", [
+    (16, [8.0, 16.0], True),  # criterion 12's config: split 128 > 16^2/8, value +28 %
+    (32, [16.0, 32.0, 64.0], False),  # split 128 = 32^2/8, value within 0.1 %
+], ids=["criterion-12", "constant-32"])
+def test_quenched_green_flags_split_times_past_the_wrap_time(tmp_path, L, envelope_times,
+                                                             wrapped):
+    cfg = {
+        "geometry": {"d": 3, "L": L},
+        "environment": {"kind": "constant", "level": 1.0},
+        "seed": 2,
+        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]], "envelope_times": envelope_times},
+    }
+    out = tmp_path / "g"
+    assert main(["green", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    header, row = [line.split(",") for line in (out / "green.csv").read_text().splitlines()[1:]]
+    assert header[-2:] == ["split_time", "wrap_limited"]
+    assert row[-2:] == ["128.0", str(wrapped)]
+    assert json.loads((out / "green.json").read_text())["wrap_limited"] == [wrapped]
 
 
 def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path):

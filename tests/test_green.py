@@ -124,9 +124,33 @@ def test_srw_green_bits_are_pinned(z, bits):
 
 
 _IMPORT_PROBE = """
-import sys
-import rcmlab, rcmlab.cli
-print(sorted(m for m in sys.modules if m in {heavy!r}))
+import importlib, pkgutil, sys
+import rcmlab
+
+def loaded():
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+
+for info in pkgutil.iter_modules(rcmlab.__path__):
+    importlib.import_module("rcmlab." + info.name)
+loaded()
+
+from rcmlab.environment import EnvironmentSpec, sample_environment
+from rcmlab.lattice import TorusGeometry
+from rcmlab.moments import (annealed_power_mean, association_check, default_rectangles,
+                            rectangle_ladder)
+geo = TorusGeometry(2, 8)
+fkg = EnvironmentSpec("gaussian-fkg", {{}})
+sample_environment(fkg, geo, 0)
+rectangle_ladder(fkg, TorusGeometry(2, 16), "mu", 1, 2.0,
+                 default_rectangles([[1, 0], [3, 1], [5, 2], [7, 3]]), 4, 0, mean_samples=4)
+association_check(EnvironmentSpec("na-permutation", {{}}), geo, n_samples=20, seed=0)
+annealed_power_mean(EnvironmentSpec("na-permutation", {{}}), geo, {{"mu": 2, "nu": 2}},
+                    n_fields=4, seed=0)
+loaded()
+
+from rcmlab.kernel import jump_kernel
+jump_kernel(sample_environment(EnvironmentSpec("constant", {{}}), TorusGeometry(3, 4), 0))
+print(sorted(m for m in {heavy!r} | {{"scipy.sparse", "scipy.special"}} if m in sys.modules))
 from rcmlab.green import srw_green
 srw_green((1, 1, 1))
 print("scipy.integrate" in sys.modules)
@@ -134,14 +158,16 @@ print("scipy.integrate" in sys.modules)
 
 
 def test_fresh_import_leaves_quadrature_unloaded_until_the_oracle_runs():
-    # only srw_green needs scipy.integrate, and it drags in these subpackages
+    # no module of rcmlab, nor sampling and the moment checks, loads scipy; the
+    # kernel loads scipy.sparse and scipy.special, and only srw_green needs
+    # scipy.integrate, which drags in the heavy subpackages
     heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg",
              "scipy.fft", "scipy.spatial"}
     src = os.path.dirname(os.path.dirname(rcmlab.green.__file__))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(heavy=heavy)],
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out == ["[]", "True"]
+    assert out == ["[]", "[]", "['scipy.sparse', 'scipy.special']", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +472,42 @@ def test_annealed_green_same_bits_on_one_and_two_workers(monkeypatch, seed):
     samples = _serial_annealed_samples(ELLIPTIC, geo, pairs, 5, seed, two.split_times)
     assert two.means == samples.mean(axis=1).tolist()
     assert two.stderrs == (samples.std(axis=1, ddof=1) / math.sqrt(5)).tolist()
+
+
+_FIRST_USER_PROBE = """
+import sys, threading
+
+class Recorder:
+    threads = set()
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            self.threads.add(threading.current_thread().name)
+        return None  # leaves the import to the next finder
+
+sys.meta_path.insert(0, Recorder())
+from rcmlab.environment import EnvironmentSpec
+from rcmlab.green import annealed_green
+from rcmlab.lattice import TorusGeometry
+print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+report = annealed_green(EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0}),
+                        TorusGeometry(3, 16), [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (3, 0, 0))],
+                        2, 7)
+print(sorted(Recorder.threads))
+print([m.hex() for m in report.means])
+"""
+
+
+def test_annealed_green_as_first_scipy_user_imports_on_the_calling_thread():
+    # scipy loads on first use; annealed_green must load it before its helper
+    # thread starts, and the bits must not depend on when it loaded
+    src = os.path.dirname(os.path.dirname(rcmlab.green.__file__))
+    out = subprocess.run([sys.executable, "-c", _FIRST_USER_PROBE],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    warm = annealed_green(ELLIPTIC, TorusGeometry(3, 16),
+                          [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (3, 0, 0))], 2, 7)
+    assert out == ["False", "['MainThread']", str([m.hex() for m in warm.means])]
 
 
 @pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3}])
