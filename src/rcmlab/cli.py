@@ -63,10 +63,6 @@ def _one_of(*allowed):
     return check
 
 
-def _as_given(value):
-    return value
-
-
 def _integer(value):
     """``int(value)``, refusing a float it would truncate."""
     if isinstance(value, float) and not value.is_integer():
@@ -86,7 +82,7 @@ def _pair(value):
 # section -> key -> (conversion, default): every configuration key and its
 # default, stated once.  Only a key whose default is None accepts null
 _SECTIONS = {
-    "geometry": {"d": (_as_given, _REQUIRED), "L": (_as_given, _REQUIRED)},
+    "geometry": {"d": (_integer, _REQUIRED), "L": (_integer, _REQUIRED)},
     "heat": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, _REQUIRED),
              "targets": (_POINTS, None), "tol": (float, 1e-10)},
     "verify": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, None), "window": (float, 2.0),
@@ -241,7 +237,8 @@ def cmd_heat(config, out_dir):
 def _fit_envelope(config, section, field, kern, sources, times, window, tol):
     """Envelope fitted on one field's slices (t outer, source inner), gated by
     its stability-radius table; also returns the table builder, so another
-    field's table uses the same annealed means of mu^p and nu^q."""
+    field's table uses the same annealed means of mu^p and nu^q, and the
+    slices keyed as :func:`heat_slices` keys them."""
     geo = config.geometry
     p, q, moment_samples = section["p"], section["q"], section["moment_samples"]
     means = annealed_power_mean(config.environment, geo, {"mu": p, "nu": q},
@@ -255,7 +252,7 @@ def _fit_envelope(config, section, field, kern, sources, times, window, tol):
     fit_slices = heat_slices(kern, [(t, x) for t in times for x in sources], tol)
     slices = [fit_slices[t, geo.wrap(x)] for t in times for x in sources]
     env = fit_envelopes(slices, lower_threshold=radius_table(field), window=window)
-    return env, radius_table
+    return env, radius_table, fit_slices
 
 
 def _verify_pipeline(config):
@@ -271,15 +268,17 @@ def _verify_pipeline(config):
 
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
     fit_kern = jump_kernel(fit_field)
-    env, radius_table = _fit_envelope(config, section, fit_field, fit_kern, sources, times,
-                                      window, tol)
-    if section["mode"] == "self":
-        ver_field, ver_kern, env_verify = fit_field, fit_kern, env
-    else:
-        # same constants; validity thresholds from the field under verification
+    env, radius_table, slices = _fit_envelope(config, section, fit_field, fit_kern, sources,
+                                              times, window, tol)
+    env_verify = env
+    if section["mode"] == "cross":
+        # same constants; slices and validity thresholds from the field under
+        # verification, swept once the fit's table is released
+        del slices, fit_kern, fit_field
         ver_field = sample_environment(spec, geo, child_seed(config.seed, 11))
-        ver_kern = None
         env_verify = dataclasses.replace(env, threshold=radius_table(ver_field))
+        slices = heat_slices(jump_kernel(ver_field), [(t, x) for t in times for x in sources],
+                             tol)
     # optional deliberate weakening, for exercising the failure path
     upper_scale, lower_scale = section["inject_upper_scale"], section["inject_lower_scale"]
     if upper_scale != 1.0 or lower_scale != 1.0:
@@ -287,9 +286,10 @@ def _verify_pipeline(config):
             env_verify, upper_amp=env_verify.upper_amp * upper_scale,
             lower_amp=env_verify.lower_amp * lower_scale)
 
-    grid = [(t, src, geo.ball_indices(src, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
+    grid = [(slices[t, geo.wrap(src)],
+             geo.ball_indices(src, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
             for t in times for src in sources]
-    report = verify_bounds(ver_field, env_verify, grid, tol=tol, kernel=ver_kern)
+    report = verify_bounds(env_verify, grid)
     return env, report
 
 
@@ -456,8 +456,8 @@ def cmd_green(config, out_dir):
 
     field = sample_environment(spec, geo, config.seed)
     kern = jump_kernel(field)
-    env, _ = _fit_envelope(config, section, field, kern, sorted({x for x, _ in pairs}),
-                           section["envelope_times"], 2.0, 1e-12)
+    env, _, _ = _fit_envelope(config, section, field, kern, sorted({x for x, _ in pairs}),
+                              section["envelope_times"], 2.0, 1e-12)
 
     ests = [green_kernel(field, x, y, env, tol=section["tol"], kernel=kern) for x, y in pairs]
     dists = [geo.torus_distance(x, y) for x, y in pairs]

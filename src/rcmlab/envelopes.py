@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import heat_slices, jump_kernel
-
 
 def stability_radius(field, x, p, q, mean_mu_p, mean_nu_q, max_window):
     """Minimal n so ball averages of mu^p and nu^q stay within twice their
@@ -198,11 +196,11 @@ def fit_envelopes(slices, lower_threshold, window=2.0):
     """Fit the tightest envelope consistent with the supplied slices.
 
     Only points with |x-y| <= window * sqrt(t) enter the fit, and only where
-    the slice resolves them (heat kernel above ten times the truncation
-    bound).  ``lower_threshold`` is the envelope's one ``threshold`` N(x), a
-    constant or a dict keyed by source; it gates both bounds, the lower one
-    at t >= N(x) * max(1, |x-y|), the upper one at sqrt(t) >= N(x).  The
-    lower amplitude takes half the smallest on-diagonal value of p * t^(d/2);
+    the slice resolves them (heat kernel above ten times the slice's
+    ``hk_error``).  ``lower_threshold`` is the envelope's one ``threshold``
+    N(x), a constant or a dict keyed by source; it gates both bounds, the
+    lower one at t >= N(x) * max(1, |x-y|), the upper one at sqrt(t) >= N(x).
+    The lower amplitude takes half the smallest on-diagonal value of p * t^(d/2);
     the lower rate takes the largest rate any off-diagonal point demands.
     The upper amplitude doubles the largest on-diagonal value and the upper
     rates take the smallest rates the data allows, with the regimes split at
@@ -272,7 +270,7 @@ def _collect_points(slices, threshold, window):
     arrays, in slice order and then in vertex order."""
     parts = {key: [] for key in ("diag_lower", "off_lower", "diag_upper", "off_upper")}
     for s in slices:
-        floor = 10.0 * s.trunc_error
+        floor = 10.0 * s.hk_error
         n = resolve_threshold(threshold, s.source)
         dist = s.geometry.distance_field(s.source)
         idx = np.flatnonzero(dist <= window * math.sqrt(s.t))
@@ -339,31 +337,27 @@ class BoundReport:
                    if v.margin > margin and (side is None or v.side == side))
 
 
-def verify_bounds(field, env, grid, tol=1e-10, kernel=None):
+def verify_bounds(env, grid):
     """Check computed heat kernel values against an envelope on a grid of
-    (t, x, targets) entries, ``targets`` an array of flat vertex indices.
+    (slice, targets) entries, ``targets`` an array of flat vertex indices.
 
-    Entries with the same t and wrapped x form one group, checked in grid
-    order; groups are checked in (t, x) order.  Returns a report listing
+    Entries with the same slice time and source form one group, checked in
+    grid order; groups are checked in (t, x) order.  Returns a report listing
     every point falling outside the active bounds by more than the slice's
-    certified error.  An empty violation list means the envelope is verified
-    on this grid.
+    ``hk_error``.  An empty violation list means the envelope is verified on
+    this grid.
     """
-    kern = kernel if kernel is not None else jump_kernel(field)
-    geo = field.geometry
     groups = {}
-    for t, x, targets in grid:
-        groups.setdefault((float(t), geo.wrap(x)), []).append(np.asarray(targets, dtype=np.int64))
-    mu_min = float(kern.mu.min())
-
-    slices = heat_slices(kern, sorted(groups), tol)
+    for s, targets in grid:
+        groups.setdefault((s.t, s.source), (s, []))[1].append(
+            np.asarray(targets, dtype=np.int64))
     violations = []
     checked = []
     n_lower = 0
     n_upper = 0
-    for (t, x), parts in sorted(groups.items()):
-        s = slices[t, x]
-        slack = s.trunc_error / mu_min + 1e-15
+    for (t, x), (s, parts) in sorted(groups.items()):
+        geo = s.geometry
+        slack = s.hk_error + 1e-15
         ys = np.concatenate(parts)
         dist = geo.distance_field(x)[ys]
         u = dist.astype(float)

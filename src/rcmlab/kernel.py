@@ -39,8 +39,10 @@ to the degree of the largest requested time, and every time sums its own
 coefficients on the way; with targets the sweep keeps the terms
 T_k(P^T) start at the targets instead.
 
-A dense spectral route through the same matrix S serves as an independent
-oracle for cross-validation on small tori.
+A kernel holds only the two blocks and mu.  S as one matrix exists only
+inside :func:`spectral_oracle`, a dense eigendecomposition route that serves
+as an independent oracle on small tori; :func:`simulate_walk` reads one
+block row per jump.
 
 scipy loads on first use: :func:`jump_kernel` imports ``scipy.sparse`` and
 ``scipy.special``, so the samplers and moment checks, which build no kernel,
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,47 +81,21 @@ def _colour_classes(d, L):
 @dataclass
 class JumpKernel:
     """The two off-diagonal blocks of S = D^-1/2 A D^-1/2 that every sweep
-    multiplies by, with mu alongside.
+    multiplies by, with mu alongside; the kernel holds nothing else.
 
     :class:`~rcmlab.lattice.TorusGeometry` admits only even sides, so the
     nearest-neighbour graph is bipartite and S maps each colour class onto
     the other.  ``even_block`` holds the rows of S at the even vertices over
     the odd ones, ``odd_block`` the reverse; a column is a vertex's position
     v // 2 in its class, and each block row lists the same neighbors in the
-    same (table) order as the row of S.  S and the row-stochastic jump
-    matrix P are built on first use."""
+    same (table) order as :meth:`~rcmlab.lattice.TorusGeometry.neighbor_table`.
+    The two oracles read S from these blocks: :func:`spectral_oracle` as a
+    dense matrix, :func:`simulate_walk` one row at a time."""
 
     geometry: object
     mu: np.ndarray
     even_block: object  # scipy.sparse.csr_matrix
     odd_block: object
-
-    @cached_property
-    def symmetric(self):
-        """S itself, each row listing its 2d neighbors in table order: the
-        reference for P, the dense oracle and the tests; no sweep uses it."""
-        import scipy.sparse as sp
-
-        geo = self.geometry
-        n, width = geo.n_vertices, 2 * geo.d
-        data = np.empty((n, width))
-        for rows, block in zip(_colour_classes(geo.d, geo.L), (self.even_block, self.odd_block)):
-            data[rows] = block.data.reshape(-1, width)
-        return sp.csr_matrix((data.reshape(-1), geo.neighbor_table().reshape(-1),
-                              np.arange(0, width * n + 1, width)), shape=(n, n))
-
-    @cached_property
-    def matrix(self):
-        """P(x, y) = w(x, y) / mu(x) = S(x, y) sqrt(mu(y) / mu(x)), the walk
-        simulator's jump probabilities; column indices sorted, so each row
-        lists its neighbors in vertex order."""
-        import scipy.sparse as sp
-
-        s = self.symmetric
-        root = np.sqrt(self.mu)
-        rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
-        return sp.csr_matrix((s.data * root[s.indices] / root[rows], s.indices, s.indptr),
-                             shape=s.shape).sorted_indices()
 
 
 @lru_cache(maxsize=32)
@@ -182,7 +158,9 @@ class HeatKernelSlice:
     """Time-t law from one source, as probabilities and as a density.
 
     ``prob`` is P_x[X_t = .]; ``hk`` is prob / mu.  ``trunc_error`` bounds the
-    series truncation in l1 (hence sup) norm.
+    series truncation of ``prob`` in l1 (hence sup) norm, and ``hk_error``
+    = trunc_error / min mu bounds it for ``hk``: the one density error the
+    envelope fit and its verification allow for.
     """
 
     t: float
@@ -190,6 +168,7 @@ class HeatKernelSlice:
     prob: np.ndarray
     hk: np.ndarray
     trunc_error: float
+    hk_error: float
     geometry: object
 
 
@@ -255,8 +234,8 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
     of the largest time.  With ``targets`` (vertex indices) it returns the
     terms T_k(P^T) start at the targets as a :class:`TransitionProfile` instead.
     """
-    if min(times) < 0:
-        raise ValueError("time must be nonnegative")
+    if not all(0 <= t < math.inf for t in times):
+        raise ValueError("time must be finite and nonnegative")
     if not (0 < tol < 1):
         raise ValueError("tolerance must be in (0, 1)")
     start = np.asarray(start, dtype=np.float64)
@@ -315,6 +294,7 @@ def heat_slices(kernel, requests, tol=1e-10):
     sources that request the same set of times and lie in the same colour
     class share one sweep, so each term costs one half-size product per source."""
     geo = kernel.geometry
+    mu_min = float(kernel.mu.min())
     table = {(float(t), geo.wrap(x)): None for t, x in requests}
     blocks = {}
     for x in dict.fromkeys(x for _, x in table):
@@ -326,7 +306,8 @@ def heat_slices(kernel, requests, tol=1e-10):
         for t, law, tail in zip(times, laws, tails):
             for j, x in enumerate(sources):
                 prob = law[:, j].copy()
-                table[t, x] = HeatKernelSlice(t, x, prob, prob / kernel.mu, tail, geo)
+                table[t, x] = HeatKernelSlice(t, x, prob, prob / kernel.mu, tail,
+                                              tail / mu_min, geo)
     return table
 
 
@@ -344,7 +325,8 @@ def spectral_oracle(field, t, x):
     """Dense eigendecomposition route for cross-validating the series method.
 
     Works through the symmetric matrix S = D^-1/2 A D^-1/2 (A the weight
-    matrix, D = diag(mu)); all eigenvalues must lie in [-1, 1].
+    matrix, D = diag(mu)), assembled dense from the kernel's two blocks; all
+    eigenvalues must lie in [-1, 1].
     """
     geo = field.geometry
     n = geo.n_vertices
@@ -354,7 +336,11 @@ def spectral_oracle(field, t, x):
         raise ValueError("time must be nonnegative")
     kern = jump_kernel(field)
     root = np.sqrt(kern.mu)
-    eigvals, eigvecs = np.linalg.eigh(kern.symmetric.toarray())
+    classes = _colour_classes(geo.d, geo.L)
+    dense = np.zeros((n, n))
+    for rows, other, block in zip(classes, classes[::-1], (kern.even_block, kern.odd_block)):
+        dense[np.ix_(rows, other)] = block.toarray()
+    eigvals, eigvecs = np.linalg.eigh(dense)
     if eigvals[0] < -1.0 - 1e-10 or eigvals[-1] > 1.0 + 1e-10:
         raise ValueError("spectrum escapes [-1, 1]")
     xi = geo.index(x)
@@ -362,26 +348,35 @@ def spectral_oracle(field, t, x):
     # prob(y) = sum_k U[x,k] e^{t(lam_k - 1)} U[y,k] sqrt(mu(y)/mu(x))
     prob = (eigvecs @ (decay * eigvecs[xi])) * (root / root[xi])
     prob = np.maximum(prob, 0.0)
-    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / kern.mu, 0.0, geo)
+    return HeatKernelSlice(float(t), geo.wrap(x), prob, prob / kern.mu, 0.0, 0.0, geo)
 
 
 def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
-    """One trajectory endpoint of the walk started at x and run until time t."""
+    """One trajectory endpoint of the walk started at x and run until time t.
+
+    Each jump reads the current vertex's row of S from its block and takes
+    P(x, y) = S(x, y) sqrt(mu(y)) / sqrt(mu(x)), the neighbors in vertex order."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     geo = field.geometry
     kern = kernel if kernel is not None else jump_kernel(field)
+    root = np.sqrt(kern.mu)
+    table = geo.neighbor_table()
+    even = _colour_classes(geo.d, geo.L)[0]
     current = geo.index(x)
     clock = 0.0
     jumps = 0
-    matrix = kern.matrix
     while True:
         clock += rng.exponential(1.0)
         if clock > t:
             break
-        row = matrix.indices[matrix.indptr[current] : matrix.indptr[current + 1]]
-        probs = matrix.data[matrix.indptr[current] : matrix.indptr[current + 1]]
-        current = int(rng.choice(row, p=probs / probs.sum()))
+        row = current // 2
+        block = kern.odd_block if even[row] != current else kern.even_block
+        nbrs = table[current]
+        order = np.argsort(nbrs)
+        probs = (block.data[block.indptr[row] : block.indptr[row + 1]]
+                 * root[nbrs] / root[current])[order]
+        current = int(rng.choice(nbrs[order], p=probs / probs.sum()))
         jumps += 1
     endpoint = geo.coords(current)
     if with_jumps:

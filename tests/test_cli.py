@@ -12,6 +12,7 @@ import rcmlab.chaining
 import rcmlab.cli
 import rcmlab.envelopes
 import rcmlab.environment
+import rcmlab.kernel
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
                         load_config, main)
 from rcmlab.seeding import child_seed, rng_for
@@ -341,13 +342,50 @@ def test_verify_builds_one_jump_kernel_per_field(tmp_path, monkeypatch, mode, ex
         builds.append(field)
         return real(field)
 
-    for module in (rcmlab.cli, rcmlab.envelopes):
-        monkeypatch.setattr(module, "jump_kernel", counting)
+    monkeypatch.setattr(rcmlab.cli, "jump_kernel", counting)
     cfg = base_config(verify={"times": [4.0, 8.0], "sources": [[0, 0]],
                               "moment_samples": 16, "mode": mode})
     cfg_path = write_config(tmp_path, cfg)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)
     assert len(builds) == expected
+
+
+@pytest.mark.parametrize("mode, expected", [("self", 1), ("cross", 2)])
+def test_verify_sweeps_each_field_once(tmp_path, monkeypatch, mode, expected):
+    # self mode verifies on the fit's own slices; cross mode sweeps the
+    # verification field once more
+    sweeps = []
+    real = rcmlab.kernel.heat_slices
+
+    def counting(kernel, requests, tol=1e-10):
+        sweeps.append(len(requests))
+        return real(kernel, requests, tol)
+
+    for module in (rcmlab.kernel, rcmlab.cli, rcmlab.envelopes, rcmlab.chaining):
+        if getattr(module, "heat_slices", None) is real:  # wherever a module holds it
+            monkeypatch.setattr(module, "heat_slices", counting)
+    cfg = base_config(verify={"times": [4.0, 8.0], "sources": [[0, 0], [3, 1]],
+                              "moment_samples": 16, "mode": mode})
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) in (EXIT_OK, 2)
+    assert sweeps == [4] * expected
+
+
+@pytest.mark.parametrize("literal", ["1e999", "Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("command, section", [
+    ("heat", {"heat": {"times": [1.0, "T"], "sources": [[0, 0]]}}),
+    ("verify", {"verify": {"times": [4.0, "T"], "sources": [[0, 0]], "moment_samples": 16}}),
+    ("green", {"geometry": {"d": 3, "L": 8},
+               "green": {"pairs": [[[0, 0, 0], [2, 0, 0]]], "envelope_times": [8.0, "T"],
+                         "moment_samples": 16}}),
+], ids=["heat", "verify", "green"])
+def test_non_finite_times_exit_three(tmp_path, capsys, command, section, literal):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(**section)).replace('"T"', literal))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_PRECONDITION
+    assert re.fullmatch(r"error: [^\n]*time[^\n]*\n", capsys.readouterr().err)
+    assert os.listdir(out) == []
 
 
 def test_moments_command_row_count(tmp_path):
@@ -481,12 +519,14 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
     ("env", {"seed": 1.5}),
     ("moments", {"moments": {"sizes": [[1, 0]], "samples": 2.7}}),
     ("heat", {"heat": {"times": [1.0], "sources": [[0.7, 2.9]]}}),
+    ("heat", {"geometry": {"d": 2, "L": 16.5}, "heat": {"times": [1.0], "sources": [[0, 0]]}}),
+    ("heat", {"geometry": {"d": 2.5, "L": 8}, "heat": {"times": [1.0], "sources": [[0, 0]]}}),
 ], ids=["heat-no-times", "chain-no-target", "null-tol", "heat-not-object", "null-sigma",
         "string-delta", "green-mode", "verify-mode", "moments-quantity", "heat-source-length",
         "heat-target-length", "verify-source-length", "chain-target-length",
         "green-pair-length", "green-three-points", "green-one-point",
         "annealed-three-points", "annealed-one-point", "fractional-seed", "fractional-samples",
-        "fractional-source"])
+        "fractional-source", "fractional-side", "fractional-dimension"])
 def test_malformed_config_exits_three_before_any_work(tmp_path, monkeypatch, command, change):
     def no_sampling(*args):
         raise AssertionError("a command sampled a field from a malformed configuration")
@@ -496,6 +536,19 @@ def test_malformed_config_exits_three_before_any_work(tmp_path, monkeypatch, com
     cfg_path = write_config(tmp_path, base_config(**change))
     assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_PRECONDITION
     assert not out.exists()
+
+
+def test_integral_float_geometry_loads_as_integers(tmp_path):
+    heat = {"times": [1.0], "sources": [[0, 0]]}
+    cfg_path = write_config(tmp_path, base_config(geometry={"d": 2.0, "L": 8.0}, heat=heat))
+    geo = load_config(cfg_path).geometry
+    assert (geo.d, geo.L) == (2, 8) and type(geo.d) is type(geo.L) is int
+    assert main(["heat", "--config", cfg_path, "--out", str(tmp_path / "h")]) == EXIT_OK
+    plain = write_config(tmp_path, base_config(heat=heat), "plain.json")
+    assert main(["heat", "--config", plain, "--out", str(tmp_path / "p")]) == EXIT_OK
+    # the same table; only the metadata line's configuration hash differs
+    tables = [(tmp_path / out / "heat.csv").read_text().split("\n", 1)[1] for out in "hp"]
+    assert tables[0] == tables[1]
 
 
 def test_config_sections_fill_in_defaults():

@@ -113,10 +113,10 @@ def test_lower_scaling_depends_on_ratio_only():
         assert v1 == pytest.approx(v2)
 
 
-def _slice(geo, t, source, hk_values):
+def _slice(geo, t, source, hk_values, trunc_error=0.0, hk_error=0.0):
     hk = np.asarray(hk_values, dtype=float)
-    return HeatKernelSlice(t=t, source=source, prob=hk.copy(), hk=hk,
-                           trunc_error=0.0, geometry=geo)
+    return HeatKernelSlice(t=t, source=source, prob=hk.copy(), hk=hk, trunc_error=trunc_error,
+                           hk_error=hk_error, geometry=geo)
 
 
 def test_fit_single_diag_point_amplitude():
@@ -138,6 +138,22 @@ def test_fit_without_upper_diagonal_points_names_the_side():
         fit_envelopes([s], lower_threshold=3.0, window=2.0)
 
 
+def test_fit_floor_is_ten_density_errors():
+    # hk = 0.05 clears ten truncation bounds (0.01) but not ten density
+    # errors (0.1): the point is unresolved and leaves the fit
+    geo = TorusGeometry(2, 4)
+    hk = np.zeros(geo.n_vertices)
+    hk[geo.index((0, 0))] = 0.5
+    hk[geo.distance_field((0, 0)) == 1] = 0.05
+    s = _slice(geo, 4.0, (0, 0), hk, trunc_error=1e-3, hk_error=1e-2)
+    env = fit_envelopes([s], lower_threshold=1.0, window=0.5)
+    assert env.lower_gauss_rate == 1e-12  # no off-diagonal point demands a rate
+    assert env.upper_gauss_rate == 1.0  # no near-regime point: the default rate
+    resolved = fit_envelopes([_slice(geo, 4.0, (0, 0), hk, trunc_error=1e-3)],
+                             lower_threshold=1.0, window=0.5)
+    assert resolved.lower_gauss_rate > 1e-12 and resolved.upper_gauss_rate != 1.0
+
+
 def test_fit_zero_offdiagonal_point_rejected():
     geo = TorusGeometry(2, 4)
     hk = np.zeros(geo.n_vertices)
@@ -157,10 +173,10 @@ def test_fit_constant_field_and_verify():
     assert env.lower_amp > 0
     assert math.isfinite(env.lower_gauss_rate) and env.lower_gauss_rate > 0
 
-    grid = [(t, (0, 0), geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)) for t in times]
-    report = verify_bounds(field, env, grid, kernel=kern)
+    grid = [(s, geo.ball_indices((0, 0), 2 * math.sqrt(s.t) + 1e-9)) for s in slices]
+    report = verify_bounds(env, grid)
     assert not report.violations
-    assert report.n_checked == sum(len(targets) for _, _, targets in grid)
+    assert report.n_checked == sum(len(targets) for _, targets in grid)
 
     # upper envelope dominates the lower wherever both are active
     for t in times:
@@ -178,9 +194,9 @@ def test_halved_upper_amp_reports_diagonal_violations():
     # the fitted amplitude has a factor-two headroom, so cutting it to a
     # quarter must push the bound strictly below the on-diagonal data
     broken = dataclasses.replace(env, upper_amp=env.upper_amp / 4)
-    grid = [(8.0, (0, 0), [geo.index((0, 0))]), (16.0, (0, 0), [geo.index((0, 0))]),
-            (8.0, (0, 0), [geo.index((1, 0))])]
-    report = verify_bounds(field, broken, grid, kernel=kern)
+    grid = [(slices[0], [geo.index((0, 0))]), (slices[1], [geo.index((0, 0))]),
+            (slices[0], [geo.index((1, 0))])]
+    report = verify_bounds(broken, grid)
     diag = [v for v in report.violations if v.dist == 0]
     assert diag and all(v.side == "upper" for v in diag)
 
@@ -216,8 +232,10 @@ def test_cross_field_verification_elliptic():
     slices = [heat_kernel(fit_field, t, (0, 0), tol=1e-10, kernel=kern) for t in times]
     env = fit_envelopes(slices, lower_threshold=table(fit_field), window=2.0)
     env_v = dataclasses.replace(env, threshold=table(ver_field))
-    grid = [(t, (0, 0), geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)) for t in times]
-    report = verify_bounds(ver_field, env_v, grid)
+    ver_kern = jump_kernel(ver_field)
+    grid = [(heat_kernel(ver_field, t, (0, 0), tol=1e-10, kernel=ver_kern),
+             geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)) for t in times]
+    report = verify_bounds(env_v, grid)
     # cross-field generalization: almost no violations, none beyond 5 percent
     assert len(report.violations) <= 0.01 * report.n_checked + 3
     assert report.count_beyond(0.10) == 0
@@ -240,11 +258,11 @@ def _reference_lower(env, t, dist):
     return env.lower_amp * t ** (-env.d / 2.0) * math.exp(-env.lower_gauss_rate * dist * dist / t)
 
 
-def _reference_fit(slices, threshold, window):
+def _reference_fit(slices, threshold, window, mu_min):
     d = slices[0].geometry.d
     diag_lower, off_lower, diag_upper, off_upper = [], [], [], []
     for s in slices:
-        floor = 10.0 * s.trunc_error
+        floor = 10.0 * s.trunc_error / mu_min  # ten density errors
         n = resolve_threshold(threshold, s.source)
         dist = s.geometry.distance_field(s.source)
         for idx in np.flatnonzero(dist <= window * math.sqrt(s.t)):
@@ -369,7 +387,8 @@ def test_fit_and_verify_match_per_point_loops(spec, d, seed, times, sources, thr
     slices = [table[t, x] for t in times for x in sources]
 
     env = _error_or(fit_envelopes, slices, threshold, window)
-    assert repr(env) == repr(_error_or(_reference_fit, slices, threshold, window))
+    assert repr(env) == repr(_error_or(_reference_fit, slices, threshold, window,
+                                       float(kern.mu.min())))
     if isinstance(env, str):
         return
 
@@ -379,6 +398,6 @@ def test_fit_and_verify_match_per_point_loops(spec, d, seed, times, sources, thr
     grid = [(t, x, geo.ball_indices(x, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
             for t in times for x in sources]
     grid.append((times[0], sources[0], grid[0][2][::-1]))  # joins the first group
-    report = verify_bounds(field, env, grid, tol=1e-10, kernel=kern)
+    report = verify_bounds(env, [(table[t, x], targets) for t, x, targets in grid])
     assert repr((report.violations, report.checked, report.n_lower_active,
                  report.n_upper_active)) == repr(_reference_verify(field, env, grid, 1e-10, kern))

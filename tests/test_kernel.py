@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment, shift
 from rcmlab.green import _head_integral
-from rcmlab.kernel import (_DENSE_LIMIT, _series, heat_kernel, heat_slices, jump_kernel,
-                           point_mass, propagate, simulate_walk, spectral_oracle)
+from rcmlab.kernel import (_DENSE_LIMIT, _colour_classes, _series, heat_kernel, heat_slices,
+                           jump_kernel, point_mass, propagate, simulate_walk, spectral_oracle)
 from rcmlab.lattice import TorusGeometry
 from rcmlab.poisson import poisson_weights
 
@@ -22,10 +23,56 @@ ELLIPTIC = EnvironmentSpec("uniform-elliptic-iid", {"low": 0.5, "high": 2.0})
 CONSTANT = EnvironmentSpec("constant", {"level": 1.0})
 
 
+def neighbor_weights(field):
+    """The neighbor table and w(x, y) in its order, read from the field's
+    values: columns a and d + a hold the edges to x + e_a and x - e_a."""
+    table = field.geometry.neighbor_table()
+    d = field.geometry.d
+    return table, np.hstack([field.values, field.values[table[:, d:], np.arange(d)]])
+
+
+def _by_table(field, data):
+    table = field.geometry.neighbor_table()
+    n, width = table.shape
+    return sp.csr_matrix((data.reshape(-1), table.reshape(-1), np.arange(0, n * width + 1, width)),
+                         shape=(n, n))
+
+
+def reference_s(field):
+    """S(x, y) = w(x, y) / (sqrt(mu(x)) sqrt(mu(y))) built from the field
+    alone, each row listing its neighbors in table order: the reference the
+    kernel's two blocks must equal bit for bit."""
+    table, w = neighbor_weights(field)
+    root = np.sqrt(field.mu_vector())
+    return _by_table(field, w / (root[:, None] * root[table]))
+
+
+def reference_p(field):
+    """The jump matrix P(x, y) = w(x, y) / mu(x), built from the field alone."""
+    _, w = neighbor_weights(field)
+    return _by_table(field, w / field.mu_vector()[:, None])
+
+
+def kernel_s(kern):
+    """The kernel's S as a dense matrix, assembled from its two blocks."""
+    geo = kern.geometry
+    classes = _colour_classes(geo.d, geo.L)
+    dense = np.zeros((geo.n_vertices, geo.n_vertices))
+    for rows, other, block in zip(classes, classes[::-1], (kern.even_block, kern.odd_block)):
+        dense[np.ix_(rows, other)] = block.toarray()
+    return dense
+
+
+def kernel_p(kern):
+    """The kernel's jump probabilities S(x, y) sqrt(mu(y)) / sqrt(mu(x)), dense."""
+    root = np.sqrt(kern.mu)
+    return kernel_s(kern) * root / root[:, None]
+
+
 def test_jump_kernel_constant_field():
     field = sample_environment(CONSTANT, GEO, 0)
     kern = jump_kernel(field)
-    row = kern.matrix[0].toarray().reshape(-1)
+    row = kernel_p(kern)[0]
     assert np.count_nonzero(row) == 4
     assert np.allclose(row[row > 0], 0.25)
 
@@ -33,11 +80,11 @@ def test_jump_kernel_constant_field():
 def test_jump_kernel_rows_and_detailed_balance():
     field = sample_environment(ELLIPTIC, GEO, 3)
     kern = jump_kernel(field)
-    sums = np.asarray(kern.matrix.sum(axis=1)).reshape(-1)
-    assert np.max(np.abs(sums - 1.0)) <= 1e-12
-    dense = kern.matrix.toarray()
-    flux = dense * kern.mu[:, None]
-    assert np.max(np.abs(flux - flux.T)) <= 1e-12
+    assert np.array_equal(kernel_s(kern), reference_s(field).toarray())
+    for dense in (kernel_p(kern), reference_p(field).toarray()):
+        assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12
+        flux = dense * kern.mu[:, None]
+        assert np.max(np.abs(flux - flux.T)) <= 1e-12
 
 
 def test_kernels_share_one_read_only_block_pattern():
@@ -66,15 +113,17 @@ FAMILIES = [
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_jump_kernel_invariants(spec, d, L, seed):
-    kern = jump_kernel(sample_environment(spec, TorusGeometry(d, L), seed))
-    rows = np.asarray(kern.matrix.sum(axis=1)).reshape(-1)
-    assert np.max(np.abs(rows - 1.0)) <= 1e-12
-    flux = kern.matrix.toarray() * kern.mu[:, None]
-    assert np.max(np.abs(flux - flux.T)) <= 1e-12
-    s = kern.symmetric.toarray()
+    field = sample_environment(spec, TorusGeometry(d, L), seed)
+    kern = jump_kernel(field)
+    for dense in (kernel_p(kern), reference_p(field).toarray()):
+        assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12
+        flux = dense * kern.mu[:, None]
+        assert np.max(np.abs(flux - flux.T)) <= 1e-12
+    s = kernel_s(kern)
+    assert np.array_equal(s, reference_s(field).toarray())
     assert np.array_equal(s, s.T)
     root = np.sqrt(kern.mu)
-    assert np.max(np.abs(kern.symmetric @ root - root)) <= 1e-12
+    assert np.max(np.abs(s @ root - root)) <= 1e-12
 
 
 @pytest.mark.parametrize("d, L", [(2, 8), (3, 6)])
@@ -104,7 +153,7 @@ def test_jump_probabilities_proportional_to_weights():
     values[GEO.index((0, 7)), 1] = 2.0
     field = ConductanceField(GEO, values, CONSTANT, 0)
     kern = jump_kernel(field)
-    row = kern.matrix[GEO.index((0, 0))].toarray().reshape(-1)
+    row = kernel_p(kern)[GEO.index((0, 0))]
     assert row[GEO.index((1, 0))] == pytest.approx(1.0 / 8.0)
     assert row[GEO.index((0, 1))] == pytest.approx(3.0 / 8.0)
     assert row[GEO.index((7, 0))] == pytest.approx(2.0 / 8.0)
@@ -264,26 +313,30 @@ def test_propagate_block_matches_lone_slices(d, times, data):
                 assert abs(lhs - rhs) <= 1e-9
 
 
-def full_s_terms(kern, start, degree):
+def full_s_terms(field, start, degree):
     """u_0 = D^-1/2 start, ..., u_degree by u_{k+1} = 2 S u_k - u_{k-1} on
-    full-length vectors through all of S: the reference for the two-block sweep."""
-    root = np.sqrt(kern.mu) if start.ndim == 1 else np.sqrt(kern.mu)[:, None]
+    full-length vectors through all of :func:`reference_s`: the reference for
+    the two-block sweep."""
+    mu = field.mu_vector()
+    root = np.sqrt(mu) if start.ndim == 1 else np.sqrt(mu)[:, None]
+    s = reference_s(field)
     u0 = start / root
-    terms = [u0, kern.symmetric @ u0]
+    terms = [u0, s @ u0]
     while len(terms) <= degree:
-        nxt = kern.symmetric @ terms[-1]
+        nxt = s @ terms[-1]
         nxt *= 2.0
         nxt -= terms[-2]
         terms.append(nxt)
     return terms
 
 
-def full_s_laws(kern, start, times, tol):
+def full_s_laws(field, start, times, tol):
     """Laws at ``times`` summed from :func:`full_s_terms`."""
-    root = np.sqrt(kern.mu) if start.ndim == 1 else np.sqrt(kern.mu)[:, None]
-    scale = math.sqrt(kern.mu.sum() / kern.mu.min())
+    mu = field.mu_vector()
+    root = np.sqrt(mu) if start.ndim == 1 else np.sqrt(mu)[:, None]
+    scale = math.sqrt(mu.sum() / mu.min())
     series = [_series(t, tol, scale)[0] for t in times]
-    terms = full_s_terms(kern, start, max(len(c) for c in series) - 1)
+    terms = full_s_terms(field, start, max(len(c) for c in series) - 1)
     laws = []
     for c in series:
         acc = np.zeros_like(start)
@@ -302,7 +355,8 @@ def parity(geo, i):
        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3), data=st.data())
 def test_two_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
     geo = TorusGeometry(d, L)
-    kern = jump_kernel(sample_environment(ELLIPTIC, geo, seed))
+    field = sample_environment(ELLIPTIC, geo, seed)
+    kern = jump_kernel(field)
     vertex = st.integers(0, geo.n_vertices - 1)
     even = data.draw(vertex.filter(lambda i: parity(geo, i) == 0))
     odd = data.draw(vertex.filter(lambda i: parity(geo, i) == 1))
@@ -311,14 +365,14 @@ def test_two_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
     # an even source, an odd source, and a start on both classes
     for start in (point_mass(geo, geo.coords(even)), point_mass(geo, geo.coords(odd)), general):
         laws, _ = propagate(kern, start, times, 1e-12)
-        for law, ref in zip(laws, full_s_laws(kern, start, times, 1e-12)):
+        for law, ref in zip(laws, full_s_laws(field, start, times, 1e-12)):
             assert np.array_equal(law, ref)
     # a mixed-parity heat_slices request: each slice's bits equal the full
     # sweep of the whole block, whatever block the source was swept in
     sources = [geo.coords(i) for i in (even, odd)]
     table = heat_slices(kern, [(t, x) for x in sources for t in times], 1e-12)
     block = np.column_stack([point_mass(geo, x) for x in sources])
-    for t, ref in zip(times, full_s_laws(kern, block, times, 1e-12)):
+    for t, ref in zip(times, full_s_laws(field, block, times, 1e-12)):
         for j, x in enumerate(sources):
             assert np.array_equal(table[float(t), x].prob, ref[:, j])
     # targets mode: the terms T_k(P^T) start at the targets
@@ -326,7 +380,7 @@ def test_two_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
     for start in (point_mass(geo, geo.coords(odd)), general):
         profile = propagate(kern, start, [max(times)], 1e-12, targets=targets)
         root_t = np.sqrt(kern.mu[targets])
-        terms = full_s_terms(kern, start, len(profile.coeff) - 1)
+        terms = full_s_terms(field, start, len(profile.coeff) - 1)
         ref = np.array([start[targets]] + [root_t * u[targets] for u in terms[1:len(profile.coeff)]])
         assert np.array_equal(profile.coeff, ref)
 
@@ -354,12 +408,12 @@ def test_mixed_parity_heat_slices_do_one_half_product_per_column_per_term():
     assert sum(columns) == len(sources) * degree
 
 
-def poisson_sweep(kern, start, t, tol):
+def poisson_sweep(field, start, t, tol):
     """The Poisson jump series sum_n e^-t t^n / n! (P^T)^n start, cut where the
     Poisson tail drops below tol: the reference for the Chebyshev sweep.
     Returns the terms (P^T)^n start, the law and the dropped tail."""
     weights, tail = poisson_weights(t, tol)
-    pt = kern.matrix.T.tocsr()
+    pt = reference_p(field).T.tocsr()
     terms = [start]
     for _ in weights[1:]:
         terms.append(pt @ terms[-1])
@@ -381,7 +435,7 @@ def test_chebyshev_sweep_matches_poisson_reference(d, t, data):
     sources = data.draw(st.lists(st.integers(0, geo.n_vertices - 1), min_size=1, max_size=4))
     block = np.column_stack([point_mass(geo, geo.coords(i)) for i in sources])
     (law,), (bound,) = propagate(kern, block, [t], 1e-12)
-    terms, ref, ref_tail = poisson_sweep(kern, block, t, 1e-12)
+    terms, ref, ref_tail = poisson_sweep(field, block, t, 1e-12)
     # both certificates bound the sup-norm error; 1e-15 is summation rounding
     assert np.max(np.abs(law - ref)) <= bound + ref_tail + 1e-15
     # Green heads over [0, T] from the first source to every vertex: the
@@ -400,7 +454,7 @@ def test_chebyshev_matches_expm_multiply_beyond_dense_limit():
     assert geo.n_vertices > _DENSE_LIMIT
     field = sample_environment(ELLIPTIC, geo, 24)
     kern = jump_kernel(field)
-    generator = (kern.matrix.T - sp.identity(geo.n_vertices, format="csr")).tocsr()
+    generator = (reference_p(field).T - sp.identity(geo.n_vertices, format="csr")).tocsr()
     start = point_mass(geo, (0, 0, 0))
     with pytest.raises(ValueError):
         poisson_weights(2048.0, 1e-12)  # the Poisson series cannot reach t = 2048
@@ -408,3 +462,30 @@ def test_chebyshev_matches_expm_multiply_beyond_dense_limit():
         s = heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
         ref = expm_multiply(t * generator, start)
         assert np.max(np.abs(s.prob - ref)) <= s.trunc_error + 1e-15
+
+
+# sha256 digests taken from the full-matrix oracles these replace: the dense S
+# and the walk's jump probabilities must keep every bit
+ORACLE_PINS = [
+    (CONSTANT, TorusGeometry(2, 8), 0, (1, 2),
+     "3bb821104de3866ef5c4f92431bacd6e63e6bdeae2887c231536972aaeb25b53",
+     "5f125f7ac62a4627dc6247191e70c829231b5b6e5799d9bf4be75596c5c1d641"),
+    (ELLIPTIC, TorusGeometry(2, 8), 5, (1, 2),
+     "a723027b15ecf00921e348ecddd739a032e1b66db35bc7e2ab079b8d92c7cae4",
+     "ad472cafe175433e8e28c54a73c959d6c0e5ce036b1fb5a373187e5880c79f24"),
+    (EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}), TorusGeometry(3, 4), 3,
+     (1, 0, 3),
+     "c916e1d60d92e7455322f284e3ab679dc69a69c5850aebc9f607855345c35ec7",
+     "174c2dfb046343ff0bdb3f4aea7a2c7bb7c8fb0aaa61f7b32a4436c14c8a5482"),
+]
+
+
+@pytest.mark.parametrize("spec, geo, seed, x, oracle_pin, walk_pin", ORACLE_PINS,
+                         ids=["constant", "elliptic", "lognormal-3d"])
+def test_oracle_and_walk_bits_are_pinned(spec, geo, seed, x, oracle_pin, walk_pin):
+    field = sample_environment(spec, geo, seed)
+    prob = spectral_oracle(field, 3.0, x).prob
+    assert hashlib.sha256(prob.tobytes()).hexdigest() == oracle_pin
+    rng = np.random.default_rng(7)
+    ends = [simulate_walk(field, x, 4.0, rng, with_jumps=True) for _ in range(50)]
+    assert hashlib.sha256(repr(ends).encode()).hexdigest() == walk_pin
