@@ -73,6 +73,14 @@ def _integer(value):
 _FLOATS, _INTS, _POINTS = _tuple_of(float), _tuple_of(_integer), _tuple_of(_tuple_of(_integer))
 
 
+def _positive_finite(value):
+    """``float(value)``, refusing one that is not finite and positive."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be finite and positive, not {value!r}")
+    return value
+
+
 def _pair(value):
     if len(value) != 2:
         raise ValueError(f"a pair needs two points, not {len(value)}")
@@ -90,9 +98,9 @@ _SECTIONS = {
                "mode": (_one_of("cross", "self"), "cross"), "margin": (float, 0.05),
                "max_fraction": (float, 0.01), "tol": (float, 1e-10),
                "inject_upper_scale": (float, 1.0), "inject_lower_scale": (float, 1.0)},
-    "chain": {"target": (_INTS, _REQUIRED), "time": (float, _REQUIRED), "p": (float, 2.0),
-              "q": (float, 2.0), "power": (float, 1.0), "growth": (float, 1.0),
-              "amp": (float, None), "tol": (float, 1e-10)},
+    "chain": {"target": (_INTS, _REQUIRED), "time": (_positive_finite, _REQUIRED),
+              "p": (float, 2.0), "q": (float, 2.0), "power": (float, 1.0),
+              "growth": (float, 1.0), "amp": (float, None), "tol": (float, 1e-10)},
     "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (float, 1.0), "eta": (float, 2.0),
                 "sizes": (_POINTS, _REQUIRED), "samples": (_integer, 200),
                 "mean_samples": (_integer, 128)},
@@ -260,8 +268,8 @@ def _verify_pipeline(config):
     geo = config.geometry
     spec = config.environment
     window, tol, times = section["window"], section["tol"], section["times"]
-    if not all(t > 0 for t in times):
-        raise ValueError("verify times must be positive")
+    if not all(0 < t < math.inf for t in times):
+        raise ValueError("verify times must be finite and positive")
     sources = section["sources"]
     if sources is None:
         sources = [(0,) * geo.d]

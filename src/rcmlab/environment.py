@@ -21,7 +21,8 @@ finite-range         per-vertex i.i.d. uniforms smoothed by an l1 moving
                      exactly independent (disjoint input windows).
 gaussian-fkg         w({x,y}) = exp(scale * (phi(x) + phi(y))) for a
                      stationary centered Gaussian field phi with spectral
-                     density 1 / (lattice Laplacian + mass^2), sampled by FFT.
+                     density 1 / (lattice Laplacian + mass^2), sampled by a
+                     real-input FFT of white noise (half spectrum).
                      The covariance kernel is pointwise positive, so the
                      field is positively associated.
 na-permutation       edges partitioned into spatial blocks; each block gets a
@@ -355,19 +356,24 @@ def _l1_offsets(d, radius):
     return out
 
 
-def _sample_finite_range(params, geometry, rngs):
+def _finite_range_window(params, geometry):
+    """The l1 offsets the finite-range moving average runs over; raises
+    ValueError on a torus too small for the construction."""
     rng_range = int(params["range"])
     if geometry.L < 2 * rng_range:
         raise ValueError("geometry too small for finite-range construction")
-    d, L = geometry.d, geometry.L
-    axes = tuple(range(1, d + 1))
     # window radius (range-1)//2 keeps edges at l1 distance >= range on
     # disjoint input blocks
-    w = (rng_range - 1) // 2
+    return _l1_offsets(geometry.d, (rng_range - 1) // 2)
+
+
+def _sample_finite_range(params, geometry, rngs):
+    offsets = _finite_range_window(params, geometry)
+    d, L = geometry.d, geometry.L
+    axes = tuple(range(1, d + 1))
     z = _stacked_draws(rngs, lambda rng: rng.random((L,) * d))
-    if w > 0:
+    if len(offsets) > 1:
         acc = np.zeros(z.shape)
-        offsets = _l1_offsets(d, w)
         for off in offsets:
             acc += np.roll(z, off, axis=axes)
         smooth = acc / len(offsets)
@@ -408,7 +414,10 @@ def _sample_gaussian(params, geometry, rngs):
     axes = tuple(range(1, d + 1))
     spectrum = _gaussian_spectrum(params, geometry)
     noise = _stacked_draws(rngs, lambda rng: rng.standard_normal(shape))
-    phi = np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(noise, axes=axes), axes=axes).real
+    # real noise has a Hermitian transform, so the last axis's half spectrum
+    # determines phi
+    half = np.sqrt(spectrum[..., :L // 2 + 1])
+    phi = np.fft.irfftn(half * np.fft.rfftn(noise, axes=axes), s=shape, axes=axes)
     values = np.empty((len(rngs), geometry.n_vertices, d))
     for a in range(d):
         pair = phi + np.roll(phi, -1, axis=a + 1)
@@ -416,14 +425,22 @@ def _sample_gaussian(params, geometry, rngs):
     return values
 
 
-def _sample_permutation(params, geometry, rngs):
+def _permutation_levels(params, geometry):
+    """The multiset of weights every na-permutation block shuffles: d * block^d
+    evenly spaced levels in (low, high); raises ValueError when the block side
+    does not divide the torus side."""
     block = int(params["block"])
-    d, L = geometry.d, geometry.L
-    if L % block != 0:
+    if geometry.L % block != 0:
         raise ValueError("block side must divide the torus side")
     low, high = params["low"], params["high"]
-    per_block = d * block**d
-    levels = low + (np.arange(per_block) + 0.5) * (high - low) / per_block
+    per_block = geometry.d * block**geometry.d
+    return low + (np.arange(per_block) + 0.5) * (high - low) / per_block
+
+
+def _sample_permutation(params, geometry, rngs):
+    levels = _permutation_levels(params, geometry)
+    block = int(params["block"])
+    d, L = geometry.d, geometry.L
 
     blocks_per_axis = L // block
     n_blocks = blocks_per_axis**d

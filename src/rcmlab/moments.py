@@ -4,12 +4,15 @@ Annealed power means of mu and nu, rectangle-sum moment ladders, the tail of
 the stability radius, and hypothesis checks for the association and mixing
 properties a sampler family claims.  There is one estimator of the annealed
 means, :func:`annealed_power_mean`.  It is exact where the family admits a
-closed form: the constant field at any exponent, and at nonnegative integer
+closed form: the constant field at any exponent; at nonnegative integer
 exponents the iid families (a multinomial sum over the raw moments of one
 weight) and gaussian-fkg (a sum of lognormal means over tuples of incident
-edges).  Every other mean comes from replicated-field Monte Carlo, one pass
-over the pilot replicas for every power left; that pass is also the closed
-forms' test oracle.  The ladders, the tail and the association and mixing
+edges); and at exponent one, by linearity, finite-range's E mu (2d times the
+link's mean over the moving-average window) and na-permutation's E mu and
+E nu (2d times the mean of the block's levels or of their reciprocals).
+Every other mean comes from replicated-field Monte Carlo, one pass over the
+pilot replicas for every power left; that pass is also the closed forms'
+test oracle.  The ladders, the tail and the association and mixing
 checks are Monte Carlo throughout: a fresh field per sample, so annealed
 quantities carry no spatial-averaging bias, and one pass over the main
 replicas serves a whole rectangle ladder.  Heavy powers are accumulated in
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import stability_radius
-from .environment import (ConductanceField, _gaussian_spectrum, _incident_sum,
-                          _replica_chunks)
+from .environment import (ConductanceField, _finite_range_window, _gaussian_spectrum,
+                          _incident_sum, _permutation_levels, _replica_chunks)
 from .fitting import SlopeFit, fit_theta, loglog_slope
 from .lattice import HyperRectangle
 from .seeding import replica_seeds
@@ -79,12 +82,14 @@ _MAX_TERMS = 100_000
 
 def _exact_power_mean(spec, geometry, quantity, p):
     """E[mu(0)^p] (quantity "mu") or E[nu(0)^p] in closed form, or None where
-    the family has none: finite-range, na-permutation, exponents that are not
-    nonnegative integers outside the constant family, and exponents so large
-    that the sum would exceed ``_MAX_TERMS`` terms.
+    the family has none: finite-range except for E mu(0), na-permutation
+    except for E mu(0) and E nu(0), exponents that are not nonnegative
+    integers outside the constant family, and exponents so large that the sum
+    would exceed ``_MAX_TERMS`` terms.
 
     iid heavy-tail-zero weights have E w^-q infinite for q >= delta, and so
-    E nu^q; that raises ValueError, as does a mean beyond float range.
+    E nu^q; that raises ValueError, as does a mean beyond float range, and so
+    does a geometry the family's sampler refuses.
     """
     params, kind, n = spec.resolved, spec.kind, 2 * geometry.d
     marginal = params["marginal"] if kind == "iid" else None
@@ -94,7 +99,13 @@ def _exact_power_mean(spec, geometry, quantity, p):
     k = int(p) if float(p).is_integer() and p >= 0 else None
     if kind == "constant":
         terms = 1
-    elif k is None or kind in ("finite-range", "na-permutation"):
+    elif kind in ("finite-range", "na-permutation"):
+        # by linearity E mu(0) = 2d E w and E nu(0) = 2d E 1/w; finite-range's
+        # E 1/w has no closed form
+        if k != 1 or (kind, quantity) == ("finite-range", "nu"):
+            return None
+        terms = 1
+    elif k is None:
         return None
     elif kind == "gaussian-fkg":
         terms = math.comb(k + n - 1, k)  # multisets of k incident edges
@@ -108,6 +119,11 @@ def _exact_power_mean(spec, geometry, quantity, p):
             mean = (n * level if quantity == "mu" else n / level) ** p
         elif kind == "gaussian-fkg":
             mean = _gaussian_sum_moment(params, geometry, k)
+        elif kind == "finite-range":
+            mean = n * _finite_range_weight_mean(params, geometry)
+        elif kind == "na-permutation":
+            levels = _permutation_levels(params, geometry)
+            mean = n * float(np.mean(levels if quantity == "mu" else 1.0 / levels))
         else:
             sign = 1 if quantity == "mu" else -1
             mean = _iid_sum_moment([_raw_moment(params, marginal, sign * j)
@@ -117,6 +133,18 @@ def _exact_power_mean(spec, geometry, quantity, p):
     if not math.isfinite(mean):
         raise ValueError(f"E {quantity}(0)^{p:g} is beyond float range")
     return float(mean)
+
+
+def _finite_range_weight_mean(params, geometry):
+    """E w of one finite-range edge: the link's mean at one vertex, whose
+    smoothed input averages m iid uniforms over the l1 window.  The affine
+    link's is (low + high) / 2.  For the exp link each uniform contributes
+    E exp((scale / m)(U - 1/2)) = sinh(h) / h, h = scale / (2m)."""
+    m = len(_finite_range_window(params, geometry))
+    if params["link"] == "affine":
+        return (params["low"] + params["high"]) / 2.0
+    h = params["scale"] / (2 * m)
+    return (math.sinh(h) / h if h else 1.0) ** m  # h underflows to 0 for scale near 0
 
 
 def _raw_moment(params, marginal, k):

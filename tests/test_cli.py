@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -206,7 +207,8 @@ def test_verify_injected_weak_constant_exits_two(tmp_path, inject, side):
     assert any(v["y"] == v["x"] for v in report["violations"])
 
 
-@pytest.mark.parametrize("times", [[0.0, 4.0], [4.0, -1.0]])
+@pytest.mark.parametrize("times", [[0.0, 4.0], [4.0, -1.0], [4.0, math.inf], [math.nan, 4.0]],
+                         ids=["zero", "negative", "Infinity", "NaN"])
 def test_verify_rejects_non_positive_times_before_any_work(tmp_path, monkeypatch, times):
     def no_sampling(*args):
         raise AssertionError("verify sampled a field before checking its times")
@@ -378,14 +380,21 @@ def test_verify_sweeps_each_field_once(tmp_path, monkeypatch, mode, expected):
     ("green", {"geometry": {"d": 3, "L": 8},
                "green": {"pairs": [[[0, 0, 0], [2, 0, 0]]], "envelope_times": [8.0, "T"],
                          "moment_samples": 16}}),
-], ids=["heat", "verify", "green"])
+    ("chain", {"chain": {"target": [2, 0], "time": "T"}}),
+], ids=["heat", "verify", "green", "chain"])
 def test_non_finite_times_exit_three(tmp_path, capsys, command, section, literal):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config(**section)).replace('"T"', literal))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_PRECONDITION
     assert re.fullmatch(r"error: [^\n]*time[^\n]*\n", capsys.readouterr().err)
-    assert os.listdir(out) == []
+    assert list(out.glob("*")) == []  # chain refuses at load, before --out exists
+
+
+@pytest.mark.parametrize("time", [math.inf, math.nan, 0.0, -4.0])
+def test_chain_time_must_be_finite_and_positive_when_the_section_loads(time):
+    with pytest.raises(ValueError, match=r"^bad 'time' in 'chain': must be finite and positive"):
+        ExperimentConfig(base_config(chain={"target": [2, 0], "time": time}))
 
 
 def test_moments_command_row_count(tmp_path):

@@ -256,7 +256,7 @@ def test_estimate_moments_uniform_mean():
 
 
 def test_estimate_moments_overflow_names_sample():
-    # finite-range has no closed form; nu^500 overflows where nu > 4.2, as in replica 0
+    # finite-range's E nu has no closed form; nu^500 overflows where nu > 4.2, as in replica 0
     spec = EnvironmentSpec("finite-range", {"range": 3})
     with pytest.raises(ValueError, match="replica 0"):
         annealed_power_mean(spec, GEO, {"mu": 1, "nu": 500.0}, n_fields=10, seed=3)
@@ -309,6 +309,28 @@ def test_gaussian_fkg_pairwise_positive():
             prods = (f - f.mean()) * (g - g.mean())
             stderr = prods.std(ddof=1) / math.sqrt(data.shape[1])
             assert cov >= -3 * stderr
+
+
+def _complex_fft_gaussian(params, geometry, seed):
+    """One gaussian-fkg field from complex transforms of the same noise: the
+    full spectrum, with the imaginary rounding dropped."""
+    d, L = geometry.d, geometry.L
+    noise = rng_for(seed).standard_normal((L,) * d)
+    spectrum = rcmlab.environment._gaussian_spectrum(params, geometry)
+    phi = np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(noise)).real
+    return np.stack([np.exp(params["scale"] * (phi + np.roll(phi, -1, axis=a))).ravel()
+                     for a in range(d)], axis=1)
+
+
+@pytest.mark.parametrize("d, L", [(2, 8), (2, 64), (3, 16)])
+def test_gaussian_real_fft_matches_the_complex_transform(d, L):
+    geo = TorusGeometry(d, L)
+    spec = EnvironmentSpec("gaussian-fkg", {"mass": 0.5, "scale": 0.7})
+    seeds = [child_seed(4, 0, i) for i in range(3)]
+    stacked = rcmlab.environment._sample_values(spec, geo, [rng_for(s) for s in seeds])
+    for values, seed in zip(stacked, seeds):
+        expected = _complex_fft_gaussian(spec.resolved, geo, seed)
+        assert np.allclose(values, expected, rtol=1e-12, atol=0)
 
 
 def test_na_permutation_nonpositive():

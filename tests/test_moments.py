@@ -118,9 +118,8 @@ def _start_state(rng):
     return rng.bit_generator.state["state"]["state"]
 
 
-def test_ladder_samples_each_field_once(monkeypatch):
-    geo = TorusGeometry(2, 16)
-    rects = default_rectangles([(1, 0), (3, 1), (5, 2), (7, 3)])
+def _recorded_ladder_states(monkeypatch, spec, quantity, p):
+    """The start state of every generator one ladder's sampling draws from."""
     states = []
     real = rcmlab.environment._sample_values
 
@@ -128,17 +127,39 @@ def test_ladder_samples_each_field_once(monkeypatch):
         states.extend(_start_state(rng) for rng in rngs)
         return real(spec, geometry, rngs)
 
-    monkeypatch.setattr(rcmlab.environment, "_sample_values", recording)
-    # a Monte Carlo family: its mean takes the 8 pilot replicas
-    rectangle_ladder(FINITE_RANGE, geo, "mu", 1, 2.0, rects, 30, 5, mean_samples=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(rcmlab.environment, "_sample_values", recording)
+        rectangle_ladder(spec, TorusGeometry(2, 16), quantity, p, 2.0,
+                         default_rectangles([(1, 0), (3, 1), (5, 2), (7, 3)]), 30, 5,
+                         mean_samples=8)
+    return states
+
+
+def test_ladder_samples_each_field_once(monkeypatch):
+    # a Monte Carlo mean: finite-range at p = 2 takes the 8 pilot replicas
+    states = _recorded_ladder_states(monkeypatch, FINITE_RANGE, "mu", 2)
     assert len(states) == len(set(states)) == 30 + 8
 
-    joint = rectangle_sum_moment(FINITE_RANGE, geo, "mu", 1, 2.0, rects, 30, 5,
+    geo = TorusGeometry(2, 16)
+    rects = default_rectangles([(1, 0), (3, 1), (5, 2), (7, 3)])
+    joint = rectangle_sum_moment(FINITE_RANGE, geo, "mu", 2, 2.0, rects, 30, 5,
                                  mean_samples=8)
     for rect, est in zip(rects, joint):
-        (alone,) = rectangle_sum_moment(FINITE_RANGE, geo, "mu", 1, 2.0, [rect], 30, 5,
+        (alone,) = rectangle_sum_moment(FINITE_RANGE, geo, "mu", 2, 2.0, [rect], 30, 5,
                                         mean_samples=8)
         assert est == alone
+
+
+@pytest.mark.parametrize("spec, quantity", [
+    (FINITE_RANGE, "mu"),
+    (EnvironmentSpec("finite-range", {"range": 3, "link": "exp"}), "mu"),
+    (EnvironmentSpec("na-permutation", {"block": 4}), "mu"),
+    (EnvironmentSpec("na-permutation", {"block": 4}), "nu"),
+], ids=["finite-range-affine", "finite-range-exp", "na-permutation-mu", "na-permutation-nu"])
+def test_exact_p1_ladder_draws_only_its_main_fields(monkeypatch, spec, quantity):
+    states = _recorded_ladder_states(monkeypatch, spec, quantity, 1)
+    assert len(states) == len(set(states)) == 30
+    assert set(states) == {_start_state(rng_for(child_seed(5, 0, i))) for i in range(30)}
 
 
 def test_fit_theta_exact_ladder():
@@ -261,8 +282,9 @@ def test_loglog_slope_positive_inputs_required():
 
 
 def test_loglog_slope_interval_contains_the_point_with_zero_stderrs():
-    # the mixing fit's three covariances: polyfit gives -2.4608061908153216
-    # and the closed form -2.460806190815322 for every (identical) draw
+    # the mixing fit's three covariances, where polyfit and the closed form
+    # both give -2.4608061908153225; on every random fit below the two differ
+    # in the last bits, and the interval must still hold the point
     report = mixing_decay(EnvironmentSpec("gaussian-fkg", {"mass": 1.0}), TorusGeometry(2, 16),
                           [1, 2, 4], 2000, 11)
     fits = [report.slope]
@@ -420,7 +442,7 @@ def test_pilot_overflow_names_replica_then_quantity(monkeypatch, chunk_bytes):
 
     monkeypatch.setattr(rcmlab.environment, "_CHUNK_BYTES", chunk_bytes)
     powers = {"mu": 2.0, "nu": 2.0}
-    # finite-range has no closed form, so its means come from the pilot pass
+    # finite-range has no closed form at p = 2, so its means come from the pilot pass
     for tiny_at, huge_at, message in ((2, 5, "nu power mean at replica 2"),
                                       (5, 2, "mu power mean at replica 2")):
         monkeypatch.setattr(rcmlab.environment, "_sample_values", planted(tiny_at, huge_at))
@@ -450,21 +472,85 @@ CLOSED_FORM_SPECS = st.one_of(
     st.builds(lambda mass, scale: EnvironmentSpec("gaussian-fkg",
                                                   {"mass": mass, "scale": scale}),
               st.floats(0.7, 2.0), st.floats(0.2, 0.6)),
+    # exact at exponent one only (EXACT_AT_ONE); ranges and blocks fit both tori
+    st.builds(lambda range_, a, b: EnvironmentSpec("finite-range", {
+        "range": range_, "low": min(a, b), "high": max(a, b)}),
+        st.integers(1, 3), _bounds, _bounds),
+    st.builds(lambda range_, scale: EnvironmentSpec("finite-range", {
+        "range": range_, "link": "exp", "scale": scale}),
+        st.integers(1, 3), st.floats(0.2, 3.0)),
+    st.builds(lambda block, low, gap: EnvironmentSpec("na-permutation", {
+        "block": block, "low": low, "high": low + gap}),
+        st.sampled_from([1, 2]), _bounds, _bounds),
 )
+# the quantities these families have in closed form, each at exponent one
+EXACT_AT_ONE = {"finite-range": ("mu",), "na-permutation": ("mu", "nu")}
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=70, deadline=None, derandomize=True)
 @given(spec=CLOSED_FORM_SPECS, d=st.sampled_from([2, 3]), p=st.sampled_from([1, 2, 3]),
        q=st.sampled_from([1, 2, 3]))
 def test_exact_means_agree_with_the_monte_carlo_oracle(spec, d, p, q):
     geo = TorusGeometry(d, 8 if d == 2 else 6)
     powers = {"mu": p, "nu": q}
+    if spec.kind in EXACT_AT_ONE:
+        powers = dict.fromkeys(EXACT_AT_ONE[spec.kind], 1)
     exact = annealed_power_mean(spec, geo, powers, n_fields=2, seed=0)
     oracle = _monte_carlo_power_mean(spec, geo, powers, 300, 17)
     for quantity, est in oracle.items():
         # the constant field's oracle has zero stderr and rounds differently
         assert abs(exact[quantity] - est.value) <= (4 * est.stderr
                                                     + 1e-12 * est.value), (quantity, est)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1.0, 2.0], ids=["scale-min", "scale-1", "scale-2"])
+@pytest.mark.parametrize("range_", [1, 3, 5])
+@pytest.mark.parametrize("link", ["affine", "exp"])
+def test_finite_range_mean_agrees_with_the_monte_carlo_oracle(link, range_, scale):
+    # the spec refuses scale 0; at the least positive scale h underflows to 0
+    spec = EnvironmentSpec("finite-range", {"range": range_, "link": link, "scale": scale})
+    geo = TorusGeometry(2, 10)
+    exact = annealed_power_mean(spec, geo, {"mu": 1.0}, n_fields=2)["mu"]
+    oracle = _monte_carlo_power_mean(spec, geo, {"mu": 1}, 200, 23)["mu"]
+    assert abs(exact - oracle.value) <= 4 * oracle.stderr + 1e-12 * oracle.value
+    m = {1: 1, 3: 5, 5: 13}[range_]  # sites in the l1 window of radius (range - 1) // 2
+    h = scale / (2 * m)
+    expected = 5.0 if link == "affine" else 4.0 if h == 0 else 4 * (math.sinh(h) / h) ** m
+    assert exact == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("d, L, block", [(2, 8, 1), (2, 8, 4), (3, 6, 3)])
+@pytest.mark.parametrize("low, high", [(0.5, 2.0), (0.1, 7.0)])
+def test_permutation_means_agree_with_every_replica(d, L, block, low, high):
+    # every replica holds each level equally often, so its spatial mean is exact
+    spec = EnvironmentSpec("na-permutation", {"block": block, "low": low, "high": high})
+    geo = TorusGeometry(d, L)
+    exact = annealed_power_mean(spec, geo, {"mu": 1, "nu": 1.0}, n_fields=2)
+    oracle = _monte_carlo_power_mean(spec, geo, {"mu": 1, "nu": 1}, 16, 29)
+    for quantity, est in oracle.items():
+        assert exact[quantity] == pytest.approx(est.value, rel=1e-12, abs=0)
+        assert est.stderr <= 1e-12 * est.value
+
+
+def test_permutation_mean_equals_the_pilot_mean_bit_for_bit():
+    # the sampler-ensemble ladder's family: its centring mean, and so its
+    # ladder, is the one the pilot pass gave
+    spec = EnvironmentSpec("na-permutation", {"block": 4})
+    geo = TorusGeometry(2, 64)
+    pilot = _monte_carlo_power_mean(spec, geo, {"mu": 1}, 32, 3)["mu"].value
+    assert annealed_power_mean(spec, geo, {"mu": 1})["mu"] == pilot == 5.0
+
+
+def test_exact_p1_means_refuse_what_the_sampler_refuses():
+    for spec, geo, message in [
+            (EnvironmentSpec("finite-range", {"range": 5}), TorusGeometry(2, 8), "too small"),
+            (EnvironmentSpec("finite-range", {"range": 3, "link": "exp"}), TorusGeometry(3, 4),
+             "too small"),
+            (EnvironmentSpec("na-permutation", {"block": 3}), TorusGeometry(2, 8), "divide")]:
+        with pytest.raises(ValueError, match=message):
+            sample_environment(spec, geo, 0)
+        with pytest.raises(ValueError, match=message):
+            annealed_power_mean(spec, geo, {"mu": 1})
 
 
 def test_exact_means_pin_known_values():
@@ -484,6 +570,10 @@ def test_exact_means_draw_no_field_and_keep_the_sample_check(monkeypatch):
     geo = TorusGeometry(2, 8)
     for spec in (CONSTANT, ELLIPTIC, EnvironmentSpec("gaussian-fkg", {"mass": 1.0})):
         annealed_power_mean(spec, geo, {"mu": 2.0, "nu": 3}, n_fields=2)
+        with pytest.raises(ValueError, match="two samples"):
+            annealed_power_mean(spec, geo, {"mu": 2.0}, n_fields=1)
+    for spec in (FINITE_RANGE, EnvironmentSpec("na-permutation", {"block": 2})):
+        annealed_power_mean(spec, geo, dict.fromkeys(EXACT_AT_ONE[spec.kind], 1), n_fields=2)
         with pytest.raises(ValueError, match="two samples"):
             annealed_power_mean(spec, geo, {"mu": 2.0}, n_fields=1)
 
