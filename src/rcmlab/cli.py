@@ -36,7 +36,7 @@ from .chaining import chained_lower_bound, waypoint_multiplicity
 from .envelopes import fit_envelopes, stability_radius, verify_bounds
 from .environment import (EnvironmentSpec, avg_norm, field_to_csv, sample_environment,
                           write_field)
-from .green import annealed_green, green_kernel
+from .green import _annealed_replica, _split_plan, annealed_green
 from .kernel import heat_slices, jump_kernel
 from .lattice import TorusGeometry
 from .moments import annealed_power_mean, default_rectangles, rectangle_ladder
@@ -101,13 +101,14 @@ _SECTIONS = {
     "chain": {"target": (_INTS, _REQUIRED), "time": (_positive_finite, _REQUIRED),
               "p": (float, 2.0), "q": (float, 2.0), "power": (float, 1.0),
               "growth": (float, 1.0), "amp": (float, None), "tol": (float, 1e-10)},
-    "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (float, 1.0), "eta": (float, 2.0),
+    "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (float, 1.0),
+                "eta": (_positive_finite, 2.0),
                 "sizes": (_POINTS, _REQUIRED), "samples": (_integer, 200),
                 "mean_samples": (_integer, 128)},
-    "green": {"mode": (_one_of("quenched", "annealed"), "quenched"), "tol": (float, 1.0),
+    "green": {"mode": (_one_of("quenched", "annealed"), "quenched"),
               "pairs": (_tuple_of(_pair), None), "distances": (_INTS, (4, 6, 8)),
-              "samples": (_integer, 50), "envelope_times": (_FLOATS, (16.0, 32.0, 64.0)),
-              "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (_integer, 128)},
+              "samples": (_integer, 50), "p": (float, 2.0), "q": (float, 2.0),
+              "moment_samples": (_integer, 128)},
 }
 
 # (section, key) -> how many list levels sit above each lattice point in the
@@ -242,25 +243,21 @@ def cmd_heat(config, out_dir):
     return EXIT_OK
 
 
-def _fit_envelope(config, section, field, kern, sources, times, window, tol):
-    """Envelope fitted on one field's slices (t outer, source inner), gated by
-    its stability-radius table; also returns the table builder, so another
-    field's table uses the same annealed means of mu^p and nu^q, and the
-    slices keyed as :func:`heat_slices` keys them."""
+def _radius_table(config, section, sources):
+    """The stability radius N(x) of each source as a function of the field,
+    on the annealed means of mu^p and nu^q, estimated once here so that every
+    field's table uses the same means."""
     geo = config.geometry
-    p, q, moment_samples = section["p"], section["q"], section["moment_samples"]
+    p, q = section["p"], section["q"]
     means = annealed_power_mean(config.environment, geo, {"mu": p, "nu": q},
-                                n_fields=moment_samples, seed=config.seed)
+                                n_fields=section["moment_samples"], seed=config.seed)
 
     def radius_table(f):
         return {geo.wrap(x): stability_radius(f, x, p, q, means["mu"], means["nu"],
                                               geo.L // 2)
                 for x in sources}
 
-    fit_slices = heat_slices(kern, [(t, x) for t in times for x in sources], tol)
-    slices = [fit_slices[t, geo.wrap(x)] for t in times for x in sources]
-    env = fit_envelopes(slices, lower_threshold=radius_table(field), window=window)
-    return env, radius_table, fit_slices
+    return radius_table
 
 
 def _verify_pipeline(config):
@@ -276,8 +273,10 @@ def _verify_pipeline(config):
 
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
     fit_kern = jump_kernel(fit_field)
-    env, radius_table, slices = _fit_envelope(config, section, fit_field, fit_kern, sources,
-                                              times, window, tol)
+    radius_table = _radius_table(config, section, sources)
+    slices = heat_slices(fit_kern, [(t, x) for t in times for x in sources], tol)
+    env = fit_envelopes([slices[t, geo.wrap(x)] for t in times for x in sources],
+                        lower_threshold=radius_table(fit_field), window=window)
     env_verify = env
     if section["mode"] == "cross":
         # same constants; slices and validity thresholds from the field under
@@ -432,8 +431,6 @@ def cmd_moments(config, out_dir):
 def cmd_green(config, out_dir):
     section = config.section("green")
     geo = config.geometry
-    if geo.d < 3:
-        raise ValueError("transient dimension required")
     spec = config.environment
     meta = config.meta()
 
@@ -462,27 +459,26 @@ def cmd_green(config, out_dir):
         }, meta)
         return EXIT_OK
 
+    # the annealed split rule on the one field: a pair too far for L is
+    # refused before any work
+    by_source, dists, split_times = _split_plan(geo, pairs)
+    radius_table = _radius_table(config, section, by_source)
     field = sample_environment(spec, geo, config.seed)
-    kern = jump_kernel(field)
-    env, _, _ = _fit_envelope(config, section, field, kern, sorted({x for x, _ in pairs}),
-                              section["envelope_times"], 2.0, 1e-12)
-
-    ests = [green_kernel(field, x, y, env, tol=section["tol"], kernel=kern) for x, y in pairs]
-    dists = [geo.torus_distance(x, y) for x, y in pairs]
+    threshold = radius_table(field)
+    values, trunc_errors = _annealed_replica(jump_kernel(field), by_source, split_times)
+    values = values.tolist()
     write_csv(os.path.join(out_dir, "green.csv"),
-              ["x", "y", "dist", "g", "g_scaled", "tail_bound", "split_time", "wrap_limited"],
-              [[[_label(e.x) for e in ests], [_label(e.y) for e in ests], dists,
-                [e.value for e in ests],
-                [e.value * u ** (geo.d - 2.0) if u else math.nan for e, u in zip(ests, dists)],
-                [e.tail_bound for e in ests], [e.split_time for e in ests],
-                [e.wrap_limited for e in ests]]],
+              ["x", "y", "dist", "g", "g_scaled", "split_time", "trunc_error"],
+              [[[_label(geo.wrap(x)) for x, _ in pairs], [_label(geo.wrap(y)) for _, y in pairs],
+                dists, values,
+                [g * u ** (geo.d - 2.0) if u else math.nan for g, u in zip(values, dists)],
+                split_times, trunc_errors.tolist()]],
               meta)
     write_json(os.path.join(out_dir, "green.json"), {
         "mode": "quenched",
-        "envelope": env.to_dict(),
         "pairs": [[list(x), list(y)] for x, y in pairs],
-        "values": [float(e.value) for e in ests],
-        "wrap_limited": [e.wrap_limited for e in ests],
+        "values": values,
+        "threshold": {_label(x): n for x, n in sorted(threshold.items())},
     }, meta)
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Green kernel of the walk in transient dimensions (d >= 3).
 
-The Green kernel g(x, y) integrates the heat kernel over all time.  The
-artifact splits the integral at a time T0:
+The Green kernel g(x, y) integrates the heat kernel over all time.  Each
+value splits the integral at a time T0:
 
   * head [0, T0]: exact, in closed form.  One sparse sweep stores the
     Chebyshev terms v_k = T_k(P^T) delta_x at y, and p(t, x, y) is
@@ -11,19 +11,15 @@ artifact splits the integral at a time T0:
     [0, T] gives int_0^T ive(k, s) ds = 2 sum_{j > k} (j - k) ive(j, T), a
     sum of positive terms, so the head is sum_k B_k(T0) v_k / mu(y) with
     B_k the integrals of c_k, up to the series truncation;
-  * tail [T0, infinity): two numbers.  The reported value adds an
-    extrapolated tail: log(p * t^{d/2}) is fitted as gamma - a/t from the
-    values at T0/2 and T0 and the fit integrates in closed form (an additive
-    c + b/t fit stands in when the fitted a is negative, the on-diagonal
-    shape).  ``tail_bound`` is the closed-form integral of the fitted upper
-    envelope; T0 grows until it fits the requested budget.  It is checked
-    only at the envelope's fit times (see :func:`green_kernel`).
+  * tail [T0, infinity): an extrapolated estimate.  log(p * t^{d/2}) is
+    fitted as gamma - a/t from the values at T0/2 and T0 and the fit
+    integrates in closed form (an additive c + b/t fit stands in when the
+    fitted a is negative, the on-diagonal shape).
 
-Certified tail bounds below roughly a percent of the value are not
-practical on-diagonal: the bound integral decays like T0^{1/2 - d/2 + 1}
-while the torus needed to reach time T0 without wrap grows like sqrt(T0)
-per side, so the budget parameter governs the certificate, not the accuracy
-of the reported value.
+Quenched and annealed values split by one rule, :func:`_split_plan`'s,
+which keeps wrapped mass out of the head and the tail fit.
+:func:`green_kernel` instead doubles T0 until the integral of a fitted upper
+envelope fits a budget.
 
 The one-dimensional Bessel reduction of the lattice Fourier integral gives
 an independent oracle for the constant environment.
@@ -71,8 +67,6 @@ class GreenEstimate:
     tail_bound: float
     split_time: float
     trunc_error: float
-    # split_time > L^2/8, annealed_green's cap: wrapped mass inflates the value
-    wrap_limited: bool
     decomposition: object = None
     # the Chebyshev profile the head integrates; green_decomposition reuses it
     profile: object = dataclass_field(default=None, repr=False)
@@ -194,17 +188,14 @@ def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, kernel=None):
     Request accuracy through ``t0_min``, not through ``tol``.
 
     ``tail_bound`` is the closed-form integral over [T0, infinity) of the
-    upper envelope, which was checked only at the times it was fitted on
-    (``envelope_times`` in the CLI).  On the constant field it measured 2.2
-    to 3.0 times the tail of the lattice Z^3.  No check backs it past the
-    fit times, and since p(t) tends to 1/sum(mu) on the torus, it bounds no
-    torus quantity.
+    upper envelope, which was checked only at the times it was fitted on.
+    On the constant field it measured 2.2 to 3.0 times the tail of the
+    lattice Z^3.  No check backs it past the fit times, and since p(t) tends
+    to 1/sum(mu) on the torus, it bounds no torus quantity.
 
-    ``wrap_limited`` flags a split time above L^2/8, past which
-    :func:`annealed_green` does not split: there mass that wrapped around
-    the torus inflates the head and the tail fit.  On the constant 16^3
-    field the pair (0,0,0) -> (3,0,0) splits at 128 and reads 28 % above the
-    lattice value; on 32^3 it splits at 128 = L^2/8 and reads within 0.1 %.
+    No command calls it: ``green`` splits quenched values by
+    :func:`_split_plan`.  It stays while the benchmark and the Green oracle
+    acceptance check call it.
     """
     geo = field.geometry
     if geo.d < 3:
@@ -242,7 +233,6 @@ def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, kernel=None):
         tail_bound=tail_bound,
         split_time=t0,
         trunc_error=t0 * profile.trunc_error / float(kern.mu[geo.index(y)]),
-        wrap_limited=t0 > geo.L * geo.L / 8.0,
         profile=profile,
     )
 
@@ -361,32 +351,18 @@ class AnnealedReport:
     slope: object  # SlopeFit of mean against distance
 
 
-def annealed_green(spec, geometry, pairs, n_samples, seed):
-    """Monte Carlo annealed Green means per pair and their distance power law.
+def _split_plan(geometry, pairs):
+    """The pair rows (row index, target) per source, the pair distances and
+    the split times of both Green modes.
 
     Each pair splits at t0 = min(pow2 >= max(128, 4 dist^2), 512, cap), where
     cap is the largest power of two <= L^2/8: past that time wrapped mass
     inflates the head and the tail fit (the values at t0/2 and t0).  A pair
     whose t0 falls below dist^2 is refused with a ValueError, since the
     torus is too small for its walk to reach the target before wrapping.
-    Tail integrals use the Richardson extrapolation (estimates, not
-    certificates); the fit is a log-log slope over the pair distances.
-
-    The replicas are independent, and their sparse products release the GIL,
-    so they run on min(2, usable cores) workers: the calling thread and at
-    most one helper thread.  Replica i always goes to worker i % workers and
-    writes column i of the sample table, so the bits do not depend on the
-    schedule.  If replicas raise, the error of the first failing one in index
-    order is raised, as the serial loop would.  To keep two replicas in
-    flight cheap, each field is dropped as soon as its kernel is built, and
-    every kernel shares the geometry's cached neighbor table and block
-    pattern (see :mod:`rcmlab.kernel`).
     """
     if geometry.d < 3:
         raise ValueError("transient dimension required")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-
     cap = _pow2_at_most(geometry.L * geometry.L / 8.0)
     by_source = {}
     dists = []
@@ -401,12 +377,36 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
         by_source.setdefault(tuple(x), []).append((row, tuple(y)))
         dists.append(dist)
         split_times.append(t0)
+    return by_source, dists, split_times
+
+
+def annealed_green(spec, geometry, pairs, n_samples, seed):
+    """Monte Carlo annealed Green means per pair and their distance power law.
+
+    Each pair splits by :func:`_split_plan`'s rule, which refuses a pair the
+    torus cannot resolve.  Tail integrals use the Richardson extrapolation
+    (estimates, not certificates); the fit is a log-log slope over the pair
+    distances.
+
+    The replicas are independent, and their sparse products release the GIL,
+    so they run on min(2, usable cores) workers: the calling thread and at
+    most one helper thread.  Replica i always goes to worker i % workers and
+    writes column i of the sample table, so the bits do not depend on the
+    schedule.  If replicas raise, the error of the first failing one in index
+    order is raised, as the serial loop would.  To keep two replicas in
+    flight cheap, each field is dropped as soon as its kernel is built, and
+    every kernel shares the geometry's cached neighbor table and block
+    pattern (see :mod:`rcmlab.kernel`).
+    """
+    by_source, dists, split_times = _split_plan(geometry, pairs)
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
 
     samples = np.empty((len(pairs), n_samples))
 
     def replica(i):
         kern = jump_kernel(sample_environment(spec, geometry, child_seed(seed, 0, i)))
-        samples[:, i] = _annealed_replica(kern, by_source, split_times)
+        samples[:, i] = _annealed_replica(kern, by_source, split_times)[0]
 
     # The first kernel build and sweep import scipy.sparse and scipy.special.
     # Import them here, before the helper starts, so that no first import runs
@@ -463,14 +463,16 @@ def _run_split(n_tasks, task):
 
 
 def _annealed_replica(kern, by_source, split_times):
-    """One replica's Green values from its kernel, at the pair rows
+    """One field's Green values from its kernel, at the pair rows
     ``by_source`` lists per source, each split at its row's entry of
-    ``split_times``; every sweep runs to the largest split time.  The caller
-    builds the kernel straight from a fresh field, so the field is already
-    freed."""
+    ``split_times`` (see :func:`_split_plan`); one sweep per source runs to
+    the largest split time.  Also returns each row's head truncation bound,
+    t0 * trunc_error / mu(y).  Annealed replicas build the kernel straight
+    from a fresh field, so the field is already freed."""
     geo = kern.geometry
     t_max = max(split_times)
     values = np.empty(sum(len(rows) for rows in by_source.values()))
+    trunc_errors = np.empty_like(values)
     for x, rows in by_source.items():
         profile = propagate(kern, point_mass(geo, x), [t_max], 1e-12,
                             targets=[geo.index(y) for _, y in rows])
@@ -478,7 +480,8 @@ def _annealed_replica(kern, by_source, split_times):
         heads = {t0: _head_integral(profile, t0) for t0 in t0s}
         for j, ((row, _), t0) in enumerate(zip(rows, t0s)):
             values[row] = heads[t0][j] + _extrapolated_tail(profile, t0, geo.d, target=j)
-    return values
+            trunc_errors[row] = t0 * profile.trunc_error / profile.mu_targets[j]
+    return values, trunc_errors
 
 
 # ---------------------------------------------------------------------------

@@ -302,8 +302,7 @@ CLI_CONFIGS = {
         "geometry": {"d": 3, "L": 16},
         "environment": {"kind": "constant", "level": 1.0},
         "seed": 2,
-        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]],
-                  "envelope_times": [8.0, 16.0]},
+        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]]},
     },
 }
 

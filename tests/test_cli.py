@@ -13,9 +13,11 @@ import rcmlab.chaining
 import rcmlab.cli
 import rcmlab.envelopes
 import rcmlab.environment
+import rcmlab.green
 import rcmlab.kernel
 from rcmlab.cli import (EXIT_IO, EXIT_OK, EXIT_PRECONDITION, ExperimentConfig,
                         load_config, main)
+from rcmlab.green import srw_green
 from rcmlab.seeding import child_seed, rng_for
 from test_acceptance import CLI_CONFIGS
 
@@ -53,6 +55,10 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig(base_config(extra_section={}))
     with pytest.raises(ValueError, match="unknown keys in 'heat'"):
         ExperimentConfig(base_config(heat={"times": [1.0], "sourcez": []}))
+    # quenched green fits no envelope, so its envelope keys are gone
+    for key in ("tol", "envelope_times"):
+        with pytest.raises(ValueError, match=rf"unknown keys in 'green': \['{key}'\]"):
+            ExperimentConfig(base_config(green={key: 1.0}))
     with pytest.raises(ValueError, match="unknown keys in 'geometry'"):
         ExperimentConfig({"geometry": {"d": 2, "L": 8, "shape": "cube"},
                           "environment": {"kind": "constant"}, "seed": 0})
@@ -260,7 +266,7 @@ def test_verify_and_green_need_a_finite_nu_moment(tmp_path, capsys, delta, expec
         assert "E nu(0)^2 is infinite" in capsys.readouterr().err
         assert os.listdir(out) == []
         green = {"geometry": {"d": 3, "L": 8}, "environment": heavy, "seed": 2,
-                 "green": {"pairs": [[[0, 0, 0], [2, 0, 0]]], "envelope_times": [4.0]}}
+                 "green": {"pairs": [[[0, 0, 0], [2, 0, 0]]]}}
         assert main(["green", "--config", write_config(tmp_path, green, "green.json"),
                      "--out", str(tmp_path / "g")]) == EXIT_PRECONDITION
         assert "E nu(0)^2 is infinite" in capsys.readouterr().err
@@ -377,11 +383,8 @@ def test_verify_sweeps_each_field_once(tmp_path, monkeypatch, mode, expected):
 @pytest.mark.parametrize("command, section", [
     ("heat", {"heat": {"times": [1.0, "T"], "sources": [[0, 0]]}}),
     ("verify", {"verify": {"times": [4.0, "T"], "sources": [[0, 0]], "moment_samples": 16}}),
-    ("green", {"geometry": {"d": 3, "L": 8},
-               "green": {"pairs": [[[0, 0, 0], [2, 0, 0]]], "envelope_times": [8.0, "T"],
-                         "moment_samples": 16}}),
     ("chain", {"chain": {"target": [2, 0], "time": "T"}}),
-], ids=["heat", "verify", "green", "chain"])
+], ids=["heat", "verify", "chain"])
 def test_non_finite_times_exit_three(tmp_path, capsys, command, section, literal):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config(**section)).replace('"T"', literal))
@@ -395,6 +398,9 @@ def test_non_finite_times_exit_three(tmp_path, capsys, command, section, literal
 def test_chain_time_must_be_finite_and_positive_when_the_section_loads(time):
     with pytest.raises(ValueError, match=r"^bad 'time' in 'chain': must be finite and positive"):
         ExperimentConfig(base_config(chain={"target": [2, 0], "time": time}))
+    # the moment order of the centred sum, converted the same way
+    with pytest.raises(ValueError, match=r"^bad 'eta' in 'moments': must be finite and positive"):
+        ExperimentConfig(base_config(moments={"sizes": [[1, 0]], "eta": time}))
 
 
 def test_moments_command_row_count(tmp_path):
@@ -438,7 +444,7 @@ def test_green_command_and_dimension_guard(tmp_path):
         "geometry": {"d": 3, "L": 16},
         "environment": {"kind": "constant", "level": 1.0},
         "seed": 2,
-        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]], "envelope_times": [8.0, 16.0]},
+        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]]},
     }
     cfg_path = write_config(tmp_path, cfg)
     assert main(["green", "--config", cfg_path, "--out", str(tmp_path / "g")]) == EXIT_OK
@@ -456,24 +462,88 @@ def test_green_command_and_dimension_guard(tmp_path):
                  "--out", str(tmp_path / "g2")]) == EXIT_PRECONDITION
 
 
-@pytest.mark.parametrize("L, envelope_times, wrapped", [
-    (16, [8.0, 16.0], True),  # criterion 12's config: split 128 > 16^2/8, value +28 %
-    (32, [16.0, 32.0, 64.0], False),  # split 128 = 32^2/8, value within 0.1 %
-], ids=["criterion-12", "constant-32"])
-def test_quenched_green_flags_split_times_past_the_wrap_time(tmp_path, L, envelope_times,
-                                                             wrapped):
+_CONSTANT_32 = {
+    "geometry": {"d": 3, "L": 32},
+    "environment": {"kind": "constant", "level": 1.0},
+    "seed": 2,
+    "green": {"distances": [3, 4, 6]},
+}
+
+
+@pytest.mark.parametrize("cfg, split_time, rel", [
+    (_CONSTANT_32, 128.0, 5e-3),  # 32^2/8
+    (CLI_CONFIGS["green"], 32.0, 1e-2),  # 16^2/8
+], ids=["constant-32", "criterion-12"])
+def test_quenched_green_matches_the_lattice_oracle(tmp_path, monkeypatch, cfg, split_time, rel):
+    sweeps = []
+    real = rcmlab.green.propagate
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rcmlab.green, "propagate", counting)
+    out = tmp_path / "g"
+    assert main(["green", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    assert len(sweeps) == 1  # one sweep per source, not one per pair
+    header, *rows = [line.split(",") for line in (out / "green.csv").read_text().splitlines()[1:]]
+    assert header == ["x", "y", "dist", "g", "g_scaled", "split_time", "trunc_error"]
+    report = json.loads((out / "green.json").read_text())
+    assert set(report) == {"config_hash", "version", "mode", "pairs", "values", "threshold"}
+    assert report["threshold"] == {"0 0 0": 1}  # constant ball averages: N(x) = 1
+    for (x, y), row in zip(report["pairs"], rows, strict=True):
+        oracle = srw_green(tuple(b - a for a, b in zip(x, y))) / 6.0
+        assert float(row[3]) == pytest.approx(oracle, rel=rel)
+        assert float(row[5]) == split_time
+        # T0 times the sweep's truncation bound (at most its tol 1e-12), over mu(y) = 6
+        assert 0.0 < float(row[6]) <= split_time * 1e-12 / 6.0
+
+
+def test_quenched_green_refuses_a_pair_too_far_for_the_torus(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a field for a pair the torus cannot resolve")
+
+    monkeypatch.setattr(rcmlab.cli, "sample_environment", no_sampling)
+    # 16^2/8 caps the split time at 32, below 6^2
+    cfg = dict(_CONSTANT_32, geometry={"d": 3, "L": 16}, green={"distances": [6]})
+    out = tmp_path / "g"
+    assert main(["green", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == EXIT_PRECONDITION
+    assert "is too far for L = 16" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_quenched_green_threshold_is_the_measured_fields_radius_table(tmp_path):
+    from rcmlab.envelopes import stability_radius
+    from rcmlab.environment import sample_environment
+    from rcmlab.moments import annealed_power_mean
+
     cfg = {
-        "geometry": {"d": 3, "L": L},
-        "environment": {"kind": "constant", "level": 1.0},
-        "seed": 2,
-        "green": {"pairs": [[[0, 0, 0], [3, 0, 0]]], "envelope_times": envelope_times},
+        "geometry": {"d": 3, "L": 16},
+        "environment": {"kind": "iid", "marginal": "lognormal", "sigma": 1.0},
+        "seed": 7,
+        "green": {"pairs": [[[0, 0, 0], [2, 0, 0]], [[5, 5, 5], [5, 7, 5]],
+                            [[0, 0, 0], [0, 0, 3]]],
+                  "p": 4.0, "q": 4.0, "moment_samples": 8},
     }
     out = tmp_path / "g"
     assert main(["green", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
-    header, row = [line.split(",") for line in (out / "green.csv").read_text().splitlines()[1:]]
-    assert header[-2:] == ["split_time", "wrap_limited"]
-    assert row[-2:] == ["128.0", str(wrapped)]
-    assert json.loads((out / "green.json").read_text())["wrap_limited"] == [wrapped]
+    report = json.loads((out / "green.json").read_text())
+    # one entry per distinct source, N(x) of the field the values were read on,
+    # against the annealed means of mu^4 and nu^4
+    config = ExperimentConfig(cfg)
+    geo = config.geometry
+    field = sample_environment(config.environment, geo, 7)
+    means = annealed_power_mean(config.environment, geo, {"mu": 4.0, "nu": 4.0},
+                                n_fields=8, seed=7)
+    expected = {" ".join(map(str, x)): stability_radius(field, x, 4.0, 4.0, means["mu"],
+                                                        means["nu"], 8)
+                for x in [(0, 0, 0), (5, 5, 5)]}
+    assert report["threshold"] == expected == {"0 0 0": 8, "5 5 5": 5}
+    rows = [line.split(",") for line in (out / "green.csv").read_text().splitlines()[2:]]
+    assert [row[:3] for row in rows] == [["0 0 0", "2 0 0", "2"], ["5 5 5", "5 7 5", "2"],
+                                         ["0 0 0", "0 0 3", "3"]]
+    assert all(float(row[3]) > 0.0 for row in rows)
 
 
 def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path):
@@ -525,6 +595,8 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
                "green": {"mode": "annealed", "pairs": [[[0, 0, 0], [2, 0, 0], [3, 0, 0]]]}}),
     ("green", {"geometry": {"d": 3, "L": 8},
                "green": {"mode": "annealed", "pairs": [[[0, 0, 0]]]}}),
+    ("green", {"geometry": {"d": 3, "L": 8}, "green": {"tol": 1.0}}),
+    ("green", {"geometry": {"d": 3, "L": 8}, "green": {"envelope_times": [8.0, 16.0]}}),
     ("env", {"seed": 1.5}),
     ("moments", {"moments": {"sizes": [[1, 0]], "samples": 2.7}}),
     ("heat", {"heat": {"times": [1.0], "sources": [[0.7, 2.9]]}}),
@@ -534,8 +606,9 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
         "string-delta", "green-mode", "verify-mode", "moments-quantity", "heat-source-length",
         "heat-target-length", "verify-source-length", "chain-target-length",
         "green-pair-length", "green-three-points", "green-one-point",
-        "annealed-three-points", "annealed-one-point", "fractional-seed", "fractional-samples",
-        "fractional-source", "fractional-side", "fractional-dimension"])
+        "annealed-three-points", "annealed-one-point", "green-tol", "green-envelope-times",
+        "fractional-seed", "fractional-samples", "fractional-source", "fractional-side",
+        "fractional-dimension"])
 def test_malformed_config_exits_three_before_any_work(tmp_path, monkeypatch, command, change):
     def no_sampling(*args):
         raise AssertionError("a command sampled a field from a malformed configuration")

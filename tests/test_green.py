@@ -453,7 +453,7 @@ def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, split_times):
     return np.column_stack([
         rcmlab.green._annealed_replica(
             jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
-            by_source, split_times)
+            by_source, split_times)[0]
         for i in range(n_samples)])
 
 
