@@ -70,15 +70,18 @@ def _integer(value):
     return int(value)
 
 
+def _below(high, wanted):
+    """``float(value)``, refusing one outside the open interval (0, high)."""
+    def check(value):
+        value = float(value)
+        if not 0 < value < high:
+            raise ValueError(f"must be {wanted}, not {value!r}")
+        return value
+    return check
+
+
 _FLOATS, _INTS, _POINTS = _tuple_of(float), _tuple_of(_integer), _tuple_of(_tuple_of(_integer))
-
-
-def _positive_finite(value):
-    """``float(value)``, refusing one that is not finite and positive."""
-    value = float(value)
-    if not 0 < value < math.inf:
-        raise ValueError(f"must be finite and positive, not {value!r}")
-    return value
+_POSITIVE, _TOLERANCE = _below(math.inf, "finite and positive"), _below(1.0, "in (0, 1)")
 
 
 def _pair(value):
@@ -92,22 +95,21 @@ def _pair(value):
 _SECTIONS = {
     "geometry": {"d": (_integer, _REQUIRED), "L": (_integer, _REQUIRED)},
     "heat": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, _REQUIRED),
-             "targets": (_POINTS, None), "tol": (float, 1e-10)},
+             "targets": (_POINTS, None), "tol": (_TOLERANCE, 1e-10)},
     "verify": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, None), "window": (float, 2.0),
-               "p": (float, 2.0), "q": (float, 2.0), "moment_samples": (_integer, 512),
+               "p": (_POSITIVE, 2.0), "q": (_POSITIVE, 2.0), "moment_samples": (_integer, 512),
                "mode": (_one_of("cross", "self"), "cross"), "margin": (float, 0.05),
-               "max_fraction": (float, 0.01), "tol": (float, 1e-10),
+               "max_fraction": (float, 0.01), "tol": (_TOLERANCE, 1e-10),
                "inject_upper_scale": (float, 1.0), "inject_lower_scale": (float, 1.0)},
-    "chain": {"target": (_INTS, _REQUIRED), "time": (_positive_finite, _REQUIRED),
-              "p": (float, 2.0), "q": (float, 2.0), "power": (float, 1.0),
-              "growth": (float, 1.0), "amp": (float, None), "tol": (float, 1e-10)},
-    "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (float, 1.0),
-                "eta": (_positive_finite, 2.0),
-                "sizes": (_POINTS, _REQUIRED), "samples": (_integer, 200),
-                "mean_samples": (_integer, 128)},
+    "chain": {"target": (_INTS, _REQUIRED), "time": (_POSITIVE, _REQUIRED),
+              "p": (_POSITIVE, 2.0), "q": (_POSITIVE, 2.0), "power": (float, 1.0),
+              "growth": (float, 1.0), "amp": (float, None), "tol": (_TOLERANCE, 1e-10)},
+    "moments": {"quantity": (_one_of("mu", "nu"), "mu"), "p": (_POSITIVE, 1.0),
+                "eta": (_POSITIVE, 2.0), "sizes": (_POINTS, _REQUIRED),
+                "samples": (_integer, 200), "mean_samples": (_integer, 128)},
     "green": {"mode": (_one_of("quenched", "annealed"), "quenched"),
               "pairs": (_tuple_of(_pair), None), "distances": (_INTS, (4, 6, 8)),
-              "samples": (_integer, 50), "p": (float, 2.0), "q": (float, 2.0),
+              "samples": (_integer, 50), "p": (_POSITIVE, 2.0), "q": (_POSITIVE, 2.0),
               "moment_samples": (_integer, 128)},
 }
 

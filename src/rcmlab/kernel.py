@@ -13,15 +13,16 @@ sparse product per term, and the law is D^1/2 sum_k c_k(t) u_k.
 The torus side L is even (:class:`~rcmlab.lattice.TorusGeometry` admits no
 other), so the nearest-neighbour graph is bipartite: S links the even colour
 class (coordinate sum even) only to the odd one.  The sweep keeps each u_k as
-its two halves and multiplies by the two off-diagonal blocks of S (the
-red-black ordering, Saad, Iterative Methods for Sparse Linear Systems,
-sec. 2.3), skipping a half that is identically zero.  From a point source x,
-T_k(S) delta_x lives on x's class for even k and on the other class for odd
-k, so each term is one half-size product.  The full product's entries off
-the occupied class are exact zeros, so the split changes no bit.  The
-blocks' sparsity pattern (column indices and row pointers) depends on the
-geometry alone: one read-only int32 copy per geometry is cached and shared
-by every kernel built on it, and a kernel stores only its own values.
+its two halves (the red-black ordering, Saad, Iterative Methods for Sparse
+Linear Systems, sec. 2.3), skipping a half that is identically zero.  S is
+stored once, as its rows at the even vertices over the odd ones, in
+ascending vertex order; its transpose, a CSC view of the same arrays, maps
+the even half to the odd one.  From a point source x, T_k(S) delta_x lives
+on x's class for even k and on the other for odd k, so each term is one
+half-size product.  Both products sum each output over its sources in
+ascending order, so the split changes no bit of a full sweep by S with
+sorted rows.  The block's pattern depends on the geometry alone: one
+read-only copy per geometry is shared by every kernel built on it.
 
 As |T_k| <= 1 on [-1, 1], dropping the terms k > K moves the law of any start
 distribution by at most sqrt(sum mu / min mu) * sum_{k > K} c_k(t) in l1 (so
@@ -39,10 +40,10 @@ to the degree of the largest requested time, and every time sums its own
 coefficients on the way; with targets the sweep keeps the terms
 T_k(P^T) start at the targets instead.
 
-A kernel holds only the two blocks and mu.  S as one matrix exists only
-inside :func:`spectral_oracle`, a dense eigendecomposition route that serves
-as an independent oracle on small tori; :func:`simulate_walk` reads one
-block row per jump.
+A kernel holds only the block and mu.  S as one matrix exists only inside
+:func:`spectral_oracle`, a dense eigendecomposition route that serves as an
+independent oracle on small tori; :func:`simulate_walk` reads one row of S
+per jump, already in vertex order.
 
 scipy loads on first use: :func:`jump_kernel` imports ``scipy.sparse`` and
 ``scipy.special``, so the samplers and moment checks, which build no kernel,
@@ -80,62 +81,43 @@ def _colour_classes(d, L):
 
 @dataclass
 class JumpKernel:
-    """The two off-diagonal blocks of S = D^-1/2 A D^-1/2 that every sweep
-    multiplies by, with mu alongside; the kernel holds nothing else.
+    """S = D^-1/2 A D^-1/2 stored once, as the one off-diagonal block every
+    sweep multiplies by, with mu alongside; the kernel holds nothing else.
 
-    :class:`~rcmlab.lattice.TorusGeometry` admits only even sides, so the
-    nearest-neighbour graph is bipartite and S maps each colour class onto
-    the other.  ``even_block`` holds the rows of S at the even vertices over
-    the odd ones, ``odd_block`` the reverse; a column is a vertex's position
-    v // 2 in its class, and each block row lists the same neighbors in the
-    same (table) order as :meth:`~rcmlab.lattice.TorusGeometry.neighbor_table`.
-    The two oracles read S from these blocks: :func:`spectral_oracle` as a
-    dense matrix, :func:`simulate_walk` one row at a time."""
+    The nearest-neighbour graph is bipartite, so S maps each colour class
+    onto the other.  ``block`` holds the rows of S at the even vertices over
+    the odd ones, each in ascending vertex order, a row or column being a
+    vertex's position v // 2 in its class; as S is symmetric, ``block.T`` (a
+    CSC view of the same arrays) holds its rows at the odd vertices.  The two
+    oracles read S from it: :func:`spectral_oracle` as a dense matrix,
+    :func:`simulate_walk` one row at a time."""
 
     geometry: object
     mu: np.ndarray
-    even_block: object  # scipy.sparse.csr_matrix
-    odd_block: object
+    block: object  # scipy.sparse.csr_matrix
 
 
 @lru_cache(maxsize=32)
-def _block_patterns(geometry):
-    """The CSR pattern (column indices, row pointers) of the even and of the
-    odd block, int32 and read-only: block row r lists the 2d neighbors of its
-    class's r-th vertex in table order, each by its position v // 2 in the
-    other class.  It depends on the geometry alone, so every kernel on it
-    shares this one copy and builds only its own data."""
-    table = geometry.neighbor_table()
-    width = table.shape[1]
-    patterns = []
-    for rows in _colour_classes(geometry.d, geometry.L):
-        cols = table[rows] >> 1
-        indptr = np.arange(0, width * rows.size + 1, width, dtype=np.int32)
-        cols.flags.writeable = indptr.flags.writeable = False
-        patterns.append((cols, indptr))
-    return patterns
-
-
-def _block(values, root, rows, other, cols, indptr):
-    """The rows of S at the vertices ``rows`` (one colour class) over the
-    class ``other``, built in class order on the shared pattern (cols, indptr);
-    a column c stands for the vertex other[c]."""
-    import scipy.sparse as sp
-
-    d = values.shape[1]
-    # one product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
-    data = root[other][cols]
-    data *= root[rows, None]
-    for a in range(d):  # w(x, y) over it, in place, one column at a time
-        np.divide(values[rows, a], data[:, a], out=data[:, a])
-        np.divide(values[other[cols[:, d + a]], a], data[:, d + a], out=data[:, d + a])
-    return sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr),
-                         shape=(rows.size, rows.size))
+def _block_pattern(geometry):
+    """The block's CSR pattern (column indices, row pointers; int32) and each
+    entry's column in the neighbor table (int8), read-only: row r lists the
+    r-th even vertex's 2d neighbours by their positions v // 2 in the odd
+    class, in ascending vertex order.  Every kernel on the geometry shares it."""
+    d = geometry.d
+    even = _colour_classes(d, geometry.L)[0]
+    nbrs = geometry.neighbor_table()[even]
+    order = np.argsort(nbrs, axis=1).astype(np.int8)
+    cols = np.take_along_axis(nbrs, order, axis=1) >> 1
+    indptr = np.arange(0, cols.size + 1, 2 * d, dtype=np.int32)
+    for array in (cols, indptr, order):
+        array.flags.writeable = False
+    return cols, indptr, order
 
 
 def jump_kernel(field):
-    """Build the blocks of S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) on neighbors;
+    """Build the block of S(x, y) = w(x, y) / sqrt(mu(x) mu(y)) on neighbors;
     validates that the jump probabilities w(x, y) / mu(x) sum to one."""
+    import scipy.sparse as sp
     import scipy.special  # noqa: F401  the kernel's sweeps need it; load it with scipy.sparse
 
     geo = field.geometry
@@ -143,14 +125,23 @@ def jump_kernel(field):
     if np.any(mu_vec <= 0):
         raise ValueError("mu must be positive at every vertex")
     root = np.sqrt(mu_vec)
-    classes = _colour_classes(geo.d, geo.L)
-    blocks = [_block(field.values, root, rows, other, *pattern)
-              for rows, other, pattern in zip(classes, classes[::-1], _block_patterns(geo))]
+    even, odd = _colour_classes(geo.d, geo.L)
+    cols, indptr, order = _block_pattern(geo)
+    # one product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
+    data = root[odd][cols]
+    data *= root[even, None]
+    d, values = geo.d, field.values.reshape(-1)
+    for j, a in enumerate(order.T):  # w(x, y) over it, in place, one column at a time
+        # the edge to x + e_a carries values[x, a], the edge to y = x - e_a values[y, a]
+        at = np.where(a < d, even, odd[cols[:, j]]) * d + a % d
+        np.divide(values[at], data[:, j], out=data[:, j])
+    block = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr),
+                          shape=(even.size, odd.size))
     # row sums of P, since (S sqrt(mu))(x) / sqrt(mu(x)) = sum_y P(x, y)
-    for block, rows, cols in zip(blocks, classes, classes[::-1]):
-        if np.max(np.abs(block @ root[cols] / root[rows] - 1.0)) > 1e-12:
+    for sums, rows in ((block @ root[odd], even), (block.T @ root[even], odd)):
+        if np.max(np.abs(sums / root[rows] - 1.0)) > 1e-12:
             raise ValueError("jump matrix rows must sum to one")
-    return JumpKernel(geo, mu_vec, *blocks)
+    return JumpKernel(geo, mu_vec, block)
 
 
 @dataclass
@@ -204,17 +195,19 @@ def _series(t, tol, scale):
         n_terms *= 2
 
 
-def _chebyshev_terms(even_block, odd_block, u):
+def _chebyshev_terms(block, u):
     """Yields T_1(S) u, T_2(S) u, ... by u_{k+1} = 2 S u_k - u_{k-1}, each as
     its (even half, odd half) pair; None stands for a half that is identically
     zero and costs no product, so a start on one class pays one half-size
-    product per term.  Holds only the blocks and the last two pairs, so a
-    finished profile keeps no kernel alive."""
+    product per term, by ``block`` on the odd half and by its transpose on the
+    even one.  Holds only the block and the last two pairs, so a finished
+    profile keeps no kernel alive."""
+    transpose = block.T
 
     def times_s(v):
         even, odd = v
-        return (None if odd is None else even_block @ odd,
-                None if even is None else odd_block @ even)
+        return (None if odd is None else block @ odd,
+                None if even is None else transpose @ even)
 
     prev, cur = u, times_s(u)
     while True:
@@ -244,7 +237,7 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
         root = root[:, None]
     classes = _colour_classes(kernel.geometry.d, kernel.geometry.L)
     u0 = start / root
-    terms = _chebyshev_terms(kernel.even_block, kernel.odd_block,
+    terms = _chebyshev_terms(kernel.block,
                              tuple(u0[rows] if np.any(u0[rows]) else None for rows in classes))
     scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     if targets is not None:
@@ -264,7 +257,7 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
 
         profile = TransitionProfile(start[targets][None], kernel.mu[targets], 0.0, tol,
                                     scale, 0.0, map(at_targets, terms))
-        del start, root, u0  # the sweep needs only the blocks and its last terms
+        del start, root, u0  # the sweep needs only the block and its last terms
         return profile.extend(max(times))
     series = [_series(t, tol, scale) for t in times]
     sums = [[None, None] for _ in series]
@@ -325,8 +318,8 @@ def spectral_oracle(field, t, x):
     """Dense eigendecomposition route for cross-validating the series method.
 
     Works through the symmetric matrix S = D^-1/2 A D^-1/2 (A the weight
-    matrix, D = diag(mu)), assembled dense from the kernel's two blocks; all
-    eigenvalues must lie in [-1, 1].
+    matrix, D = diag(mu)), assembled dense from the kernel's block and its
+    transpose; all eigenvalues must lie in [-1, 1].
     """
     geo = field.geometry
     n = geo.n_vertices
@@ -336,10 +329,11 @@ def spectral_oracle(field, t, x):
         raise ValueError("time must be nonnegative")
     kern = jump_kernel(field)
     root = np.sqrt(kern.mu)
-    classes = _colour_classes(geo.d, geo.L)
+    even, odd = _colour_classes(geo.d, geo.L)
     dense = np.zeros((n, n))
-    for rows, other, block in zip(classes, classes[::-1], (kern.even_block, kern.odd_block)):
-        dense[np.ix_(rows, other)] = block.toarray()
+    half = kern.block.toarray()
+    dense[np.ix_(even, odd)] = half
+    dense[np.ix_(odd, even)] = half.T
     eigvals, eigvecs = np.linalg.eigh(dense)
     if eigvals[0] < -1.0 - 1e-10 or eigvals[-1] > 1.0 + 1e-10:
         raise ValueError("spectrum escapes [-1, 1]")
@@ -354,15 +348,20 @@ def spectral_oracle(field, t, x):
 def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
     """One trajectory endpoint of the walk started at x and run until time t.
 
-    Each jump reads the current vertex's row of S from its block and takes
-    P(x, y) = S(x, y) sqrt(mu(y)) / sqrt(mu(x)), the neighbors in vertex order."""
+    Each jump reads the current vertex's row of S, its neighbors already in
+    vertex order, and takes P(x, y) = S(x, y) sqrt(mu(y)) / sqrt(mu(x))."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     geo = field.geometry
     kern = kernel if kernel is not None else jump_kernel(field)
     root = np.sqrt(kern.mu)
-    table = geo.neighbor_table()
-    even = _colour_classes(geo.d, geo.L)[0]
+    even, odd = _colour_classes(geo.d, geo.L)
+    width, cols = 2 * geo.d, kern.block.indices
+    # S's rows at the odd vertices are the block's columns: a stable sort by
+    # column lists each column's entries by ascending row, so in vertex order
+    entries = (np.arange(cols.size).reshape(-1, width),
+               np.argsort(cols, kind="stable").reshape(-1, width))
+    nbrs_of = odd[cols].reshape(-1, width), even[entries[1] // width]
     current = geo.index(x)
     clock = 0.0
     jumps = 0
@@ -371,12 +370,10 @@ def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
         if clock > t:
             break
         row = current // 2
-        block = kern.odd_block if even[row] != current else kern.even_block
-        nbrs = table[current]
-        order = np.argsort(nbrs)
-        probs = (block.data[block.indptr[row] : block.indptr[row + 1]]
-                 * root[nbrs] / root[current])[order]
-        current = int(rng.choice(nbrs[order], p=probs / probs.sum()))
+        on_odd = int(even[row] != current)
+        nbrs = nbrs_of[on_odd][row]
+        probs = kern.block.data[entries[on_odd][row]] * root[nbrs] / root[current]
+        current = int(rng.choice(nbrs, p=probs / probs.sum()))
         jumps += 1
     endpoint = geo.coords(current)
     if with_jumps:

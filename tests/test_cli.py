@@ -403,6 +403,39 @@ def test_chain_time_must_be_finite_and_positive_when_the_section_loads(time):
         ExperimentConfig(base_config(moments={"sizes": [[1, 0]], "eta": time}))
 
 
+_LOADABLE = {
+    "heat": {"times": [1.0], "sources": [[0, 0]]},
+    "verify": {"times": [4.0], "sources": [[0, 0]], "moment_samples": 16},
+    "chain": {"target": [2, 0], "time": 24.0},
+    "moments": {"sizes": [[1, 0], [3, 1], [5, 2], [7, 3]], "samples": 8},
+    "green": {"distances": [2]},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    *[(command, key, value)
+      for command, key in [("verify", "p"), ("verify", "q"), ("chain", "p"), ("chain", "q"),
+                           ("moments", "p"), ("green", "p"), ("green", "q")]
+      for value in (math.nan, math.inf, 0.0, -1.0)],
+    *[(command, "tol", value) for command in ("heat", "verify", "chain")
+      for value in (0.0, 1.0, math.nan)],
+])
+def test_exponents_and_tolerances_exit_three_when_the_section_loads(tmp_path, monkeypatch, capsys,
+                                                                    command, key, value):
+    def no_sampling(*args):
+        raise AssertionError("a command sampled a field from a refused configuration")
+
+    monkeypatch.setattr(rcmlab.cli, "sample_environment", no_sampling)
+    cfg = base_config(**{command: dict(_LOADABLE[command], **{key: value})})
+    if command == "green":
+        cfg["geometry"] = {"d": 3, "L": 8}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) \
+        == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"error: bad {key!r} in {command!r}: must be ")
+    assert not out.exists()
+
+
 def test_moments_command_row_count(tmp_path):
     cfg = base_config(moments={"quantity": "mu", "p": 1, "eta": 2.0,
                                "sizes": [[1, 0], [3, 1], [5, 2], [7, 3]],

@@ -223,15 +223,22 @@ def test_green_split_doubling_computes_each_jump_power_once():
     products = []
 
     class CountingBlock:
+        """Counts the columns of every product by the block and by its
+        transpose, each half-size."""
+
         def __init__(self, block):
             self.block = block
 
+        @property
+        def T(self):
+            return CountingBlock(self.block.T)
+
         def __matmul__(self, v):
+            assert v.shape[0] == geo.n_vertices // 2
             products.append(1 if v.ndim == 1 else v.shape[1])
             return self.block @ v
 
-    counted = dataclasses.replace(kern, even_block=CountingBlock(kern.even_block),
-                                  odd_block=CountingBlock(kern.odd_block))
+    counted = dataclasses.replace(kern, block=CountingBlock(kern.block))
     est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=counted)
     assert est.split_time >= 64.0  # the split time doubled at least once
     # the degree K of the final split time: the least K whose dropped

@@ -40,11 +40,11 @@ def _by_table(field, data):
 
 def reference_s(field):
     """S(x, y) = w(x, y) / (sqrt(mu(x)) sqrt(mu(y))) built from the field
-    alone, each row listing its neighbors in table order: the reference the
-    kernel's two blocks must equal bit for bit."""
+    alone, each row listing its neighbors in ascending vertex order: the
+    reference the kernel's block must equal bit for bit."""
     table, w = neighbor_weights(field)
     root = np.sqrt(field.mu_vector())
-    return _by_table(field, w / (root[:, None] * root[table]))
+    return _by_table(field, w / (root[:, None] * root[table])).sorted_indices()
 
 
 def reference_p(field):
@@ -54,12 +54,13 @@ def reference_p(field):
 
 
 def kernel_s(kern):
-    """The kernel's S as a dense matrix, assembled from its two blocks."""
+    """The kernel's S as a dense matrix, assembled from its block (the rows
+    at the even vertices) and the block's transpose (those at the odd ones)."""
     geo = kern.geometry
-    classes = _colour_classes(geo.d, geo.L)
+    even, odd = _colour_classes(geo.d, geo.L)
     dense = np.zeros((geo.n_vertices, geo.n_vertices))
-    for rows, other, block in zip(classes, classes[::-1], (kern.even_block, kern.odd_block)):
-        dense[np.ix_(rows, other)] = block.toarray()
+    dense[np.ix_(even, odd)] = kern.block.toarray()
+    dense[np.ix_(odd, even)] = kern.block.T.toarray()
     return dense
 
 
@@ -87,15 +88,20 @@ def test_jump_kernel_rows_and_detailed_balance():
         assert np.max(np.abs(flux - flux.T)) <= 1e-12
 
 
-def test_kernels_share_one_read_only_block_pattern():
-    # the column indices and row pointers depend on the geometry alone
+def test_kernel_stores_s_once_on_a_shared_sorted_pattern():
     kernels = [jump_kernel(sample_environment(ELLIPTIC, GEO, seed)) for seed in (1, 2)]
-    for name in ("even_block", "odd_block"):
-        first, second = (getattr(kern, name) for kern in kernels)
-        assert not np.array_equal(first.data, second.data)
-        for arrays in ((first.indices, second.indices), (first.indptr, second.indptr)):
-            assert np.shares_memory(*arrays)
-            assert not arrays[0].flags.writeable
+    first, second = (kern.block for kern in kernels)
+    # one float64 value per edge: n d entries, half of S's 2 n d
+    assert list(vars(kernels[0])) == ["geometry", "mu", "block"]
+    assert first.data.dtype == np.float64 and first.data.shape == (GEO.n_vertices * GEO.d,)
+    # the odd rows are a view of the same arrays, not a copy
+    assert np.shares_memory(first.T.data, first.data)
+    # the column indices and row pointers depend on the geometry alone
+    assert not np.array_equal(first.data, second.data)
+    for arrays in ((first.indices, second.indices), (first.indptr, second.indptr)):
+        assert np.shares_memory(*arrays)
+        assert not arrays[0].flags.writeable
+    assert first.has_sorted_indices and second.has_sorted_indices
 
 
 FAMILIES = [
@@ -316,7 +322,7 @@ def test_propagate_block_matches_lone_slices(d, times, data):
 def full_s_terms(field, start, degree):
     """u_0 = D^-1/2 start, ..., u_degree by u_{k+1} = 2 S u_k - u_{k-1} on
     full-length vectors through all of :func:`reference_s`: the reference for
-    the two-block sweep."""
+    the one-block sweep."""
     mu = field.mu_vector()
     root = np.sqrt(mu) if start.ndim == 1 else np.sqrt(mu)[:, None]
     s = reference_s(field)
@@ -353,7 +359,7 @@ def parity(geo, i):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(d=st.sampled_from([2, 3]), L=st.sampled_from([4, 6, 8]), seed=st.integers(0, 2**31 - 1),
        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3), data=st.data())
-def test_two_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
+def test_one_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
     geo = TorusGeometry(d, L)
     field = sample_environment(ELLIPTIC, geo, seed)
     kern = jump_kernel(field)
@@ -388,24 +394,31 @@ def test_two_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
 def test_mixed_parity_heat_slices_do_one_half_product_per_column_per_term():
     geo = TorusGeometry(2, 8)
     kern = jump_kernel(sample_environment(ELLIPTIC, geo, 4))
-    columns = []
+    columns = {"block": [], "block.T": []}
 
     class CountingBlock:
-        def __init__(self, block):
-            self.block = block
+        """Counts the columns of every product by the block and by its
+        transpose, each half-size."""
+
+        def __init__(self, block, name="block"):
+            self.block, self.name = block, name
+
+        @property
+        def T(self):
+            return CountingBlock(self.block.T, "block.T")
 
         def __matmul__(self, v):
             assert v.shape[0] == geo.n_vertices // 2
-            columns.append(v.shape[1])
+            columns[self.name].append(v.shape[1])
             return self.block @ v
 
-    counted = dataclasses.replace(kern, even_block=CountingBlock(kern.even_block),
-                                  odd_block=CountingBlock(kern.odd_block))
+    counted = dataclasses.replace(kern, block=CountingBlock(kern.block))
     sources = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 5)]  # two even, three odd
     heat_slices(counted, [(t, x) for x in sources for t in (2.0, 6.0)], 1e-12)
     scale = math.sqrt(kern.mu.sum() / kern.mu.min())
     degree = len(_series(6.0, 1e-12, scale)[0]) - 1
-    assert sum(columns) == len(sources) * degree
+    assert all(columns.values())  # both classes' products went through the counter
+    assert sum(map(sum, columns.values())) == len(sources) * degree
 
 
 def poisson_sweep(field, start, t, tol):
@@ -462,6 +475,38 @@ def test_chebyshev_matches_expm_multiply_beyond_dense_limit():
         s = heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
         ref = expm_multiply(t * generator, start)
         assert np.max(np.abs(s.prob - ref)) <= s.trunc_error + 1e-15
+
+
+# P(w <= eps) = eps**delta makes E 1/w infinite for delta <= 1; at delta =
+# 0.05 mu spans seven to twelve orders of magnitude on these tori
+HEAVY_TAIL_ZERO = [EnvironmentSpec("iid", {"marginal": "heavy-tail-zero", "delta": delta})
+                   for delta in (1.0, 0.25, 0.05)]
+
+
+@pytest.mark.parametrize("spec", FAMILIES + HEAVY_TAIL_ZERO,
+                         ids=[spec.kind for spec in FAMILIES]
+                         + [f"heavy-tail-zero-{spec.params['delta']}" for spec in HEAVY_TAIL_ZERO])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(d_L=st.sampled_from([(2, 6), (2, 8), (3, 6)]),
+       seed=st.integers(0, 2**31 - 1), times=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3),
+       data=st.data())
+def test_heat_slices_match_expm_multiply_on_every_family(spec, d_L, seed, times, data):
+    # an oracle independent of S and of its colour split: e^{t(P^T - I)} from
+    # scipy's Al-Mohy and Higham action on the table-order jump matrix
+    field = sample_environment(spec, TorusGeometry(*d_L), seed)
+    geo = field.geometry
+    kern = jump_kernel(field)
+    sources = data.draw(st.lists(st.integers(0, geo.n_vertices - 1), min_size=1, max_size=3,
+                                 unique=True))
+    points = [geo.coords(i) for i in sources]
+    table = heat_slices(kern, [(t, x) for x in points for t in times], 1e-12)
+    generator = (reference_p(field).T - sp.identity(geo.n_vertices, format="csr")).tocsr()
+    starts = np.column_stack([point_mass(geo, x) for x in points])
+    for t in times:
+        ref = expm_multiply(t * generator, starts)
+        for j, x in enumerate(points):
+            s = table[float(t), x]
+            assert np.max(np.abs(s.prob - ref[:, j])) <= s.trunc_error + 1e-15
 
 
 # sha256 digests taken from the full-matrix oracles these replace: the dense S
