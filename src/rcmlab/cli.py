@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -224,13 +225,14 @@ def cmd_heat(config, out_dir):
     field = sample_environment(config.environment, config.geometry, config.seed)
     kern = jump_kernel(field)
     points = section["targets"]
+    # one tuple of labels: write_csv formats it once
     if points:
         target_idx = np.array([geo.index(y) for y in points], dtype=np.int64)
-    else:
-        points = np.indices((geo.L,) * geo.d).reshape(geo.d, -1).T.tolist()
+        target_labels = tuple(_label(y) for y in points)
+    else:  # every vertex in index order, the first coordinate slowest
         target_idx = np.arange(geo.n_vertices)
-    target_labels = tuple(_label(y) for y in points)  # one tuple: write_csv formats it once
-    del points
+        target_labels = tuple(map(" ".join, itertools.product(
+            [str(c) for c in range(geo.L)], repeat=geo.d)))
     requests = [(t, src) for t in section["times"] for src in section["sources"]]
     slices = heat_slices(kern, requests, section["tol"])
 

@@ -39,7 +39,7 @@ import numpy as np
 from .envelopes import REGIME_SPLIT, resolve_threshold
 from .environment import sample_environment
 from .fitting import loglog_slope
-from .kernel import jump_kernel, point_mass, propagate
+from .kernel import _block_pattern, jump_kernel, point_mass, propagate
 from .poisson import poisson_tail
 from .seeding import child_seed
 from .workers import _worker_count
@@ -396,7 +396,13 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
     order is raised, as the serial loop would.  To keep two replicas in
     flight cheap, each field is dropped as soon as its kernel is built, and
     every kernel shares the geometry's cached neighbor table and block
-    pattern (see :mod:`rcmlab.kernel`).
+    pattern (see :mod:`rcmlab.kernel`), built once before the helper starts.
+
+    A replica must not call threaded BLAS (``np.linalg.norm``, ``np.dot``, a
+    large ``@``): with the other worker busy, OpenBLAS's pool spins on the
+    second core.  One vector norm per replica took the best of ten 48^3 runs
+    (three replicas) from 107-113 to 137-155 ms (2-vCPU Xeon); the sweeps
+    use ufunc reductions instead.
     """
     by_source, dists, split_times = _split_plan(geometry, pairs)
     if n_samples < 2:
@@ -408,11 +414,13 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
         kern = jump_kernel(sample_environment(spec, geometry, child_seed(seed, 0, i)))
         samples[:, i] = _annealed_replica(kern, by_source, split_times)[0]
 
-    # The first kernel build and sweep import scipy.sparse and scipy.special.
-    # Import them here, before the helper starts, so that no first import runs
-    # on two threads at once and its cost is paid once, on this thread.
+    # The first kernel build and sweep import scipy.sparse and scipy.special
+    # and build the geometry's block pattern.  Do all three here, before the
+    # helper starts, so that neither import nor pattern is made on two threads
+    # at once and its cost is paid once, on this thread.
     import scipy.sparse  # noqa: F401
     import scipy.special  # noqa: F401
+    _block_pattern(geometry)
 
     _run_split(n_samples, replica)
     means = samples.mean(axis=1)
@@ -429,7 +437,9 @@ def _run_split(n_tasks, task):
     the tasks after it; the error of the first failing task is raised.
 
     Worker 0 is the caller: two pool threads kept every bit but cost one more
-    glibc malloc arena, 114 -> 119 MB peak RSS (annealed-green, 2-vCPU Xeon)."""
+    glibc malloc arena, 114 -> 119 MB peak RSS (annealed-green, 2-vCPU Xeon).
+    Tasks must not call threaded BLAS: its thread pool spins on the core the
+    other worker needs (see :func:`annealed_green`)."""
     workers = min(_worker_count(), n_tasks)
     failures = {}
     stop = [n_tasks]  # no task past this index needs to run

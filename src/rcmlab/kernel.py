@@ -21,17 +21,24 @@ the even half to the odd one.  From a point source x, T_k(S) delta_x lives
 on x's class for even k and on the other for odd k, so each term is one
 half-size product.  Both products sum each output over its sources in
 ascending order, so the split changes no bit of a full sweep by S with
-sorted rows.  The block's pattern depends on the geometry alone: one
-read-only copy per geometry is shared by every kernel built on it.
+sorted rows.  The block's pattern, and where each entry's weight sits in a
+field's values, depend on the geometry alone: one read-only copy per
+geometry is shared by every kernel built on it.
 
 As |T_k| <= 1 on [-1, 1], dropping the terms k > K moves the law of any start
 distribution by at most sqrt(sum mu / min mu) * sum_{k > K} c_k(t) in l1 (so
-also sup) norm.  K is the least degree keeping this below the tolerance,
-about sqrt(t log(1/tol)).  It does not depend on the source, so a source
-swept alone or inside a block gets the same bits; the dropped mass is a
-Skellam tail, nondecreasing in t, so the degree for a time covers every
-earlier one.  Entries the truncated series leaves negative are set to zero,
-which moves no entry further from the true law.
+also sup) norm.  A full law is certified by this bound, and K is the least
+degree keeping it below the tolerance, about sqrt(t log(1/tol)).  It does
+not depend on the source, so a source swept alone or inside a block gets the
+same bits.  A sweep kept only at targets certifies each target y instead:
+|T_k(S) u_0 (y)| <= |T_k(S) u_0|_2 <= |u_0|_2, so the dropped terms move its
+value by at most sqrt(mu(y)) |u_0|_2 * sum_{k > K} c_k(t), which is
+sqrt(mu(y) / mu(x)) * sum_{k > K} c_k(t) from a point source x (Carne and
+Varopoulos's entrywise estimate), and K is the least degree keeping the
+largest target's bound below the tolerance.  The dropped mass is a Skellam
+tail, nondecreasing in t, so the degree for a time covers every earlier
+one.  Entries the truncated series leaves negative are set to zero, which
+moves no entry further from the true law.
 
 The heat kernel (density with respect to the reversible measure mu) is
 p(t, x, y) = P_x[X_t = y] / mu(y).  Everything built from p comes from one
@@ -99,19 +106,24 @@ class JumpKernel:
 
 @lru_cache(maxsize=32)
 def _block_pattern(geometry):
-    """The block's CSR pattern (column indices, row pointers; int32) and each
-    entry's column in the neighbor table (int8), read-only: row r lists the
-    r-th even vertex's 2d neighbours by their positions v // 2 in the odd
+    """The block's CSR pattern (column indices, row pointers) and each entry's
+    flat index into a field's ``values``, all int32 and read-only: row r lists
+    the r-th even vertex's 2d neighbours by their positions v // 2 in the odd
     class, in ascending vertex order.  Every kernel on the geometry shares it."""
     d = geometry.d
     even = _colour_classes(d, geometry.L)[0]
     nbrs = geometry.neighbor_table()[even]
-    order = np.argsort(nbrs, axis=1).astype(np.int8)
+    order = np.argsort(nbrs, axis=1)
     cols = np.take_along_axis(nbrs, order, axis=1) >> 1
     indptr = np.arange(0, cols.size + 1, 2 * d, dtype=np.int32)
-    for array in (cols, indptr, order):
+    # the edge to x + e_a carries values[x, a], the edge to y = x - e_a values[y, a]
+    at = nbrs * d
+    at[:, :d] = (even * d).astype(np.int32)[:, None]
+    at += np.arange(2 * d, dtype=np.int32) % d
+    at = np.take_along_axis(at, order, axis=1)
+    for array in (cols, indptr, at):
         array.flags.writeable = False
-    return cols, indptr, order
+    return cols, indptr, at
 
 
 def jump_kernel(field):
@@ -126,15 +138,13 @@ def jump_kernel(field):
         raise ValueError("mu must be positive at every vertex")
     root = np.sqrt(mu_vec)
     even, odd = _colour_classes(geo.d, geo.L)
-    cols, indptr, order = _block_pattern(geo)
+    cols, indptr, at = _block_pattern(geo)
     # one product sqrt(mu(x)) sqrt(mu(y)) per entry keeps S exactly symmetric
     data = root[odd][cols]
     data *= root[even, None]
-    d, values = geo.d, field.values.reshape(-1)
-    for j, a in enumerate(order.T):  # w(x, y) over it, in place, one column at a time
-        # the edge to x + e_a carries values[x, a], the edge to y = x - e_a values[y, a]
-        at = np.where(a < d, even, odd[cols[:, j]]) * d + a % d
-        np.divide(values[at], data[:, j], out=data[:, j])
+    values = field.values.reshape(-1)
+    for j, column in enumerate(at.T):  # w(x, y) over it, in place, one column at a time
+        np.divide(values[column], data[:, j], out=data[:, j])
     block = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr),
                           shape=(even.size, odd.size))
     # row sums of P, since (S sqrt(mu))(x) / sqrt(mu(x)) = sum_y P(x, y)
@@ -181,7 +191,8 @@ def _coefficients(t, n_terms):
 
 def _series(t, tol, scale):
     """Coefficients c_0..c_K(t) for the least K with scale * sum_{k > K} c_k(t)
-    <= tol, and that bound.  ``scale`` is sqrt(sum mu / min mu)."""
+    <= tol, and that bound.  ``scale`` is sqrt(sum mu / min mu) for a full law
+    and sqrt(max mu(y)) |u_0|_2 at targets y (module docstring)."""
     n_terms = int(12.0 * math.sqrt(t)) + 40
     while True:
         c = _coefficients(t, n_terms)
@@ -224,8 +235,10 @@ def _chebyshev_terms(block, u):
 def propagate(kernel, start, times, tol=1e-10, targets=None):
     """Laws at ``times`` from ``start`` (a distribution, or a block of them as
     columns) and their truncation bounds, by one Chebyshev sweep to the degree
-    of the largest time.  With ``targets`` (vertex indices) it returns the
-    terms T_k(P^T) start at the targets as a :class:`TransitionProfile` instead.
+    of the largest time; each bound holds for the whole law in l1 norm.  With
+    ``targets`` (vertex indices) it returns the terms T_k(P^T) start at the
+    targets as a :class:`TransitionProfile` instead, whose degree and bound
+    certify each target's value alone and so stop earlier (module docstring).
     """
     if not all(0 <= t < math.inf for t in times):
         raise ValueError("time must be finite and nonnegative")
@@ -239,10 +252,13 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
     u0 = start / root
     terms = _chebyshev_terms(kernel.block,
                              tuple(u0[rows] if np.any(u0[rows]) else None for rows in classes))
-    scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     if targets is not None:
         targets = np.asarray(targets)
         root_t = root[targets]
+        # |T_k(S) u0 (y)| <= |u0|_2 for every k and y; a ufunc reduction, as a
+        # BLAS norm would wake its thread pool under annealed_green's workers
+        scale = math.sqrt(float(kernel.mu[targets].max())
+                          * float(np.square(u0).sum(axis=0).max()))
         on_odd = classes[0][targets // 2] != targets
         picks = [(sel, targets[sel] // 2) for sel in (np.flatnonzero(~on_odd),
                                                       np.flatnonzero(on_odd))]
@@ -259,6 +275,7 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
                                     scale, 0.0, map(at_targets, terms))
         del start, root, u0  # the sweep needs only the block and its last terms
         return profile.extend(max(times))
+    scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     series = [_series(t, tol, scale) for t in times]
     sums = [[None, None] for _ in series]
     for k, u in zip(range(1, max(len(c) for c, _ in series)), terms):
@@ -385,7 +402,11 @@ def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
 class TransitionProfile:
     """Terms coeff[k] = T_k(P^T) start at the targets, for the degree that
     ``t_max`` needs; ``terms`` yields the next ones of the same sweep.
-    ``trunc_error`` bounds the dropped terms' effect on ``prob`` up to t_max."""
+    ``trunc_error`` = ``scale`` * sum_{k > K} c_k(t_max) bounds the dropped
+    terms' effect on each target's ``prob`` up to t_max, with ``scale`` =
+    sqrt(max mu(y)) |D^-1/2 start|_2 over the targets y; a target y alone
+    meets the smaller sqrt(mu(y)) |D^-1/2 start|_2 * sum_{k > K} c_k(t).  It
+    certifies the targets, not the law in l1."""
 
     coeff: np.ndarray
     mu_targets: np.ndarray

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcmlab.green
+import rcmlab.kernel
 from rcmlab.envelopes import fit_envelopes
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment
 from rcmlab.green import (_head_integral, _head_weights, annealed_green, green_cutoff_radius,
@@ -242,10 +243,11 @@ def test_green_split_doubling_computes_each_jump_power_once():
     est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=counted)
     assert est.split_time >= 64.0  # the split time doubled at least once
     # the degree K of the final split time: the least K whose dropped
-    # coefficients, times sqrt(sum mu / min mu), stay below the series tol
+    # coefficients, times the target's sqrt(mu(y) / mu(x)), stay below the
+    # series tol
     c = 2.0 * scipy.special.ive(np.arange(1, 1000), est.split_time)
     dropped = np.cumsum(c[::-1])[::-1]  # dropped[k] = sum_{j > k} c_j
-    scale = math.sqrt(kern.mu.sum() / kern.mu.min())
+    scale = math.sqrt(kern.mu[geo.index((4, 0, 0))] / kern.mu[geo.index((0, 0, 0))])
     degree = int(np.flatnonzero(scale * dropped <= 1e-13)[0])
     # T_1(S) u .. T_K(S) u, each once
     assert sum(products) == degree == len(est.profile.coeff) - 1
@@ -515,6 +517,16 @@ def test_annealed_green_as_first_scipy_user_imports_on_the_calling_thread():
     warm = annealed_green(ELLIPTIC, TorusGeometry(3, 16),
                           [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (3, 0, 0))], 2, 7)
     assert out == ["False", "['MainThread']", str([m.hex() for m in warm.means])]
+
+
+def test_annealed_green_builds_the_block_pattern_once(monkeypatch):
+    # both workers would miss an empty cache and each build the pattern
+    monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: 2)
+    rcmlab.kernel._block_pattern.cache_clear()
+    annealed_green(ELLIPTIC, TorusGeometry(3, 48),
+                   [((0, 0, 0), (4, 0, 0)), ((0, 0, 0), (6, 0, 0))], 4, 3)
+    info = rcmlab.kernel._block_pattern.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 @pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3}])

@@ -509,6 +509,37 @@ def test_heat_slices_match_expm_multiply_on_every_family(spec, d_L, seed, times,
             assert np.max(np.abs(s.prob - ref[:, j])) <= s.trunc_error + 1e-15
 
 
+@pytest.mark.parametrize("spec", FAMILIES + HEAVY_TAIL_ZERO,
+                         ids=[spec.kind for spec in FAMILIES]
+                         + [f"heavy-tail-zero-{spec.params['delta']}" for spec in HEAVY_TAIL_ZERO])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(d_L=st.sampled_from([(2, 6), (2, 8), (3, 6)]),
+       seed=st.integers(0, 2**31 - 1), t_max=st.floats(0.0, 30.0), data=st.data())
+def test_profile_meets_expm_multiply_within_each_targets_bound(spec, d_L, seed, t_max, data):
+    # a profile stops at the degree its largest target needs, so each target
+    # y is checked against its own bound sqrt(mu(y) / mu(x)) sum_{k > K} c_k(t)
+    field = sample_environment(spec, TorusGeometry(*d_L), seed)
+    geo = field.geometry
+    kern = jump_kernel(field)
+    vertex = st.integers(0, geo.n_vertices - 1)
+    x = data.draw(vertex)
+    targets = np.array(data.draw(st.lists(vertex, min_size=1, max_size=6)))
+    start = point_mass(geo, geo.coords(x))
+    profile = propagate(kern, start, [t_max], 1e-12, targets=targets)
+    ratio = np.sqrt(kern.mu[targets] / kern.mu[x])
+
+    def dropped(t):  # sum_{k > K} c_k(t), summed from the small end
+        k = np.arange(len(profile.coeff), len(profile.coeff) + 200)
+        return 2.0 * scipy.special.ive(k[::-1], t).sum()
+
+    # the reported bound is the largest target's
+    assert profile.trunc_error == pytest.approx(ratio.max() * dropped(t_max), rel=1e-9, abs=0)
+    generator = (reference_p(field).T - sp.identity(geo.n_vertices, format="csr")).tocsr()
+    for t in data.draw(st.lists(st.floats(0.0, t_max), max_size=2)) + [t_max]:
+        ref = expm_multiply(t * generator, start)[targets]
+        assert np.all(np.abs(profile.prob(t) - ref) <= ratio * dropped(t) + 1e-15)
+
+
 # sha256 digests taken from the full-matrix oracles these replace: the dense S
 # and the walk's jump probabilities must keep every bit
 ORACLE_PINS = [
