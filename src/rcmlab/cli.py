@@ -37,7 +37,7 @@ from .chaining import chained_lower_bound, waypoint_multiplicity
 from .envelopes import fit_envelopes, stability_radius, verify_bounds
 from .environment import (EnvironmentSpec, avg_norm, field_to_csv, sample_environment,
                           write_field)
-from .green import _annealed_replica, _split_plan, annealed_green
+from .green import _green_sweep, _split_plan, annealed_green
 from .kernel import heat_slices, jump_kernel
 from .lattice import TorusGeometry
 from .moments import annealed_power_mean, default_rectangles, rectangle_ladder
@@ -97,8 +97,9 @@ _SECTIONS = {
     "geometry": {"d": (_integer, _REQUIRED), "L": (_integer, _REQUIRED)},
     "heat": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, _REQUIRED),
              "targets": (_POINTS, None), "tol": (_TOLERANCE, 1e-10)},
-    "verify": {"times": (_FLOATS, _REQUIRED), "sources": (_POINTS, None), "window": (float, 2.0),
-               "p": (_POSITIVE, 2.0), "q": (_POSITIVE, 2.0), "moment_samples": (_integer, 512),
+    "verify": {"times": (_tuple_of(_POSITIVE), _REQUIRED), "sources": (_POINTS, None),
+               "window": (float, 2.0), "p": (_POSITIVE, 2.0), "q": (_POSITIVE, 2.0),
+               "moment_samples": (_integer, 512),
                "mode": (_one_of("cross", "self"), "cross"), "margin": (float, 0.05),
                "max_fraction": (float, 0.01), "tol": (_TOLERANCE, 1e-10),
                "inject_upper_scale": (float, 1.0), "inject_lower_scale": (float, 1.0)},
@@ -269,8 +270,6 @@ def _verify_pipeline(config):
     geo = config.geometry
     spec = config.environment
     window, tol, times = section["window"], section["tol"], section["times"]
-    if not all(0 < t < math.inf for t in times):
-        raise ValueError("verify times must be finite and positive")
     sources = section["sources"]
     if sources is None:
         sources = [(0,) * geo.d]
@@ -469,7 +468,7 @@ def cmd_green(config, out_dir):
     radius_table = _radius_table(config, section, by_source)
     field = sample_environment(spec, geo, config.seed)
     threshold = radius_table(field)
-    values, trunc_errors = _annealed_replica(jump_kernel(field), by_source, split_times)
+    values, trunc_errors, _ = _green_sweep(jump_kernel(field), by_source, split_times)
     values = values.tolist()
     write_csv(os.path.join(out_dir, "green.csv"),
               ["x", "y", "dist", "g", "g_scaled", "split_time", "trunc_error"],

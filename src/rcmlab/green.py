@@ -16,10 +16,10 @@ value splits the integral at a time T0:
     integrates in closed form (an additive c + b/t fit stands in when the
     fitted a is negative, the on-diagonal shape).
 
-Quenched and annealed values split by one rule, :func:`_split_plan`'s,
-which keeps wrapped mass out of the head and the tail fit.
-:func:`green_kernel` instead doubles T0 until the integral of a fitted upper
-envelope fits a budget.
+Every value splits by one rule, :func:`_split_plan`'s, which keeps wrapped
+mass out of the head and the tail fit, and comes from one routine,
+:func:`_green_sweep`, which sweeps each source once, to the largest split
+time of its targets.
 
 The one-dimensional Bessel reduction of the lattice Fourier integral gives
 an independent oracle for the constant environment.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +57,15 @@ __all__ = [
 
 @dataclass
 class GreenEstimate:
-    """One Green kernel value with its error certificate."""
+    """One Green kernel value, its split time and its bounds (see
+    :func:`green_kernel`)."""
 
     x: tuple
     y: tuple
     value: float
-    head: float
-    tail_estimate: float
     tail_bound: float
     split_time: float
     trunc_error: float
-    decomposition: object = None
-    # the Chebyshev profile the head integrates; green_decomposition reuses it
-    profile: object = dataclass_field(default=None, repr=False)
 
 
 def _head_weights(n_terms, t):
@@ -152,7 +148,7 @@ def _extrapolated_tail(profile, t0, d, target=0):
     return max(0.0, tail)
 
 
-# the largest split time either Green estimator uses
+# the largest split time
 _T0_CAP = 512.0
 
 
@@ -171,70 +167,34 @@ def _pow2_at_most(v):
 
 
 def green_kernel(field, x, y, envelope, tol=1.0, t0_min=None, kernel=None):
-    """Green kernel value with an exact head and an envelope tail budget.
+    """One pair's Green value with an envelope tail check: a shim kept for the
+    benchmark, which passes ``envelope``, ``tol`` and ``t0_min`` and reads
+    ``tail_bound``.
 
-    The head over [0, T0] is the closed form sum_k B_k(T0) v_k / mu(y) over
-    the Chebyshev terms v_k = T_k(P^T) delta_x at y, with B_k(T0) the exact
-    integral of the k-th coefficient (module docstring); only the series
-    truncation, bounded by ``trunc_error``, separates it from the integral.
-
-    ``envelope`` must be a fitted and verified upper envelope for this field;
-    its closed-form tail integral, ``tail_bound``, is required to stay below
-    ``tol`` times the value (the split time doubles until it does, and a
-    ValueError is raised if it does not by ``_T0_CAP``).  Because
-    that integral decays only like the square root of the split time, ``tol``
-    is an order-one budget; the reported value instead relies on the
-    extrapolated tail, which is far more accurate than ``tail_bound``.
-    Request accuracy through ``t0_min``, not through ``tol``.
-
-    ``tail_bound`` is the closed-form integral over [T0, infinity) of the
-    upper envelope, which was checked only at the times it was fitted on.
-    On the constant field it measured 2.2 to 3.0 times the tail of the
-    lattice Z^3.  No check backs it past the fit times, and since p(t) tends
-    to 1/sum(mu) on the torus, it bounds no torus quantity.
-
-    No command calls it: ``green`` splits quenched values by
-    :func:`_split_plan`.  It stays while the benchmark and the Green oracle
-    acceptance check call it.
+    ``value``, ``split_time`` and ``trunc_error`` are :func:`_green_sweep`'s
+    at :func:`_split_plan`'s split time T0.  ``tail_bound`` is the closed-form
+    integral over [T0, infinity) of the fitted upper ``envelope``, which was
+    checked only at the times it was fitted on: on the constant field it
+    measured 2.2 to 3.0 times the tail of the lattice Z^3, and since p(t)
+    tends to 1/sum(mu) on the torus, it bounds no torus quantity.  Neither
+    ``tol`` nor ``t0_min`` steers T0: a ValueError is raised when T0 is below
+    ``t0_min`` or ``tail_bound`` exceeds ``tol`` times the value.
     """
     geo = field.geometry
-    if geo.d < 3:
-        raise ValueError("transient dimension required")
+    by_source, (dist,), split_times = _split_plan(geo, [(x, y)])
     if envelope is None:
         raise ValueError("fitted upper envelope required")
-
-    dist = geo.torus_distance(x, y)
-    thresh = resolve_threshold(envelope.threshold, x)
-    start = max(16.0, 2.0 * dist * dist, thresh * thresh if math.isfinite(thresh) else 0.0)
-    if t0_min is not None:
-        start = max(start, t0_min)
-    t0 = min(_pow2_at_least(start), _T0_CAP)
-
+    t0 = split_times[0]
+    if t0_min is not None and t0 < t0_min:
+        raise ValueError(f"the split time {t0:g} is below t0_min = {t0_min:g}")
     kern = kernel if kernel is not None else jump_kernel(field)
-    profile = propagate(kern, point_mass(geo, x), [t0], 1e-13, targets=[geo.index(y)])
-    while True:
-        head = float(_head_integral(profile, t0)[0])
-        tail_est = _extrapolated_tail(profile, t0, geo.d)
-        tail_bound = _envelope_tail(envelope, t0, dist)
-        value = head + tail_est
-        if tail_bound <= tol * value:
-            break
-        if t0 >= _T0_CAP:
-            raise ValueError("cannot certify the tail within the requested budget")
-        t0 *= 2.0
-        profile.extend(t0)
-
-    return GreenEstimate(
-        x=geo.wrap(x),
-        y=geo.wrap(y),
-        value=value,
-        head=head,
-        tail_estimate=tail_est,
-        tail_bound=tail_bound,
-        split_time=t0,
-        trunc_error=t0 * profile.trunc_error / float(kern.mu[geo.index(y)]),
-        profile=profile,
-    )
+    (value,), (trunc_error,), _ = _green_sweep(kern, by_source, split_times)
+    tail_bound = _envelope_tail(envelope, t0, dist)
+    if tail_bound > tol * value:
+        raise ValueError(f"the envelope tail {tail_bound:.3g} exceeds the budget "
+                         f"{tol:g} times the value {value:.3g}")
+    return GreenEstimate(geo.wrap(x), geo.wrap(y), float(value), tail_bound, t0,
+                         float(trunc_error))
 
 
 @dataclass
@@ -244,26 +204,29 @@ class GreenDecomposition:
     term_far: float  # beyond, including the extrapolated tail
     split_low: float
     split_high: float
-    total: float
+    total: float  # the one estimator's value, which the three terms sum to
 
 
-def green_decomposition(field, x, y, n1, envelope, kernel=None):
-    """Three-piece split of the Green integral at n1^2 and
-    max(n1^2, dist / REGIME_SPLIT)."""
-    if n1 is None:
+def green_decomposition(field, x, y, threshold, kernel=None):
+    """Three-piece split of the Green value of (x, y) at n1^2 and
+    n_xy = max(n1^2, dist / REGIME_SPLIT), with n1 = N(x) read from
+    ``threshold`` (a number or a dict keyed by point).  The pieces split the
+    one estimator's profile, which stops at the split time T0, so a split
+    point beyond T0 is refused."""
+    n1 = resolve_threshold(threshold, x)
+    if not math.isfinite(n1):
         raise ValueError("stability radius not available")
-    lam = float(n1 * n1)
-    n_xy = max(lam, field.geometry.torus_distance(x, y) / REGIME_SPLIT)
-    estimate = green_kernel(field, x, y, envelope, t0_min=max(4.0, n_xy), kernel=kernel)
-    at_lam, at_nxy, at_t0 = _head_integral(estimate.profile,
-                                           [lam, n_xy, estimate.split_time])[:, 0]
-    term_local = float(at_lam)
-    term_mid = float(at_nxy - at_lam)
-    term_far = float(at_t0 - at_nxy) + estimate.tail_estimate
-    decomp = GreenDecomposition(term_local, term_mid, term_far, lam, n_xy,
-                                term_local + term_mid + term_far)
-    estimate.decomposition = decomp
-    return estimate
+    geo = field.geometry
+    by_source, (dist,), split_times = _split_plan(geo, [(x, y)])
+    lam, t0 = n1 * n1, split_times[0]
+    n_xy = max(lam, dist / REGIME_SPLIT)
+    if n_xy > t0:
+        raise ValueError(f"split point {n_xy:g} lies beyond the split time {t0:g}")
+    kern = kernel if kernel is not None else jump_kernel(field)
+    (value,), _, profiles = _green_sweep(kern, by_source, split_times)
+    at_lam, at_nxy = _head_integral(profiles[tuple(x)], [lam, n_xy])[:, 0]
+    return GreenDecomposition(float(at_lam), float(at_nxy - at_lam), float(value - at_nxy),
+                              lam, n_xy, float(value))
 
 
 def green_cutoff_radius(n1, mu_x, d):
@@ -302,32 +265,34 @@ class QuenchedReport:
     verdict: object  # bool when a window was supplied, else None
 
 
-def quenched_bound_check(field, pairs, envelope, window=None, kernel=None):
-    """g * |x-y|^(d-2) across pairs, with inclusion flags from the envelope's
-    threshold N(x).
+def quenched_bound_check(field, pairs, threshold, window=None, kernel=None):
+    """g * |x-y|^(d-2) across pairs, with inclusion flags from the threshold
+    N(x), a number or a dict keyed by point.
 
-    Pairs below their thresholds stay in the table but are excluded from the
-    min/max summary and the verdict.  ``window`` is an optional
-    (low, high) band the included scaled values must fall into.
+    The values come from one sweep per source (:func:`_green_sweep`), and a
+    pair too far for L is refused with :func:`_split_plan`'s message.  Pairs
+    below their thresholds stay in the table but are excluded from the
+    min/max summary and the verdict.  ``window`` is an optional (low, high)
+    band the included scaled values must fall into.
     """
     geo = field.geometry
+    by_source, dists, split_times = _split_plan(geo, pairs)
+    if 0 in dists:
+        raise ValueError("pairs must be distinct")
     kern = kernel if kernel is not None else jump_kernel(field)
+    values = _green_sweep(kern, by_source, split_times)[0].tolist()
     rows = []
     included_scaled = []
-    for x, y in pairs:
-        dist = geo.torus_distance(x, y)
-        if dist == 0:
-            raise ValueError("pairs must be distinct")
-        n1 = resolve_threshold(envelope.threshold, x)
-        est = green_kernel(field, x, y, envelope, kernel=kern)
-        scaled = est.value * dist ** (geo.d - 2.0)
+    for (x, y), dist, value in zip(pairs, dists, values):
+        n1 = resolve_threshold(threshold, x)
+        scaled = value * dist ** (geo.d - 2.0)
         if math.isfinite(n1):
             mu_x = float(kern.mu[geo.index(x)])
             upper_inc = dist >= green_cutoff_radius(n1, mu_x, geo.d)
             lower_inc = dist > n1
         else:
             upper_inc = lower_inc = False
-        rows.append(QuenchedRow(geo.wrap(x), geo.wrap(y), dist, est.value,
+        rows.append(QuenchedRow(geo.wrap(x), geo.wrap(y), dist, value,
                                 scaled, upper_inc, lower_inc))
         if upper_inc or lower_inc:
             included_scaled.append(scaled)
@@ -353,7 +318,7 @@ class AnnealedReport:
 
 def _split_plan(geometry, pairs):
     """The pair rows (row index, target) per source, the pair distances and
-    the split times of both Green modes.
+    the split times: the one place a Green value's split time is chosen.
 
     Each pair splits at t0 = min(pow2 >= max(128, 4 dist^2), 512, cap), where
     cap is the largest power of two <= L^2/8: past that time wrapped mass
@@ -412,7 +377,7 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
 
     def replica(i):
         kern = jump_kernel(sample_environment(spec, geometry, child_seed(seed, 0, i)))
-        samples[:, i] = _annealed_replica(kern, by_source, split_times)[0]
+        samples[:, i] = _green_sweep(kern, by_source, split_times)[0]
 
     # The first kernel build and sweep import scipy.sparse and scipy.special
     # and build the geometry's block pattern.  Do all three here, before the
@@ -472,26 +437,30 @@ def _run_split(n_tasks, task):
         raise failures[min(failures)]
 
 
-def _annealed_replica(kern, by_source, split_times):
-    """One field's Green values from its kernel, at the pair rows
+def _green_sweep(kern, by_source, split_times):
+    """Green values of one field from its kernel, at the pair rows
     ``by_source`` lists per source, each split at its row's entry of
-    ``split_times`` (see :func:`_split_plan`); one sweep per source runs to
-    the largest split time.  Also returns each row's head truncation bound,
-    t0 * trunc_error / mu(y).  Annealed replicas build the kernel straight
-    from a fresh field, so the field is already freed."""
+    ``split_times`` (see :func:`_split_plan`): one sweep per source runs to
+    the largest split time of its rows.
+
+    Returns each row's value, its head truncation bound
+    t0 * trunc_error(y) / mu(y), and each source's profile, whose target j is
+    the source's j-th row.  Annealed replicas build the kernel straight from
+    a fresh field, so the field is already freed."""
     geo = kern.geometry
-    t_max = max(split_times)
-    values = np.empty(sum(len(rows) for rows in by_source.values()))
+    values = np.empty(len(split_times))
     trunc_errors = np.empty_like(values)
+    profiles = {}
     for x, rows in by_source.items():
-        profile = propagate(kern, point_mass(geo, x), [t_max], 1e-12,
-                            targets=[geo.index(y) for _, y in rows])
         t0s = [split_times[row] for row, _ in rows]
+        profile = propagate(kern, point_mass(geo, x), [max(t0s)], 1e-12,
+                            targets=[geo.index(y) for _, y in rows])
         heads = {t0: _head_integral(profile, t0) for t0 in t0s}
         for j, ((row, _), t0) in enumerate(zip(rows, t0s)):
             values[row] = heads[t0][j] + _extrapolated_tail(profile, t0, geo.d, target=j)
-            trunc_errors[row] = t0 * profile.trunc_error / profile.mu_targets[j]
-    return values, trunc_errors
+            trunc_errors[row] = t0 * profile.trunc_error[j] / profile.mu_targets[j]
+        profiles[x] = profile
+    return values, trunc_errors, profiles
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ same bits.  A sweep kept only at targets certifies each target y instead:
 |T_k(S) u_0 (y)| <= |T_k(S) u_0|_2 <= |u_0|_2, so the dropped terms move its
 value by at most sqrt(mu(y)) |u_0|_2 * sum_{k > K} c_k(t), which is
 sqrt(mu(y) / mu(x)) * sum_{k > K} c_k(t) from a point source x (Carne and
-Varopoulos's entrywise estimate), and K is the least degree keeping the
-largest target's bound below the tolerance.  The dropped mass is a Skellam
-tail, nondecreasing in t, so the degree for a time covers every earlier
-one.  Entries the truncated series leaves negative are set to zero, which
+Varopoulos's entrywise estimate); K is the least degree keeping the largest
+target's bound below the tolerance, and each target reports its own.  The
+dropped mass is a Skellam tail, nondecreasing in t, so the degree for a time
+covers every earlier one.  Entries the truncated series leaves negative are set to zero, which
 moves no entry further from the true law.
 
 The heat kernel (density with respect to the reversible measure mu) is
@@ -45,7 +45,8 @@ p(t, x, y) = P_x[X_t = y] / mu(y).  Everything built from p comes from one
 sweep, :func:`propagate`: a block of sources, one column each, advances once
 to the degree of the largest requested time, and every time sums its own
 coefficients on the way; with targets the sweep keeps the terms
-T_k(P^T) start at the targets instead.
+T_k(P^T) start at the targets instead, exactly as many as the largest time
+needs.
 
 A kernel holds only the block and mu.  S as one matrix exists only inside
 :func:`spectral_oracle`, a dense eigendecomposition route that serves as an
@@ -64,7 +65,7 @@ law is from the law on the full lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -191,8 +192,8 @@ def _coefficients(t, n_terms):
 
 def _series(t, tol, scale):
     """Coefficients c_0..c_K(t) for the least K with scale * sum_{k > K} c_k(t)
-    <= tol, and that bound.  ``scale`` is sqrt(sum mu / min mu) for a full law
-    and sqrt(max mu(y)) |u_0|_2 at targets y (module docstring)."""
+    <= tol, and that dropped sum.  ``scale`` is sqrt(sum mu / min mu) for a
+    full law and sqrt(max mu(y)) |u_0|_2 at targets y (module docstring)."""
     n_terms = int(12.0 * math.sqrt(t)) + 40
     while True:
         c = _coefficients(t, n_terms)
@@ -202,7 +203,7 @@ def _series(t, tol, scale):
         ok = np.flatnonzero(scale * tails <= tol)
         degree = int(ok[0]) if ok.size else n_terms
         if degree + 4 * math.sqrt(t) + 20 < n_terms:
-            return c[: degree + 1], scale * float(tails[degree])
+            return c[: degree + 1], float(tails[degree])
         n_terms *= 2
 
 
@@ -257,8 +258,9 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
         root_t = root[targets]
         # |T_k(S) u0 (y)| <= |u0|_2 for every k and y; a ufunc reduction, as a
         # BLAS norm would wake its thread pool under annealed_green's workers
-        scale = math.sqrt(float(kernel.mu[targets].max())
-                          * float(np.square(u0).sum(axis=0).max()))
+        norm_sq = float(np.square(u0).sum(axis=0).max())
+        mu_t = kernel.mu[targets]
+        c, dropped = _series(max(times), tol, math.sqrt(float(mu_t.max()) * norm_sq))
         on_odd = classes[0][targets // 2] != targets
         picks = [(sel, targets[sel] // 2) for sel in (np.flatnonzero(~on_odd),
                                                       np.flatnonzero(on_odd))]
@@ -271,10 +273,11 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
                     out[sel] = half[pos]
             return root_t * out
 
-        profile = TransitionProfile(start[targets][None], kernel.mu[targets], 0.0, tol,
-                                    scale, 0.0, map(at_targets, terms))
+        coeff = [start[targets]]
         del start, root, u0  # the sweep needs only the block and its last terms
-        return profile.extend(max(times))
+        coeff += [at_targets(u) for _, u in zip(range(len(c) - 1), terms)]
+        return TransitionProfile(np.array(coeff), mu_t, float(max(times)),
+                                 np.sqrt(mu_t * norm_sq) * dropped)
     scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     series = [_series(t, tol, scale) for t in times]
     sums = [[None, None] for _ in series]
@@ -296,7 +299,7 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
                 total[rows] = half
         # the k = 0 term in the start's own coordinates, so t = 0 returns the start
         laws.append(np.maximum(c[0] * start + root * total, 0.0))
-    return laws, [bound for _, bound in series]
+    return laws, [scale * dropped for _, dropped in series]
 
 
 def heat_slices(kernel, requests, tol=1e-10):
@@ -401,29 +404,16 @@ def simulate_walk(field, x, t, rng, with_jumps=False, kernel=None):
 @dataclass
 class TransitionProfile:
     """Terms coeff[k] = T_k(P^T) start at the targets, for the degree that
-    ``t_max`` needs; ``terms`` yields the next ones of the same sweep.
-    ``trunc_error`` = ``scale`` * sum_{k > K} c_k(t_max) bounds the dropped
-    terms' effect on each target's ``prob`` up to t_max, with ``scale`` =
-    sqrt(max mu(y)) |D^-1/2 start|_2 over the targets y; a target y alone
-    meets the smaller sqrt(mu(y)) |D^-1/2 start|_2 * sum_{k > K} c_k(t).  It
-    certifies the targets, not the law in l1."""
+    ``t_max`` needs.  ``trunc_error`` holds each target y's bound
+    sqrt(mu(y)) |D^-1/2 start|_2 * sum_{k > K} c_k(t_max) on the dropped
+    terms' effect on its ``prob`` up to t_max; the degree K is the least one
+    keeping the largest of them below the sweep's tolerance.  It certifies
+    the targets, not the law in l1."""
 
     coeff: np.ndarray
     mu_targets: np.ndarray
     t_max: float
-    tol: float
-    scale: float
-    trunc_error: float
-    terms: object = dataclass_field(repr=False)
-
-    def extend(self, t_max):
-        """Continue the sweep until the terms cover t_max; returns self."""
-        self.t_max = max(self.t_max, float(t_max))
-        c, self.trunc_error = _series(self.t_max, self.tol, self.scale)
-        more = [v for _, v in zip(range(len(c) - len(self.coeff)), self.terms)]
-        if more:
-            self.coeff = np.concatenate([self.coeff, more])
-        return self
+    trunc_error: np.ndarray
 
     def prob(self, t):
         """P_x[X_t = target] for each target; valid for 0 <= t <= t_max."""

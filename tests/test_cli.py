@@ -229,7 +229,7 @@ def test_verify_rejects_non_positive_times_before_any_work(tmp_path, monkeypatch
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "v"
     assert main(["verify", "--config", cfg_path, "--out", str(out)]) == EXIT_PRECONDITION
-    assert os.listdir(out) == []
+    assert not out.exists()  # refused when the section loads, before --out exists
 
 
 def test_moments_overflowing_log_mean_exits_three(tmp_path, capsys):
@@ -398,6 +398,8 @@ def test_non_finite_times_exit_three(tmp_path, capsys, command, section, literal
 def test_chain_time_must_be_finite_and_positive_when_the_section_loads(time):
     with pytest.raises(ValueError, match=r"^bad 'time' in 'chain': must be finite and positive"):
         ExperimentConfig(base_config(chain={"target": [2, 0], "time": time}))
+    with pytest.raises(ValueError, match=r"^bad 'times' in 'verify': must be finite and positive"):
+        ExperimentConfig(base_config(verify={"times": [4.0, time], "moment_samples": 16}))
     # the moment order of the centred sum, converted the same way
     with pytest.raises(ValueError, match=r"^bad 'eta' in 'moments': must be finite and positive"):
         ExperimentConfig(base_config(moments={"sizes": [[1, 0]], "eta": time}))

@@ -40,6 +40,13 @@ def constant_setup(L=32):
     return geo, field, kern, env
 
 
+def one_estimate(kern, pairs):
+    """The one Green estimator's values, split times and per-source profiles."""
+    by_source, _, split_times = rcmlab.green._split_plan(kern.geometry, pairs)
+    values, _, profiles = rcmlab.green._green_sweep(kern, by_source, split_times)
+    return values, split_times, profiles
+
+
 # ---------------------------------------------------------------------------
 # Poisson utilities
 
@@ -181,18 +188,23 @@ def test_green_diagonal_matches_oracle():
                        t0_min=128, kernel=kern)
     oracle = srw_green((0, 0, 0)) / 6.0
     assert abs(est.value - oracle) / oracle <= 1e-3
-    assert est.value >= est.head
     assert est.tail_bound <= 0.5 * est.value
-    ref, _ = scipy.integrate.quad(lambda t: est.profile.hk(t)[0], 0.0, est.split_time,
+    # the shim returns the one estimator's value at the split rule's time
+    (value,), (split_time,), profiles = one_estimate(kern, [((0, 0, 0), (0, 0, 0))])
+    assert (est.value, est.split_time) == (value, split_time) == (value, 128.0)
+    profile = profiles[(0, 0, 0)]
+    head = float(_head_integral(profile, split_time)[0])
+    assert value >= head
+    ref, _ = scipy.integrate.quad(lambda t: profile.hk(t)[0], 0.0, split_time,
                                   epsabs=0.0, epsrel=1e-12, limit=200)
-    assert est.head == pytest.approx(ref, rel=1e-9)
+    assert head == pytest.approx(ref, rel=1e-9)
 
 
 def test_green_offdiagonal_close_to_oracle():
     geo, field, kern, env = constant_setup()
-    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=kern)
+    (value,), _, _ = one_estimate(kern, [((0, 0, 0), (4, 0, 0))])
     oracle = srw_green((4, 0, 0)) / 6.0
-    assert abs(est.value - oracle) / oracle <= 0.05
+    assert abs(value - oracle) / oracle <= 0.05
 
 
 def test_green_requires_transience_and_envelope():
@@ -211,16 +223,16 @@ def test_green_budget_unattainable_raises():
         green_kernel(field, (0, 0, 0), (0, 0, 0), env, tol=1e-6, kernel=kern)
 
 
-def test_green_split_doubling_within_certificate():
+def test_green_kernel_refuses_a_split_time_below_t0_min():
+    # t0_min no longer raises the split time: 32^2/8 caps it at 128
     geo, field, kern, env = constant_setup()
-    est = green_kernel(field, (0, 0, 0), (2, 1, 0), env, kernel=kern)
-    doubled = green_kernel(field, (0, 0, 0), (2, 1, 0), env,
-                           t0_min=2 * est.split_time, kernel=kern)
-    assert abs(doubled.value - est.value) < est.tail_bound
+    with pytest.raises(ValueError, match="split time 128 is below t0_min = 256"):
+        green_kernel(field, (0, 0, 0), (0, 0, 0), env, tol=0.5, t0_min=256, kernel=kern)
 
 
-def test_green_split_doubling_computes_each_jump_power_once():
-    geo, field, kern, env = constant_setup()
+def test_green_sweep_computes_each_jump_power_once():
+    geo = TorusGeometry(3, 48)
+    kern = jump_kernel(sample_environment(CONSTANT, geo, 0))
     products = []
 
     class CountingBlock:
@@ -240,33 +252,35 @@ def test_green_split_doubling_computes_each_jump_power_once():
             return self.block @ v
 
     counted = dataclasses.replace(kern, block=CountingBlock(kern.block))
-    est = green_kernel(field, (0, 0, 0), (4, 0, 0), env, kernel=counted)
-    assert est.split_time >= 64.0  # the split time doubled at least once
-    # the degree K of the final split time: the least K whose dropped
-    # coefficients, times the target's sqrt(mu(y) / mu(x)), stay below the
-    # series tol
-    c = 2.0 * scipy.special.ive(np.arange(1, 1000), est.split_time)
-    dropped = np.cumsum(c[::-1])[::-1]  # dropped[k] = sum_{j > k} c_j
-    scale = math.sqrt(kern.mu[geo.index((4, 0, 0))] / kern.mu[geo.index((0, 0, 0))])
-    degree = int(np.flatnonzero(scale * dropped <= 1e-13)[0])
-    # T_1(S) u .. T_K(S) u, each once
-    assert sum(products) == degree == len(est.profile.coeff) - 1
+    # the first source's pairs split at 128 and 256, the second's at 128
+    pairs = [((0, 0, 0), (4, 0, 0)), ((0, 0, 0), (6, 0, 0)), ((9, 9, 9), (13, 9, 9))]
+    _, split_times, profiles = one_estimate(counted, pairs)
+    assert split_times == [128.0, 256.0, 128.0]
+
+    def degree(t):
+        # the least K whose dropped coefficients, times the largest target's
+        # sqrt(mu(y) / mu(x)) (one on the constant field), stay below the tol
+        c = 2.0 * scipy.special.ive(np.arange(1, 1000), t)
+        dropped = np.cumsum(c[::-1])[::-1]  # dropped[k] = sum_{j > k} c_j
+        return int(np.flatnonzero(dropped <= 1e-12)[0])
+
+    # each source sweeps once, to its own largest split time: T_1(S) u ..
+    # T_K(S) u, each once
+    assert len(profiles[(0, 0, 0)].coeff) - 1 == degree(256.0)
+    assert len(profiles[(9, 9, 9)].coeff) - 1 == degree(128.0)
+    assert sum(products) == degree(256.0) + degree(128.0)
 
 
 def test_green_symmetry_on_random_field():
     geo = TorusGeometry(3, 16)
     field = sample_environment(ELLIPTIC, geo, 4)
     kern = jump_kernel(field)
-    slices = [heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
-              for t in (4.0, 8.0, 16.0)]
-    env = fit_envelopes(slices, lower_threshold=1.0, window=2.0)
-    a = green_kernel(field, (0, 0, 0), (3, 1, 0), env, kernel=kern)
-    b = green_kernel(field, (3, 1, 0), (0, 0, 0), env, kernel=kern)
+    (a, b), _, _ = one_estimate(kern, [((0, 0, 0), (3, 1, 0)), ((3, 1, 0), (0, 0, 0))])
     # the density is symmetric; occupation times differ by the mu weights
-    assert a.value == pytest.approx(b.value, rel=1e-3)
+    assert a == pytest.approx(b, rel=1e-3)
     mu_vec = kern.mu
-    occ_ab = a.value * mu_vec[geo.index((3, 1, 0))]
-    occ_ba = b.value * mu_vec[geo.index((0, 0, 0))]
+    occ_ab = a * mu_vec[geo.index((3, 1, 0))]
+    occ_ba = b * mu_vec[geo.index((0, 0, 0))]
     assert occ_ab * mu_vec[geo.index((0, 0, 0))] == pytest.approx(
         occ_ba * mu_vec[geo.index((3, 1, 0))], rel=1e-3)
 
@@ -289,22 +303,35 @@ def test_green_decomposition_consistency():
         y = tuple(int(v) for v in rng.integers(0, 5, size=3))
         if y == (0, 0, 0):
             y = (1, 2, 0)
-        est = green_decomposition(field, (0, 0, 0), y, 1, env, kernel=kern)
-        dec = est.decomposition
-        assert dec.total == pytest.approx(est.value, abs=1e-8)
+        dec = green_decomposition(field, (0, 0, 0), y, 1, kernel=kern)
+        (value,), _, _ = one_estimate(kern, [((0, 0, 0), y)])
+        assert dec.total == value
+        assert dec.term_local + dec.term_mid + dec.term_far == pytest.approx(value, abs=1e-8)
         assert dec.term_local >= 0 and dec.term_mid >= 0 and dec.term_far >= 0
 
 
 def test_green_decomposition_poisson_bound_and_no_jump():
     geo, field, kern, env = constant_setup()
     # early-time term for a distant target is dominated by the jump-count tail
-    est = green_decomposition(field, (0, 0, 0), (4, 0, 0), 1, env, kernel=kern)
-    assert est.decomposition.term_local <= (1.0 / 6.0) * poisson_tail(1.0, 4)
+    dec = green_decomposition(field, (0, 0, 0), (4, 0, 0), 1, kernel=kern)
+    assert dec.term_local <= (1.0 / 6.0) * poisson_tail(1.0, 4)
     # on-diagonal the stay-put event keeps the early-time term above 1/(e mu)
-    est0 = green_decomposition(field, (0, 0, 0), (0, 0, 0), 1, env, kernel=kern)
-    assert est0.decomposition.term_local >= math.exp(-1.0) / 6.0
+    dec0 = green_decomposition(field, (0, 0, 0), (0, 0, 0), {(0, 0, 0): 1}, kernel=kern)
+    assert dec0.term_local >= math.exp(-1.0) / 6.0
     with pytest.raises(ValueError, match="stability radius"):
-        green_decomposition(field, (0, 0, 0), (4, 0, 0), None, env, kernel=kern)
+        green_decomposition(field, (0, 0, 0), (4, 0, 0), None, kernel=kern)
+    # a source the table lacks never stabilized
+    with pytest.raises(ValueError, match="stability radius"):
+        green_decomposition(field, (0, 0, 0), (4, 0, 0), {(1, 0, 0): 1}, kernel=kern)
+
+
+def test_green_decomposition_refuses_a_split_point_beyond_the_split_time():
+    geo, field, kern, env = constant_setup()
+    # n1^2 = 144 > 128, the split time on L = 32; the profile is not swept past it
+    with pytest.raises(ValueError, match="split point 144 lies beyond the split time 128"):
+        green_decomposition(field, (0, 0, 0), (4, 0, 0), 12, kernel=kern)
+    with pytest.raises(ValueError, match="too far for L = 32"):
+        green_decomposition(field, (0, 0, 0), (12, 0, 0), 1, kernel=kern)
 
 
 SMALL_T_MAX = 64.0
@@ -312,16 +339,13 @@ SMALL_TARGETS = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 3, 3)]
 
 
 @functools.cache
-def small_elliptic_setup():
-    geo = TorusGeometry(3, 6)
-    field = sample_environment(ELLIPTIC, geo, 9)
+def elliptic_profile(L, t_max, targets):
+    """A field, its kernel and a 1e-13 profile from the origin to ``targets``."""
+    field = sample_environment(ELLIPTIC, TorusGeometry(3, L), 9)
     kern = jump_kernel(field)
-    slices = [heat_kernel(field, t, (0, 0, 0), tol=1e-12, kernel=kern)
-              for t in (2.0, 4.0, 8.0)]
-    env = fit_envelopes(slices, lower_threshold=1.0, window=2.0)
-    profile = propagate(kern, point_mass(field.geometry, (0, 0, 0)), [SMALL_T_MAX], 1e-13,
-                        targets=[field.geometry.index(y) for y in SMALL_TARGETS])
-    return field, kern, env, profile
+    profile = propagate(kern, point_mass(field.geometry, (0, 0, 0)), [t_max], 1e-13,
+                        targets=[field.geometry.index(y) for y in targets])
+    return field, kern, profile
 
 
 @pytest.mark.parametrize("k, T", [(0, 16.0), (3, 100.0), (40, 512.0), (5, 0.5), (100, 2048.0)])
@@ -346,7 +370,7 @@ def test_head_weights_match_skellam_form_and_quadrature(k, T):
                       min_size=2, max_size=4),
        target=st.integers(0, len(SMALL_TARGETS) - 1))
 def test_green_head_closed_form_properties(times, target):
-    field, kern, env, profile = small_elliptic_setup()
+    field, kern, profile = elliptic_profile(6, SMALL_T_MAX, tuple(SMALL_TARGETS))
     times = sorted(times)
     heads = _head_integral(profile, times)[:, target]
     for t, head in zip(times, heads):
@@ -357,13 +381,28 @@ def test_green_head_closed_form_properties(times, target):
     # truncated series stays within its 1e-13 certificate of it
     assert np.all(np.diff(heads) >= -1e-15 * heads[1:])
 
-    est = green_decomposition(field, (0, 0, 0), SMALL_TARGETS[target], math.sqrt(times[0]),
-                              env, kernel=kern)
-    dec = est.decomposition
-    assert dec.total == pytest.approx(est.head + est.tail_estimate, rel=1e-12)
+
+# every pair on L = 16 splits at 16^2/8 = 32, and each dist^2 stays below it
+SPLIT_TARGETS = ((0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n1=st.floats(0.0, 5.5, exclude_min=True),
+       target=st.integers(0, len(SPLIT_TARGETS) - 1))
+def test_green_decomposition_splits_the_one_estimators_profile(n1, target):
+    field, kern, profile = elliptic_profile(16, 32.0, SPLIT_TARGETS)
+    y = SPLIT_TARGETS[target]
+    dec = green_decomposition(field, (0, 0, 0), y, n1, kernel=kern)
+    (value,), (split_time,), _ = one_estimate(kern, [((0, 0, 0), y)])
+    assert split_time == 32.0
+    assert dec.total == value
+    assert dec.term_local + dec.term_mid + dec.term_far == pytest.approx(value, rel=1e-12)
     assert dec.term_local >= 0 and dec.term_mid >= 0 and dec.term_far >= 0
-    # the estimate's own profile stops at its split time, not at SMALL_T_MAX
-    assert dec.term_local == pytest.approx(heads[0], rel=1e-9, abs=1e-300)
+    assert dec.split_low == n1 * n1
+    assert dec.split_high == max(dec.split_low, field.geometry.torus_distance((0, 0, 0), y))
+    # the local term is the head up to n1^2 of an independent, tighter sweep
+    head = _head_integral(profile, dec.split_low)[target]
+    assert dec.term_local == pytest.approx(head, rel=1e-9, abs=1e-300)
 
 
 def test_green_cutoff_radius():
@@ -374,24 +413,40 @@ def test_green_cutoff_radius():
     assert (lam / 6.0) * poisson_tail(lam, r) <= r ** (2.0 - d)
 
 
-def test_quenched_bound_check_constant():
+def test_quenched_bound_check_constant(monkeypatch):
     geo, field, kern, env = constant_setup()
+    sweeps = []
+    real = rcmlab.green.propagate
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rcmlab.green, "propagate", counting)
     pairs = [((0, 0, 0), (r, 0, 0)) for r in (4, 6, 8, 10, 12)]
-    report = quenched_bound_check(field, pairs, env, kernel=kern)
+    # 12^2 > 128, the split time on L = 32: refused before any sweep
+    with pytest.raises(ValueError, match="too far for L = 32"):
+        quenched_bound_check(field, pairs, 1.0, kernel=kern)
+    assert sweeps == []
+    report = quenched_bound_check(field, pairs[:4], 1.0, kernel=kern)
+    assert sweeps == [1]  # one sweep per source, not one per pair
+    assert [r.dist for r in report.rows] == [4, 6, 8, 10]
     assert all(r.upper_included and r.lower_included for r in report.rows)
     assert report.scaled_max / report.scaled_min < 2.0
-    banded = quenched_bound_check(field, pairs[:2], env, window=(0.05, 0.3), kernel=kern)
+    banded = quenched_bound_check(field, pairs[:2], {(0, 0, 0): 1}, window=(0.05, 0.3),
+                                  kernel=kern)
     assert banded.verdict is True
 
 
 def test_quenched_excludes_below_threshold():
-    geo, field, kern, env = constant_setup()
+    # the cutoff pair needs cutoff^2 <= the split time, 256 on L = 48
+    geo = TorusGeometry(3, 48)
+    field = sample_environment(CONSTANT, geo, 0)
     cutoff = green_cutoff_radius(3.0, 6.0, 3)
     assert 2 < cutoff <= 16
     pairs = [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (cutoff, 0, 0))]
     # a stability radius of three pushes both cutoffs beyond the close pair
-    env2 = dataclasses.replace(env, threshold=3.0)
-    report = quenched_bound_check(field, pairs, env2, kernel=kern)
+    report = quenched_bound_check(field, pairs, 3.0)
     assert not report.rows[0].upper_included
     assert not report.rows[0].lower_included
     assert report.rows[1].upper_included
@@ -460,7 +515,7 @@ def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, split_times):
     for row, (x, y) in enumerate(pairs):
         by_source.setdefault(x, []).append((row, y))
     return np.column_stack([
-        rcmlab.green._annealed_replica(
+        rcmlab.green._green_sweep(
             jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
             by_source, split_times)[0]
         for i in range(n_samples)])

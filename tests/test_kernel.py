@@ -532,11 +532,16 @@ def test_profile_meets_expm_multiply_within_each_targets_bound(spec, d_L, seed, 
         k = np.arange(len(profile.coeff), len(profile.coeff) + 200)
         return 2.0 * scipy.special.ive(k[::-1], t).sum()
 
-    # the reported bound is the largest target's
-    assert profile.trunc_error == pytest.approx(ratio.max() * dropped(t_max), rel=1e-9, abs=0)
+    # each target reports its own bound; the degree is the largest target's
+    assert profile.trunc_error == pytest.approx(ratio * dropped(t_max), rel=1e-9, abs=0)
+    assert profile.trunc_error.max() <= 1e-12
     generator = (reference_p(field).T - sp.identity(geo.n_vertices, format="csr")).tocsr()
     for t in data.draw(st.lists(st.floats(0.0, t_max), max_size=2)) + [t_max]:
-        ref = expm_multiply(t * generator, start)[targets]
+        # at t = 5e-324 the scaled generator's norm underflows to zero, and
+        # scipy takes no step and returns the start, dividing by zero for a
+        # step factor it never uses
+        with np.errstate(divide="ignore"):
+            ref = expm_multiply(t * generator, start)[targets]
         assert np.all(np.abs(profile.prob(t) - ref) <= ratio * dropped(t) + 1e-15)
 
 
