@@ -445,9 +445,10 @@ def cmd_green(config, out_dir):
     if section["mode"] == "annealed":
         report = annealed_green(spec, geo, pairs, section["samples"], config.seed)
         write_csv(os.path.join(out_dir, "green.csv"),
-                  ["x", "y", "dist", "mean", "stderr", "split_time"],
+                  ["x", "y", "dist", "mean", "stderr", "split_time", "trunc_error"],
                   [[[_label(x) for x, _ in report.pairs], [_label(y) for _, y in report.pairs],
-                    report.distances, report.means, report.stderrs, report.split_times]],
+                    report.distances, report.means, report.stderrs, report.split_times,
+                    report.trunc_errors]],
                   meta)
         expected = 2.0 - geo.d  # g(x, y) ~ |x - y|^(2 - d)
         write_json(os.path.join(out_dir, "green.json"), {

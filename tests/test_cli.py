@@ -530,8 +530,8 @@ def test_quenched_green_matches_the_lattice_oracle(tmp_path, monkeypatch, cfg, s
         oracle = srw_green(tuple(b - a for a, b in zip(x, y))) / 6.0
         assert float(row[3]) == pytest.approx(oracle, rel=rel)
         assert float(row[5]) == split_time
-        # T0 times the sweep's truncation bound (at most its tol 1e-12), over mu(y) = 6
-        assert 0.0 < float(row[6]) <= split_time * 1e-12 / 6.0
+        # T0 times the sweep's truncation bound (at most its tol), over mu(y) = 6
+        assert 0.0 < float(row[6]) <= split_time * rcmlab.green._HEAD_TOL / 6.0
 
 
 def test_quenched_green_refuses_a_pair_too_far_for_the_torus(tmp_path, capsys, monkeypatch):
@@ -592,10 +592,13 @@ def test_green_annealed_artifacts_are_deterministic_and_name_the_split(tmp_path)
     for out in ("a", "b"):
         assert main(["green", "--config", cfg_path, "--out", str(tmp_path / out)]) == EXIT_OK
     assert read_dir_bytes(tmp_path / "a") == read_dir_bytes(tmp_path / "b")
-    rows = (tmp_path / "a" / "green.csv").read_text().splitlines()[1:]
-    assert rows[0].split(",")[-1] == "split_time"
+    header, *rows = [row.split(",") for row in
+                     (tmp_path / "a" / "green.csv").read_text().splitlines()[1:]]
+    assert header == ["x", "y", "dist", "mean", "stderr", "split_time", "trunc_error"]
     # the largest power of two <= 24^2/8 caps the default 128
-    assert [row.split(",")[-1] for row in rows[1:]] == ["64.0"] * 3
+    assert [row[5] for row in rows] == ["64.0"] * 3
+    # the largest replica bound, T0 times at most the sweep's tol over mu(y) = 6
+    assert all(0.0 < float(row[6]) <= 64.0 * rcmlab.green._HEAD_TOL / 6.0 for row in rows)
     report = json.loads((tmp_path / "a" / "green.json").read_text())
     assert report["expected_slope"] == -1.0
     low, high = report["slope_ci"]

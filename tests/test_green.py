@@ -262,13 +262,41 @@ def test_green_sweep_computes_each_jump_power_once():
         # sqrt(mu(y) / mu(x)) (one on the constant field), stay below the tol
         c = 2.0 * scipy.special.ive(np.arange(1, 1000), t)
         dropped = np.cumsum(c[::-1])[::-1]  # dropped[k] = sum_{j > k} c_j
-        return int(np.flatnonzero(dropped <= 1e-12)[0])
+        return int(np.flatnonzero(dropped <= rcmlab.green._HEAD_TOL)[0])
 
     # each source sweeps once, to its own largest split time: T_1(S) u ..
     # T_K(S) u, each once
     assert len(profiles[(0, 0, 0)].coeff) - 1 == degree(256.0)
     assert len(profiles[(9, 9, 9)].coeff) - 1 == degree(128.0)
     assert sum(products) == degree(256.0) + degree(128.0)
+
+
+@pytest.mark.parametrize("spec", [
+    CONSTANT,
+    ELLIPTIC,
+    EnvironmentSpec("iid", {"marginal": "lognormal", "sigma": 1.0}),
+], ids=["constant", "elliptic", "lognormal"])
+def test_trunc_error_bounds_the_head_against_a_tighter_sweep(spec):
+    # each row's trunc_error bounds its head's distance from the head of a
+    # sweep at tol 1e-14, up to that sweep's own bound; two sources, so the
+    # degree is set by the largest target of each
+    geo = TorusGeometry(3, 16)
+    kern = jump_kernel(sample_environment(spec, geo, 3))
+    pairs = [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (0, 3, 0)), ((0, 0, 0), (1, 1, 2)),
+             ((3, 5, 7), (3, 5, 3)), ((3, 5, 7), (4, 6, 7))]
+    by_source, dists, split_times = rcmlab.green._split_plan(geo, pairs)
+    assert sorted(set(dists)) == [2, 3, 4]
+    _, trunc_errors, profiles = rcmlab.green._green_sweep(kern, by_source, split_times)
+    for x, rows in by_source.items():
+        t0s = [split_times[row] for row, _ in rows]
+        ref = propagate(kern, point_mass(geo, x), [max(t0s)], 1e-14,
+                        targets=[geo.index(y) for _, y in rows])
+        for j, ((row, _), t0) in enumerate(zip(rows, t0s)):
+            head = _head_integral(profiles[x], t0)[j]
+            ref_head = _head_integral(ref, t0)[j]
+            ref_bound = t0 * ref.trunc_error[j] / ref.mu_targets[j]
+            assert 0.0 < trunc_errors[row]
+            assert abs(head - ref_head) <= trunc_errors[row] + ref_bound
 
 
 def test_green_symmetry_on_random_field():
@@ -510,15 +538,16 @@ def test_annealed_green_keeps_pair_order():
 
 
 def _serial_annealed_samples(spec, geo, pairs, n_samples, seed, split_times):
-    """The replica loop annealed_green ran before it split over workers."""
+    """The replica loop annealed_green ran before it split over workers: the
+    sample table and the table of head bounds."""
     by_source = {}
     for row, (x, y) in enumerate(pairs):
         by_source.setdefault(x, []).append((row, y))
-    return np.column_stack([
-        rcmlab.green._green_sweep(
-            jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
-            by_source, split_times)[0]
-        for i in range(n_samples)])
+    sweeps = [rcmlab.green._green_sweep(
+        jump_kernel(sample_environment(spec, geo, child_seed(seed, 0, i))),
+        by_source, split_times) for i in range(n_samples)]
+    return (np.column_stack([values for values, _, _ in sweeps]),
+            np.column_stack([bounds for _, bounds, _ in sweeps]))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -533,9 +562,11 @@ def test_annealed_green_same_bits_on_one_and_two_workers(monkeypatch, seed):
     assert one.means == two.means
     assert one.stderrs == two.stderrs
     assert one.slope == two.slope
-    samples = _serial_annealed_samples(ELLIPTIC, geo, pairs, 5, seed, two.split_times)
+    assert one.trunc_errors == two.trunc_errors
+    samples, bounds = _serial_annealed_samples(ELLIPTIC, geo, pairs, 5, seed, two.split_times)
     assert two.means == samples.mean(axis=1).tolist()
     assert two.stderrs == (samples.std(axis=1, ddof=1) / math.sqrt(5)).tolist()
+    assert two.trunc_errors == bounds.max(axis=1).tolist()
 
 
 _FIRST_USER_PROBE = """
