@@ -277,8 +277,9 @@ def _verify_pipeline(config):
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
     fit_kern = jump_kernel(fit_field)
     radius_table = _radius_table(config, section, sources)
-    slices = heat_slices(fit_kern, [(t, x) for t in times for x in sources], tol)
-    env = fit_envelopes([slices[t, geo.wrap(x)] for t in times for x in sources],
+    pairs = [(t, geo.wrap(x)) for t in times for x in sources]
+    slices = heat_slices(fit_kern, pairs, tol)
+    env = fit_envelopes([slices[k] for k in pairs],
                         lower_threshold=radius_table(fit_field), window=window)
     env_verify = env
     if section["mode"] == "cross":
@@ -287,8 +288,7 @@ def _verify_pipeline(config):
         del slices, fit_kern, fit_field
         ver_field = sample_environment(spec, geo, child_seed(config.seed, 11))
         env_verify = dataclasses.replace(env, threshold=radius_table(ver_field))
-        slices = heat_slices(jump_kernel(ver_field), [(t, x) for t in times for x in sources],
-                             tol)
+        slices = heat_slices(jump_kernel(ver_field), pairs, tol)
     # optional deliberate weakening, for exercising the failure path
     upper_scale, lower_scale = section["inject_upper_scale"], section["inject_lower_scale"]
     if upper_scale != 1.0 or lower_scale != 1.0:
@@ -296,10 +296,7 @@ def _verify_pipeline(config):
             env_verify, upper_amp=env_verify.upper_amp * upper_scale,
             lower_amp=env_verify.lower_amp * lower_scale)
 
-    grid = [(slices[t, geo.wrap(src)],
-             geo.ball_indices(src, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
-            for t in times for src in sources]
-    report = verify_bounds(env_verify, grid)
+    report = verify_bounds(env_verify, [slices[k] for k in pairs], window)
     return env, report
 
 

@@ -17,6 +17,12 @@ bound once sqrt(t) >= N(x), the lower bound once t >= N(x) * max(1, |x-y|).
 The stability radius of a field at x is the smallest window size beyond
 which the ball-averaged p-th power of mu (and q-th power of nu) stays below
 twice its annealed mean at every larger radius.
+
+Fitting and verification read one window of a slice from x at time t: the
+targets y with |x-y| <= window * sqrt(t) and |x-y| < L/2.  Balls of radius
+below L/2 lift one to one onto balls of Z^d; larger ones meet themselves
+around the torus, and near the antipode the wrapped mass, which the lattice
+heat kernel the envelope describes does not carry, is no longer small.
 """
 
 from __future__ import annotations
@@ -195,8 +201,8 @@ _RATE_FLOOR = 1e-12
 def fit_envelopes(slices, lower_threshold, window=2.0):
     """Fit the tightest envelope consistent with the supplied slices.
 
-    Only points with |x-y| <= window * sqrt(t) enter the fit, and only where
-    the slice resolves them (heat kernel above ten times the slice's
+    Only points in each slice's window (module docstring) enter the fit, and
+    only where the slice resolves them (heat kernel above ten times the slice's
     ``hk_error``).  ``lower_threshold`` is the envelope's one ``threshold``
     N(x), a constant or a dict keyed by source; it gates both bounds, the
     lower one at t >= N(x) * max(1, |x-y|), the upper one at sqrt(t) >= N(x).
@@ -270,14 +276,10 @@ def _collect_points(slices, threshold, window):
     arrays, in slice order and then in vertex order."""
     parts = {key: [] for key in ("diag_lower", "off_lower", "diag_upper", "off_upper")}
     for s in slices:
-        floor = 10.0 * s.hk_error
         n = resolve_threshold(threshold, s.source)
-        dist = s.geometry.distance_field(s.source)
-        idx = np.flatnonzero(dist <= window * math.sqrt(s.t))
-        u = dist[idx].astype(float)
-        p = s.hk[idx]
+        _, u, p = _window_points(s, window)
         diag = u == 0
-        resolved = p > floor
+        resolved = p > 10.0 * s.hk_error
         lower = _lower_gate(s.t, n, u)
         upper = _upper_gate(s.t, n)
         for key, mask in (("diag_lower", lower & diag & resolved),
@@ -288,6 +290,14 @@ def _collect_points(slices, threshold, window):
     empty = (np.empty(0),) * 3  # so that no slices give empty sets
     return {key: tuple(map(np.concatenate, zip(empty, *triples)))
             for key, triples in parts.items()}
+
+
+def _window_points(s, window):
+    """Slice ``s``'s window (module docstring): flat target indices in vertex
+    order, their torus distances from the source and their heat kernel values."""
+    dist = s.geometry.distance_field(s.source)
+    idx = np.flatnonzero((dist <= window * math.sqrt(s.t)) & (dist < s.geometry.L / 2))
+    return idx, dist[idx], s.hk[idx]
 
 
 def _recheck_fit(env, points):
@@ -337,31 +347,21 @@ class BoundReport:
                    if v.margin > margin and (side is None or v.side == side))
 
 
-def verify_bounds(env, grid):
-    """Check computed heat kernel values against an envelope on a grid of
-    (slice, targets) entries, ``targets`` an array of flat vertex indices.
+def verify_bounds(env, slices, window):
+    """Check computed heat kernel values against an envelope on each slice's
+    window (module docstring), slices in (t, x) order and targets in vertex
+    order; the caller sweeps the field under verification.
 
-    Entries with the same slice time and source form one group, checked in
-    grid order; groups are checked in (t, x) order.  Returns a report listing
-    every point falling outside the active bounds by more than the slice's
-    ``hk_error``.  An empty violation list means the envelope is verified on
-    this grid.
+    Returns a report listing every point falling outside the active bounds
+    by more than the slice's ``hk_error``.  An empty violation list means the
+    envelope is verified on these windows.
     """
-    groups = {}
-    for s, targets in grid:
-        groups.setdefault((s.t, s.source), (s, []))[1].append(
-            np.asarray(targets, dtype=np.int64))
-    violations = []
-    checked = []
-    n_lower = 0
-    n_upper = 0
-    for (t, x), (s, parts) in sorted(groups.items()):
-        geo = s.geometry
+    violations, checked = [], []
+    n_lower = n_upper = 0
+    for s in sorted(slices, key=lambda s: (s.t, s.source)):
+        t, x = s.t, s.source
         slack = s.hk_error + 1e-15
-        ys = np.concatenate(parts)
-        dist = geo.distance_field(x)[ys]
-        u = dist.astype(float)
-        p = s.hk[ys]
+        ys, dist, p = _window_points(s, window)
         checked.extend(zip(itertools.repeat(t), dist.tolist(), p.tolist()))
         upper = np.full(ys.size, math.nan)
         lower = np.full(ys.size, math.nan)
@@ -369,15 +369,15 @@ def verify_bounds(env, grid):
         lower_bad = np.zeros(ys.size, dtype=bool)
         if env.upper_active(t, x):
             n_upper += ys.size
-            upper = env.upper_profile(t, u)
+            upper = env.upper_profile(t, dist)
             upper_bad = p > upper + slack
-        active = np.flatnonzero(env.lower_active(t, x, u))
+        active = np.flatnonzero(env.lower_active(t, x, dist))
         n_lower += active.size
-        lower[active] = env.lower_profile(t, u[active])
+        lower[active] = env.lower_profile(t, dist[active])
         lower_bad[active] = p[active] < lower[active] - slack
-        # at most an upper then a lower violation per point, in grid order
+        # at most an upper then a lower violation per point, in vertex order
         for k in np.flatnonzero(upper_bad | lower_bad).tolist():
-            y, uk, pk = geo.coords(int(ys[k])), int(dist[k]), float(p[k])
+            y, uk, pk = s.geometry.coords(int(ys[k])), int(dist[k]), float(p[k])
             if upper_bad[k]:
                 bound = float(upper[k])
                 violations.append(Violation(t, x, y, uk, pk, bound, "upper",

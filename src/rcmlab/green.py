@@ -124,16 +124,15 @@ def _power_tail(t0, exponent):
     return t0 ** (1.0 - exponent) / (exponent - 1.0)
 
 
-def _extrapolated_tail(profile, t0, d, target=0):
-    """Extrapolated integral of the heat kernel beyond t0.
+def _extrapolated_tail(hk_half, hk_full, t0, d):
+    """Extrapolated integral of the heat kernel beyond t0, from its values
+    ``hk_half`` at t0/2 and ``hk_full`` at t0.
 
     Writes p(t) * t^(d/2) = c * exp(-a/t) + O(t^-2 corrections), reads (c, a)
-    off the values at t0/2 and t0, and integrates the fit in closed form.
-    When the fitted a is negative (on-diagonal shape, where the profile
-    decreases toward its limit) the additive fit c + b/t is used instead.
-    """
-    f_half = float(profile.hk(t0 / 2.0)[target]) * (t0 / 2.0) ** (d / 2.0)
-    f_full = float(profile.hk(t0)[target]) * t0 ** (d / 2.0)
+    off the two values and integrates the fit in closed form.  A negative
+    fitted a (on-diagonal shape) falls back to the additive fit c + b/t."""
+    f_half = float(hk_half) * (t0 / 2.0) ** (d / 2.0)
+    f_full = float(hk_full) * t0 ** (d / 2.0)
     if f_half <= 0.0 or f_full <= 0.0:
         return 0.0
     rate = (math.log(f_full) - math.log(f_half)) * t0
@@ -470,9 +469,11 @@ def _green_sweep(kern, by_source, split_times):
         t0s = [split_times[row] for row, _ in rows]
         profile = propagate(kern, point_mass(geo, x), [max(t0s)], _HEAD_TOL,
                             targets=[geo.index(y) for _, y in rows])
-        heads = {t0: _head_integral(profile, t0) for t0 in t0s}
+        heads = {t0: (_head_integral(profile, t0), profile.hk(t0 / 2.0), profile.hk(t0))
+                 for t0 in set(t0s)}  # once per distinct T0, for every target
         for j, ((row, _), t0) in enumerate(zip(rows, t0s)):
-            values[row] = heads[t0][j] + _extrapolated_tail(profile, t0, geo.d, target=j)
+            head, hk_half, hk_full = heads[t0]
+            values[row] = head[j] + _extrapolated_tail(hk_half[j], hk_full[j], t0, geo.d)
             trunc_errors[row] = t0 * profile.trunc_error[j] / profile.mu_targets[j]
         profiles[x] = profile
     return values, trunc_errors, profiles

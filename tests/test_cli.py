@@ -134,20 +134,50 @@ def test_seed_override_changes_output(tmp_path):
     assert read_dir_bytes(tmp_path / "s1") != read_dir_bytes(tmp_path / "s2")
 
 
+_CONSTANT_16_SELF = {
+    "geometry": {"d": 2, "L": 16},
+    "environment": {"kind": "constant", "level": 1.0},
+    "seed": 1,
+    "verify": {"times": [4.0, 8.0, 16.0], "sources": [[0, 0]],
+               "moment_samples": 16, "mode": "self"},
+}
+
+
 def test_verify_self_mode_empty_violations(tmp_path):
-    cfg = {
-        "geometry": {"d": 2, "L": 16},
-        "environment": {"kind": "constant", "level": 1.0},
-        "seed": 1,
-        "verify": {"times": [4.0, 8.0, 16.0], "sources": [[0, 0]],
-                   "moment_samples": 16, "mode": "self"},
-    }
-    cfg_path = write_config(tmp_path, cfg)
+    cfg_path = write_config(tmp_path, _CONSTANT_16_SELF)
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == EXIT_OK
     report = json.loads((tmp_path / "v" / "envelope.json").read_text())
     assert report["n_violations"] == 0
     svg = (tmp_path / "v" / "envelope.svg").read_text()
     assert svg.count("<circle") == report["n_checked"]
+
+
+def test_verify_fit_and_check_read_one_window(tmp_path, monkeypatch):
+    # at t = 16, 2 sqrt(t) = 8 = L/2: the window stops at torus distance 7
+    # for the fit and the check alike
+    seen = {}
+    collect, verify = rcmlab.envelopes._collect_points, rcmlab.cli.verify_bounds
+
+    def collecting(*args):
+        seen["fit"] = collect(*args)
+        return seen["fit"]
+
+    def verifying(*args):
+        seen["check"] = verify(*args)
+        return seen["check"]
+
+    monkeypatch.setattr(rcmlab.envelopes, "_collect_points", collecting)
+    monkeypatch.setattr(rcmlab.cli, "verify_bounds", verifying)
+    cfg_path = write_config(tmp_path, _CONSTANT_16_SELF)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == EXIT_OK
+    fitted = [u for _, dist, _ in seen["fit"].values() for u in dist.tolist()]
+    checked = [u for _, u, _ in seen["check"].checked]
+    assert max(fitted) == max(checked) == 7
+    report = json.loads((tmp_path / "v" / "envelope.json").read_text())
+    # the l1 ball of radius r holds 2r^2 + 2r + 1 points: r = 4, 5, 7 at t = 4, 8, 16
+    assert report["n_checked"] == sum(2 * r * r + 2 * r + 1 for r in (4, 5, 7))
+    # antipodal points at distance 8 set 0.7312 before the fit stopped at 7
+    assert report["envelope"]["upper_gauss_rate"] == pytest.approx(0.7716, abs=5e-5)
 
 
 def test_verify_cross_mode_and_violation_csv(tmp_path):

@@ -173,10 +173,10 @@ def test_fit_constant_field_and_verify():
     assert env.lower_amp > 0
     assert math.isfinite(env.lower_gauss_rate) and env.lower_gauss_rate > 0
 
-    grid = [(s, geo.ball_indices((0, 0), 2 * math.sqrt(s.t) + 1e-9)) for s in slices]
-    report = verify_bounds(env, grid)
+    report = verify_bounds(env, slices, window=2.0)
     assert not report.violations
-    assert report.n_checked == sum(len(targets) for _, targets in grid)
+    # the l1 ball of radius r holds 2r^2 + 2r + 1 points: r = 5, 8, 11 = 2 sqrt(t)
+    assert report.n_checked == sum(2 * r * r + 2 * r + 1 for r in (5, 8, 11))
 
     # upper envelope dominates the lower wherever both are active
     for t in times:
@@ -194,9 +194,7 @@ def test_halved_upper_amp_reports_diagonal_violations():
     # the fitted amplitude has a factor-two headroom, so cutting it to a
     # quarter must push the bound strictly below the on-diagonal data
     broken = dataclasses.replace(env, upper_amp=env.upper_amp / 4)
-    grid = [(slices[0], [geo.index((0, 0))]), (slices[1], [geo.index((0, 0))]),
-            (slices[0], [geo.index((1, 0))])]
-    report = verify_bounds(broken, grid)
+    report = verify_bounds(broken, slices, window=2.0)
     diag = [v for v in report.violations if v.dist == 0]
     assert diag and all(v.side == "upper" for v in diag)
 
@@ -233,9 +231,8 @@ def test_cross_field_verification_elliptic():
     env = fit_envelopes(slices, lower_threshold=table(fit_field), window=2.0)
     env_v = dataclasses.replace(env, threshold=table(ver_field))
     ver_kern = jump_kernel(ver_field)
-    grid = [(heat_kernel(ver_field, t, (0, 0), tol=1e-10, kernel=ver_kern),
-             geo.ball_indices((0, 0), 2 * math.sqrt(t) + 1e-9)) for t in times]
-    report = verify_bounds(env_v, grid)
+    report = verify_bounds(env_v, [heat_kernel(ver_field, t, (0, 0), tol=1e-10, kernel=ver_kern)
+                                   for t in times], window=2.0)
     # cross-field generalization: almost no violations, none beyond 5 percent
     assert len(report.violations) <= 0.01 * report.n_checked + 3
     assert report.count_beyond(0.10) == 0
@@ -265,7 +262,8 @@ def _reference_fit(slices, threshold, window, mu_min):
         floor = 10.0 * s.trunc_error / mu_min  # ten density errors
         n = resolve_threshold(threshold, s.source)
         dist = s.geometry.distance_field(s.source)
-        for idx in np.flatnonzero(dist <= window * math.sqrt(s.t)):
+        in_window = (dist <= window * math.sqrt(s.t)) & (dist < s.geometry.L / 2)
+        for idx in np.flatnonzero(in_window):
             u, p = float(dist[idx]), float(s.hk[idx])
             if s.t >= n * max(1.0, u):
                 if u == 0:
@@ -323,21 +321,19 @@ def _reference_fit(slices, threshold, window, mu_min):
     return env
 
 
-def _reference_verify(field, env, grid, tol, kern):
+def _reference_verify(field, env, pairs, window, tol, kern):
     geo = field.geometry
-    groups = {}
-    for t, x, targets in grid:
-        for idx in targets:
-            groups.setdefault((float(t), geo.wrap(x)), []).append(geo.coords(int(idx)))
     mu_min = float(kern.mu.min())
-    slices = heat_slices(kern, sorted(groups), tol)
+    slices = heat_slices(kern, pairs, tol)
     violations, checked, n_lower, n_upper = [], [], 0, 0
-    for (t, x), ys in sorted(groups.items()):
+    for t, x in sorted((float(t), geo.wrap(x)) for t, x in pairs):
         s = slices[t, x]
         slack = s.trunc_error / mu_min + 1e-15
         n = resolve_threshold(env.threshold, x)
-        for y in ys:
+        for y in map(geo.coords, range(geo.n_vertices)):
             u = geo.torus_distance(x, y)
+            if u > window * math.sqrt(t) or u >= geo.L / 2:
+                continue
             p = float(s.hk[geo.index(y)])
             checked.append((t, u, p))
             if math.sqrt(t) >= n:
@@ -395,9 +391,8 @@ def test_fit_and_verify_match_per_point_loops(spec, d, seed, times, sources, thr
     # (0.05, 20) puts the upper bound below the lower one: a point can miss both
     env = dataclasses.replace(env, upper_amp=env.upper_amp * scales[0],
                               lower_amp=env.lower_amp * scales[1])
-    grid = [(t, x, geo.ball_indices(x, min(window * math.sqrt(t) + 1e-9, geo.L / 2)))
-            for t in times for x in sources]
-    grid.append((times[0], sources[0], grid[0][2][::-1]))  # joins the first group
-    report = verify_bounds(env, [(table[t, x], targets) for t, x, targets in grid])
+    report = verify_bounds(env, slices, window)
+    pairs = [(t, x) for t in times for x in sources]
     assert repr((report.violations, report.checked, report.n_lower_active,
-                 report.n_upper_active)) == repr(_reference_verify(field, env, grid, 1e-10, kern))
+                 report.n_upper_active)) == repr(_reference_verify(field, env, pairs, window,
+                                                                   1e-10, kern))
