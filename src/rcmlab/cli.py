@@ -277,7 +277,8 @@ def _verify_pipeline(config):
     fit_field = sample_environment(spec, geo, child_seed(config.seed, 10))
     fit_kern = jump_kernel(fit_field)
     radius_table = _radius_table(config, section, sources)
-    pairs = [(t, geo.wrap(x)) for t in times for x in sources]
+    # a source listed twice (equal mod L) is fitted and checked once
+    pairs = list(dict.fromkeys((t, geo.wrap(x)) for t in times for x in sources))
     slices = heat_slices(fit_kern, pairs, tol)
     env = fit_envelopes([slices[k] for k in pairs],
                         lower_threshold=radius_table(fit_field), window=window)

@@ -42,7 +42,7 @@ import numpy as np
 from .envelopes import REGIME_SPLIT, resolve_threshold
 from .environment import sample_environment
 from .fitting import loglog_slope
-from .kernel import _block_pattern, jump_kernel, point_mass, propagate
+from .kernel import _block_pattern, _start_stages, jump_kernel, point_mass, propagate
 from .poisson import poisson_tail
 from .seeding import child_seed
 from .workers import _worker_count
@@ -368,7 +368,8 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
     index order is raised, as the serial loop would.  To keep two replicas in
     flight cheap, each field is dropped as soon as its kernel is built, and
     every kernel shares the geometry's cached neighbor table and block
-    pattern (see :mod:`rcmlab.kernel`), built once before the helper starts.
+    pattern, and every sweep its source's cached stage plan (see
+    :mod:`rcmlab.kernel`), all built once before the helper starts.
 
     A replica must not call threaded BLAS (``np.linalg.norm``, ``np.dot``, a
     large ``@``): with the other worker busy, OpenBLAS's pool spins on the
@@ -388,12 +389,15 @@ def annealed_green(spec, geometry, pairs, n_samples, seed):
         samples[:, i], trunc_errors[:, i], _ = _green_sweep(kern, by_source, split_times)
 
     # The first kernel build and sweep import scipy.sparse and scipy.special
-    # and build the geometry's block pattern.  Do all three here, before the
-    # helper starts, so that neither import nor pattern is made on two threads
-    # at once and its cost is paid once, on this thread.
+    # and build the geometry's block pattern and each source's stage plan.  Do
+    # all four here, before the helper starts, so that no import, pattern or
+    # plan is made on two threads at once and its cost is paid once, on this
+    # thread.
     import scipy.sparse  # noqa: F401
     import scipy.special  # noqa: F401
     _block_pattern(geometry)
+    for x in by_source:
+        _start_stages(geometry, point_mass(geometry, x))
 
     _run_split(n_samples, replica)
     means = samples.mean(axis=1)

@@ -25,6 +25,28 @@ sorted rows.  The block's pattern, and where each entry's weight sits in a
 field's values, depend on the geometry alone: one read-only copy per
 geometry is shared by every kernel built on it.
 
+A sweep also runs in growing stages.  T_k(S) u_0 vanishes outside the l1
+torus ball B(k) of radius k around u_0's support (S links only neighbors),
+so while k + 1 <= R the product u_{k+1} = 2 S u_k - u_{k-1} needs only the
+block's rows at the even vertices of B(R), each with all its entries, over
+the odd vertices of B(R + 1), which hold every neighbor of those rows.  The
+terms then live on these vertices alone, in ascending position order; when
+k reaches R the last two terms are scattered into the next stage, and the
+full block and its transpose run the last one.  Each stage's R is the
+largest radius whose even ball holds at most 1/32, 1/8 or 1/3 of its class:
+from a point on 48^3, R = 13, 21 and 29, and a 98-term sweep multiplies 74 %
+of the rows of 98 full products.  The stages keep every bit.  A row product
+sums all the row's entries in stored order, as before.  The transpose sums
+each output over ascending even positions, as before, less the entries at
+even vertices outside the stage, and each of those multiplies a zero; scipy
+starts every sum at +0.0, so a sum is never -0.0, and adding a signed zero
+to it changes nothing.  Outside the stage every term of a full sweep is
++0.0, which is what the scatter writes.  A plan (positions and renumbered
+column indices per stage) depends only on the geometry and the start's
+support, and is cached read-only like the block's pattern.  A start on more
+than 16 vertices gets no early stage, and a fraction its ball of radius 1
+already exceeds gets none either.
+
 As |T_k| <= 1 on [-1, 1], dropping the terms k > K moves the law of any start
 distribution by at most sqrt(sum mu / min mu) * sum_{k > K} c_k(t) in l1 (so
 also sup) norm.  A full law is certified by this bound, and K is the least
@@ -207,30 +229,127 @@ def _series(t, tol, scale):
         n_terms *= 2
 
 
-def _chebyshev_terms(block, u):
-    """Yields T_1(S) u, T_2(S) u, ... by u_{k+1} = 2 S u_k - u_{k-1}, each as
-    its (even half, odd half) pair; None stands for a half that is identically
-    zero and costs no product, so a start on one class pays one half-size
-    product per term, by ``block`` on the odd half and by its transpose on the
-    even one.  Holds only the block and the last two pairs, so a finished
-    profile keeps no kernel alive."""
-    transpose = block.T
+# Stages end at the largest radius whose even ball around the start's support
+# holds at most each of these fractions of the class (module docstring).
+_STAGE_FRACTIONS = (1 / 32, 1 / 8, 1 / 3)
 
-    def times_s(v):
-        even, odd = v
-        return (None if odd is None else block @ odd,
-                None if even is None else transpose @ even)
+# a start on more vertices than this gets no early stage
+_STAGE_SUPPORT = 16
 
-    prev, cur = u, times_s(u)
-    while True:
-        yield cur
-        nxt = times_s(cur)
-        # S swaps the classes, so u_{k+1} is live on the halves u_{k-1} is
-        for half, old in zip(nxt, prev):
+
+@dataclass(frozen=True, eq=False)
+class _Stage:
+    """One stage of a sweep: the products u_{k+1} with k < ``radius`` run on
+    S restricted to the ball B(radius) around the start's support.
+
+    ``positions`` holds, ascending, the even positions at torus distance
+    <= radius and the odd ones at distance <= radius + 1; ``indices`` the
+    first ones' rows of the block's column indices, renumbered onto the
+    second; ``into`` where the previous stage's positions sit in these (None
+    for a first stage).  The full block is a stage with ``positions`` and
+    ``indices`` None and an infinite radius, and ends every plan."""
+
+    radius: float
+    positions: tuple
+    indices: np.ndarray
+    into: tuple
+    sizes: tuple
+
+    def lift(self, halves):
+        """Halves on the previous stage's positions, on this stage's: zero at
+        the positions that stage lacked."""
+        out = []
+        for half, into, size in zip(halves, self.into, self.sizes):
             if half is not None:
-                half *= 2.0
-                half -= old
-        prev, cur = cur, nxt
+                wide = np.zeros((size,) + half.shape[1:])
+                wide[into] = half
+                half = wide
+            out.append(half)
+        return out
+
+
+@lru_cache(maxsize=32)
+def _stage_plan(geometry, support):
+    """The stages of every sweep from a start on the vertex indices
+    ``support``, read-only: one per radius that :data:`_STAGE_FRACTIONS`
+    picks, then the full block, the only stage when ``support`` is None."""
+    half = geometry.n_vertices // 2
+    stages = []
+    if support is not None:
+        classes = _colour_classes(geometry.d, geometry.L)
+        dist = np.minimum.reduce([geometry.distance_field(geometry.coords(v)) for v in support])
+        dist_even, dist_odd = dist[classes[0]], dist[classes[1]]
+        ball = np.cumsum(np.bincount(dist_even))  # the even ball's size per radius
+        radii = {int(np.searchsorted(ball, f * half, side="right")) - 1
+                 for f in _STAGE_FRACTIONS}
+        cols = _block_pattern(geometry)[0]
+        for radius in sorted(r for r in radii if r >= 1):
+            positions = (np.flatnonzero(dist_even <= radius).astype(np.int32),
+                         np.flatnonzero(dist_odd <= radius + 1).astype(np.int32))
+            renumber = np.zeros(half, dtype=np.int32)
+            renumber[positions[1]] = np.arange(positions[1].size, dtype=np.int32)
+            indices = renumber[cols[positions[0]]]
+            into = None
+            if stages:
+                into = tuple(np.searchsorted(new, old).astype(np.int32)
+                             for new, old in zip(positions, stages[-1].positions))
+            for array in (*positions, indices, *(into or ())):
+                array.flags.writeable = False
+            stages.append(_Stage(radius, positions, indices, into,
+                                 tuple(p.size for p in positions)))
+    into = stages[-1].positions if stages else None
+    return (*stages, _Stage(math.inf, None, None, into, (half, half)))
+
+
+def _start_stages(geometry, start):
+    """The cached stage plan for the support of ``start`` (a vector or a block
+    of columns)."""
+    support = np.flatnonzero(start if start.ndim == 1 else start.any(axis=1))
+    return _stage_plan(geometry, tuple(support.tolist()) if support.size <= _STAGE_SUPPORT else None)
+
+
+def _stage_block(block, stage):
+    """The stage's sub-block of ``block``: the rows at its even positions, each
+    with all its entries, over its odd positions."""
+    import scipy.sparse as sp
+
+    rows, width = stage.indices.shape
+    data = np.take(block.data.reshape(-1, width), stage.positions[0], axis=0)
+    indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+    return sp.csr_matrix((data.reshape(-1), stage.indices.reshape(-1), indptr),
+                         shape=stage.sizes)
+
+
+def _chebyshev_terms(block, u, stages):
+    """Yields (stage, T_k(S) u) for k = 1, 2, ... by u_{k+1} = 2 S u_k - u_{k-1},
+    each term as its (even half, odd half) pair on the stage's positions (see
+    :class:`_Stage`; ``stages`` is a plan, ending with the full block).  None
+    stands for a half that is identically zero and costs no product, so a
+    start on one class pays one half-size product per term, by the stage's
+    block on the odd half and by its transpose on the even one.  Holds only
+    the block, the current stage's sub-block and the last two pairs, so a
+    finished profile keeps no kernel alive."""
+    prev, cur, k = None, u, 0
+    for stage in stages:
+        sub = block if stage.indices is None else _stage_block(block, stage)
+        transpose = sub.T
+        if k:
+            prev, cur = stage.lift(prev), stage.lift(cur)
+        elif stage.positions is not None:
+            cur = tuple(None if half is None else half[pos]
+                        for half, pos in zip(cur, stage.positions))
+        while k < stage.radius:
+            even, odd = cur
+            nxt = (None if odd is None else sub @ odd,
+                   None if even is None else transpose @ even)
+            if prev is not None:
+                # S swaps the classes, so u_{k+1} is live on the halves u_{k-1} is
+                for half, old in zip(nxt, prev):
+                    if half is not None:
+                        half *= 2.0
+                        half -= old
+            prev, cur, k = cur, nxt, k + 1
+            yield stage, cur
 
 
 def propagate(kernel, start, times, tol=1e-10, targets=None):
@@ -252,7 +371,8 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
     classes = _colour_classes(kernel.geometry.d, kernel.geometry.L)
     u0 = start / root
     terms = _chebyshev_terms(kernel.block,
-                             tuple(u0[rows] if np.any(u0[rows]) else None for rows in classes))
+                             tuple(u0[rows] if np.any(u0[rows]) else None for rows in classes),
+                             _start_stages(kernel.geometry, start))
     if targets is not None:
         targets = np.asarray(targets)
         root_t = root[targets]
@@ -266,22 +386,43 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
                                                       np.flatnonzero(on_odd))]
         shape = targets.shape + start.shape[1:]
 
-        def at_targets(halves):
+        def inside(stage):
+            """Each class's targets in the stage and their indices there; the
+            others' terms are zero."""
+            if stage.positions is None:
+                return picks
+            out = []
+            for (sel, pos), positions in zip(picks, stage.positions):
+                at = np.minimum(np.searchsorted(positions, pos), positions.size - 1)
+                hit = positions[at] == pos
+                out.append((sel[hit], at[hit]))
+            return out
+
+        def at_targets(halves, located):
             out = np.zeros(shape)
-            for half, (sel, pos) in zip(halves, picks):
+            for half, (sel, at) in zip(halves, located):
                 if half is not None:
-                    out[sel] = half[pos]
+                    out[sel] = half[at]
             return root_t * out
 
         coeff = [start[targets]]
         del start, root, u0  # the sweep needs only the block and its last terms
-        coeff += [at_targets(u) for _, u in zip(range(len(c) - 1), terms)]
+        stage = None
+        for _, (now, u) in zip(range(len(c) - 1), terms):
+            if now is not stage:
+                stage, located = now, inside(now)
+            coeff.append(at_targets(u, located))
         return TransitionProfile(np.array(coeff), mu_t, float(max(times)),
                                  np.sqrt(mu_t * norm_sq) * dropped)
     scale = math.sqrt(float(kernel.mu.sum()) / float(kernel.mu.min()))
     series = [_series(t, tol, scale) for t in times]
     sums = [[None, None] for _ in series]
-    for k, u in zip(range(1, max(len(c) for c, _ in series)), terms):
+    stage = None
+    for k, (now, u) in zip(range(1, max(len(c) for c, _ in series)), terms):
+        if now is not stage:
+            if stage is not None:  # the sums so far follow the terms
+                sums = [now.lift(acc) for acc in sums]
+            stage = now
         for (c, _), acc in zip(series, sums):
             if k < len(c):
                 for h, half in enumerate(u):
@@ -291,6 +432,8 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
                         acc[h] = c[k] * half
                     else:
                         acc[h] += c[k] * half
+    if stage is not None and stage.positions is not None:
+        classes = tuple(rows[pos] for rows, pos in zip(classes, stage.positions))
     laws = []
     for (c, _), acc in zip(series, sums):
         total = np.zeros_like(start)
@@ -305,7 +448,8 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
 def heat_slices(kernel, requests, tol=1e-10):
     """Slices for (t, x) requests, keyed by (t, wrapped x) in request order;
     sources that request the same set of times and lie in the same colour
-    class share one sweep, so each term costs one half-size product per source."""
+    class share one sweep, staged on the union of their balls, so each term
+    costs at most one half-size product per source."""
     geo = kernel.geometry
     mu_min = float(kernel.mu.min())
     table = {(float(t), geo.wrap(x)): None for t, x in requests}

@@ -180,6 +180,21 @@ def test_verify_fit_and_check_read_one_window(tmp_path, monkeypatch):
     assert report["envelope"]["upper_gauss_rate"] == pytest.approx(0.7716, abs=5e-5)
 
 
+def test_verify_counts_a_repeated_source_once(tmp_path):
+    # (16, 0) wraps to (0, 0) on L = 16: its window is fitted and checked once
+    reports = []
+    for sources in ([[0, 0]], [[0, 0], [16, 0]]):
+        cfg = {**_CONSTANT_16_SELF,
+               "verify": {**_CONSTANT_16_SELF["verify"], "times": [4.0, 8.0], "sources": sources}}
+        out = tmp_path / str(len(sources))
+        assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads((out / "envelope.json").read_text()))
+    lone, repeated = reports
+    assert lone["n_checked"] == lone["n_lower_active"] == 102
+    for key in ("n_checked", "n_lower_active", "n_upper_active", "envelope", "violations"):
+        assert repeated[key] == lone[key]
+
+
 def test_verify_cross_mode_and_violation_csv(tmp_path):
     cfg = {
         "geometry": {"d": 2, "L": 32},

@@ -230,27 +230,33 @@ def test_green_kernel_refuses_a_split_time_below_t0_min():
         green_kernel(field, (0, 0, 0), (0, 0, 0), env, tol=0.5, t0_min=256, kernel=kern)
 
 
-def test_green_sweep_computes_each_jump_power_once():
+def test_green_sweep_computes_each_jump_power_once(monkeypatch):
     geo = TorusGeometry(3, 48)
     kern = jump_kernel(sample_environment(CONSTANT, geo, 0))
     products = []
+    rows = []
 
     class CountingBlock:
-        """Counts the columns of every product by the block and by its
-        transpose, each half-size."""
+        """Counts the columns and output rows of every product by a block or
+        a stage's sub-block and by its transpose, each at most half-size."""
 
         def __init__(self, block):
             self.block = block
+            self.data = block.data
 
         @property
         def T(self):
             return CountingBlock(self.block.T)
 
         def __matmul__(self, v):
-            assert v.shape[0] == geo.n_vertices // 2
+            assert v.shape[0] == self.block.shape[1] <= geo.n_vertices // 2
             products.append(1 if v.ndim == 1 else v.shape[1])
+            rows.append(self.block.shape[0])
             return self.block @ v
 
+    stage_block = rcmlab.kernel._stage_block
+    monkeypatch.setattr(rcmlab.kernel, "_stage_block",
+                        lambda block, stage: CountingBlock(stage_block(block, stage)))
     counted = dataclasses.replace(kern, block=CountingBlock(kern.block))
     # the first source's pairs split at 128 and 256, the second's at 128
     pairs = [((0, 0, 0), (4, 0, 0)), ((0, 0, 0), (6, 0, 0)), ((9, 9, 9), (13, 9, 9))]
@@ -269,6 +275,9 @@ def test_green_sweep_computes_each_jump_power_once():
     assert len(profiles[(0, 0, 0)].coeff) - 1 == degree(256.0)
     assert len(profiles[(9, 9, 9)].coeff) - 1 == degree(128.0)
     assert sum(products) == degree(256.0) + degree(128.0)
+    # the early products run on the ball the walk has reached: at most 3/4 of
+    # the rows of full half-size products
+    assert sum(rows) <= 0.75 * sum(products) * geo.n_vertices // 2
 
 
 @pytest.mark.parametrize("spec", [
@@ -609,10 +618,34 @@ def test_annealed_green_builds_the_block_pattern_once(monkeypatch):
     # both workers would miss an empty cache and each build the pattern
     monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: 2)
     rcmlab.kernel._block_pattern.cache_clear()
+    rcmlab.kernel._stage_plan.cache_clear()
     annealed_green(ELLIPTIC, TorusGeometry(3, 48),
                    [((0, 0, 0), (4, 0, 0)), ((0, 0, 0), (6, 0, 0))], 4, 3)
     info = rcmlab.kernel._block_pattern.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    # one build; the stage plan reads it once, each replica's kernel once
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_annealed_green_builds_each_stage_plan_once_on_the_calling_thread(monkeypatch):
+    # both workers would miss an empty cache and each build a source's plan
+    monkeypatch.setattr(rcmlab.green, "_worker_count", lambda: 2)
+    builders = []
+    distance_field = TorusGeometry.distance_field
+
+    def recording(geometry, center):
+        builders.append(threading.current_thread().name)
+        return distance_field(geometry, center)
+
+    monkeypatch.setattr(TorusGeometry, "distance_field", recording)
+    rcmlab.kernel._stage_plan.cache_clear()
+    geo = TorusGeometry(3, 48)
+    annealed_green(ELLIPTIC, geo, [((0, 0, 0), (4, 0, 0)), ((0, 0, 0), (6, 0, 0)),
+                                   ((9, 9, 9), (13, 9, 9))], 4, 3)
+    info = rcmlab.kernel._stage_plan.cache_info()
+    # one plan per source, built before the helper starts; every sweep hits
+    assert (info.misses, info.hits) == (2, 8)
+    assert builders == ["MainThread"] * 2
+    assert len(rcmlab.kernel._stage_plan(geo, (geo.index((9, 9, 9)),))) > 1  # early stages
 
 
 @pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3}])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
+import rcmlab.kernel
 from rcmlab.environment import ConductanceField, EnvironmentSpec, sample_environment, shift
 from rcmlab.green import _head_integral
 from rcmlab.kernel import (_DENSE_LIMIT, _colour_classes, _series, heat_kernel, heat_slices,
@@ -391,27 +392,94 @@ def test_one_block_sweep_matches_full_s_bit_for_bit(d, L, seed, times, data):
         assert np.array_equal(profile.coeff, ref)
 
 
-def test_mixed_parity_heat_slices_do_one_half_product_per_column_per_term():
+@pytest.mark.parametrize("d, L", [(2, 32), (2, 64), (3, 16), (3, 24)])
+def test_staged_sweep_matches_full_s_bit_for_bit(d, L, monkeypatch):
+    # tori large enough that the sweep runs on growing balls before the full
+    # block; every source sits on the seam (a coordinate 0 or L - 1), so its
+    # ball wraps around the torus
+    geo = TorusGeometry(d, L)
+    field = sample_environment(ELLIPTIC, geo, 40 + L)
+    kern = jump_kernel(field)
+    staged = []
+
+    class CountingStage:
+        def __init__(self, block):
+            self.block = block
+
+        @property
+        def T(self):
+            return CountingStage(self.block.T)
+
+        def __matmul__(self, v):
+            staged.append(v.shape)
+            return self.block @ v
+
+    stage_block = rcmlab.kernel._stage_block
+    monkeypatch.setattr(rcmlab.kernel, "_stage_block",
+                        lambda block, stage: CountingStage(stage_block(block, stage)))
+    rest = (0,) * (d - 2)
+    near = [(0, 0) + rest, (L - 1, 1) + rest, (1, L - 1) + rest]  # even, even, even
+    far = [(L // 2, L - 1) + rest, (L - 1, 0) + rest, (0, L // 2 + 1) + rest]  # odd
+    times = [1.5, 12.0, 48.0]
+    # a start on both classes: its distances need not alternate in parity
+    mixed = np.zeros(geo.n_vertices)
+    mixed[[geo.index(x) for x in near + far]] = np.random.default_rng(L).random(6)
+    mixed /= mixed.sum()
+    for start in (point_mass(geo, near[0]), point_mass(geo, far[1]), mixed):
+        laws, _ = propagate(kern, start, times, 1e-12)
+        for law, ref in zip(laws, full_s_laws(field, start, times, 1e-12)):
+            assert np.array_equal(law, ref)
+    assert staged  # the balls ran before the full block
+    # heat_slices blocks whose sources lie near each other and far apart
+    sources = near + far
+    table = heat_slices(kern, [(t, x) for x in sources for t in times], 1e-12)
+    for group in (near, far):
+        block = np.column_stack([point_mass(geo, x) for x in group])
+        for t, ref in zip(times, full_s_laws(field, block, times, 1e-12)):
+            for j, x in enumerate(group):
+                assert np.array_equal(table[float(t), x].prob, ref[:, j])
+    # targets mode, on the seam and off it, from a point and from a block
+    targets = np.array([geo.index(y) for y in
+                        [(0, L - 1) + rest, (3, 0) + rest, (L // 2, L // 2) + rest,
+                         (L - 2, L - 1) + rest, (5, 4) + rest]])
+    for start in (point_mass(geo, far[0]), mixed,
+                  np.column_stack([point_mass(geo, x) for x in (near[0], near[2])])):
+        staged.clear()
+        profile = propagate(kern, start, [40.0], 1e-12, targets=targets)
+        assert staged
+        root_t = np.sqrt(kern.mu[targets])
+        if start.ndim == 2:
+            root_t = root_t[:, None]
+        terms = full_s_terms(field, start, len(profile.coeff) - 1)
+        ref = np.array([start[targets]] + [root_t * u[targets] for u in terms[1:len(profile.coeff)]])
+        assert np.array_equal(profile.coeff, ref)
+
+
+def test_mixed_parity_heat_slices_do_one_half_product_per_column_per_term(monkeypatch):
     geo = TorusGeometry(2, 8)
     kern = jump_kernel(sample_environment(ELLIPTIC, geo, 4))
     columns = {"block": [], "block.T": []}
 
     class CountingBlock:
-        """Counts the columns of every product by the block and by its
-        transpose, each half-size."""
+        """Counts the columns of every product by a block or a stage's
+        sub-block and by its transpose, each at most half-size."""
 
         def __init__(self, block, name="block"):
             self.block, self.name = block, name
+            self.data = block.data
 
         @property
         def T(self):
             return CountingBlock(self.block.T, "block.T")
 
         def __matmul__(self, v):
-            assert v.shape[0] == geo.n_vertices // 2
+            assert v.shape[0] == self.block.shape[1] <= geo.n_vertices // 2
             columns[self.name].append(v.shape[1])
             return self.block @ v
 
+    stage_block = rcmlab.kernel._stage_block
+    monkeypatch.setattr(rcmlab.kernel, "_stage_block",
+                        lambda block, stage: CountingBlock(stage_block(block, stage)))
     counted = dataclasses.replace(kern, block=CountingBlock(kern.block))
     sources = [(0, 0), (1, 0), (0, 1), (3, 5), (2, 5)]  # two even, three odd
     heat_slices(counted, [(t, x) for x in sources for t in (2.0, 6.0)], 1e-12)
