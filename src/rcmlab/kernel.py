@@ -246,8 +246,9 @@ class _Stage:
     <= radius and the odd ones at distance <= radius + 1; ``indices`` the
     first ones' rows of the block's column indices, renumbered onto the
     second; ``into`` where the previous stage's positions sit in these (None
-    for a first stage).  The full block is a stage with ``positions`` and
-    ``indices`` None and an infinite radius, and ends every plan."""
+    for a first stage); ``sizes`` the lengths of the two halves.  The full
+    block is a stage with ``positions`` and ``indices`` None and an infinite
+    radius, and ends every plan."""
 
     radius: float
     positions: tuple
@@ -305,7 +306,8 @@ def _start_stages(geometry, start):
     """The cached stage plan for the support of ``start`` (a vector or a block
     of columns)."""
     support = np.flatnonzero(start if start.ndim == 1 else start.any(axis=1))
-    return _stage_plan(geometry, tuple(support.tolist()) if support.size <= _STAGE_SUPPORT else None)
+    key = tuple(support.tolist()) if support.size <= _STAGE_SUPPORT else None
+    return _stage_plan(geometry, key)
 
 
 def _stage_block(block, stage):
@@ -432,7 +434,7 @@ def propagate(kernel, start, times, tol=1e-10, targets=None):
                         acc[h] = c[k] * half
                     else:
                         acc[h] += c[k] * half
-    if stage is not None and stage.positions is not None:
+    if stage is not None and stage.positions is not None:  # the sums live on its vertices
         classes = tuple(rows[pos] for rows, pos in zip(classes, stage.positions))
     laws = []
     for (c, _), acc in zip(series, sums):
